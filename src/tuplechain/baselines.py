@@ -61,6 +61,11 @@ def linear_lookup_batch(rules, keys) -> list[tuple[int, int | None]]:
     return out
 
 
+def _key_bytes(masks) -> int:
+    """Bytes per packed key, from the widest mask stored."""
+    return (max((m.bit_length() for m in masks), default=0) + 7) // 8
+
+
 class LinearClassifier:
     """Exhaustive scan over a flat rule list."""
 
@@ -79,6 +84,17 @@ class LinearClassifier:
 
     def lookup(self, key: int) -> MatchResult:
         return linear_lookup(self.rules, key)
+
+    def probe_bound(self) -> int:
+        return len(self.rules)
+
+    def audit(self) -> list[str]:
+        return []
+
+    def memory_bytes(self) -> int:
+        # fields + mask + priority + id per rule
+        return len(self.rules) * (
+            2 * _key_bytes(r.mask for r in self.rules) + 12)
 
 
 class TssClassifier:
@@ -113,6 +129,27 @@ class TssClassifier:
             del self.tables[r.mask]
             self._order.remove(r.mask)
         return True
+
+    def probe_bound(self) -> int:
+        return len(self._order)
+
+    def audit(self) -> list[str]:
+        out = []
+        if self._order != sorted(self.tables):
+            out.append("probe order disagrees with the tuple set")
+        for mask, tbl in self.tables.items():
+            if not tbl:
+                out.append(f"empty tuple {mask:#x}")
+            for key, r in tbl.items():
+                if r.mask != mask or r.fields != key:
+                    out.append(f"rule {r.rule_id} misfiled in tuple "
+                               f"{mask:#x}")
+        return out
+
+    def memory_bytes(self) -> int:
+        # per entry: stored key plus the rule's fields, mask, priority, id
+        n = sum(len(t) for t in self.tables.values())
+        return n * (3 * _key_bytes(self.tables) + 24)
 
     def lookup(self, key: int) -> MatchResult:
         best = None

@@ -1,23 +1,19 @@
-"""Rate-controlled benchmark harness and structural check drivers.
+"""Benchmark replay, structural audit and equivalence checks.
 
-Three actors: a packet source and an update source feed bounded queues
-at token-bucket controlled rates; a single executor drains both, running
-lookups and updates on the one classifier instance.  Full queues drop
-and count, mirroring a saturated link.
+``run_bench`` replays a trace against one classifier on one thread,
+with the update stream spread evenly through it, and times only the
+classifier calls themselves.
 """
 
 from __future__ import annotations
 
 import json
-import queue
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .baselines import LinearClassifier, TssClassifier, linear_lookup_batch
 from .classifier import TupleChainClassifier
 from .etc import EtcClassifier
-from .model import FieldSchema, Rule
 from .workload import RuleSetFile, UpdateStream
 
 ALGOS = ("tc", "etc", "tss", "linear")
@@ -33,11 +29,7 @@ class BenchConfig:
     ruleset: RuleSetFile
     trace: list[int]
     updates: UpdateStream | None = None
-    tx_rate: float = 1e6          # keys per second offered
-    update_rate: float = 0.0      # updates per second offered
-    duration: float = 2.0         # seconds
     min_head_bits: int = 4
-    queue_depth: int = 4096
 
 
 @dataclass
@@ -46,43 +38,44 @@ class MetricsReport:
     rule_count: int
     lookups: int
     updates: int
-    wall_time: float
-    rx_rate_mpps: float
-    update_rate_ops: float
+    build_s: float
+    lookup_s: float     # summed time inside lookup calls
+    update_s: float     # summed time inside insert/remove calls
     avg_probes: float
     max_probes: int
     bound_violations: int
-    lookup_drops: int
-    update_drops: int
     memory_bytes: int
-    extra: dict = field(default_factory=dict)
+
+    @property
+    def lookups_per_s(self) -> float:
+        return self.lookups / self.lookup_s if self.lookup_s else 0.0
+
+    @property
+    def updates_per_s(self) -> float:
+        return self.updates / self.update_s if self.update_s else 0.0
 
     def to_json(self) -> str:
         d = {k: getattr(self, k) for k in (
-            "algo", "rule_count", "lookups", "updates", "wall_time",
-            "rx_rate_mpps", "update_rate_ops", "avg_probes", "max_probes",
-            "bound_violations", "lookup_drops", "update_drops",
+            "algo", "rule_count", "lookups", "updates", "build_s",
+            "lookup_s", "update_s", "lookups_per_s", "updates_per_s",
+            "avg_probes", "max_probes", "bound_violations",
             "memory_bytes")}
-        d.update(self.extra)
         return json.dumps(d, indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [
             f"algo:             {self.algo}",
             f"rules:            {self.rule_count}",
+            f"build time:       {self.build_s:.3f} s",
             f"lookups:          {self.lookups}",
+            f"lookup rate:      {self.lookups_per_s:.0f} /s",
             f"updates:          {self.updates}",
-            f"wall time:        {self.wall_time:.3f} s",
-            f"receive rate:     {self.rx_rate_mpps:.4f} MPPS",
-            f"update rate:      {self.update_rate_ops:.1f} ops/s",
+            f"update rate:      {self.updates_per_s:.0f} /s",
             f"avg probes:       {self.avg_probes:.2f}",
             f"max probes:       {self.max_probes}",
             f"bound violations: {self.bound_violations}",
-            f"drops (lookup):   {self.lookup_drops}",
-            f"drops (update):   {self.update_drops}",
             f"memory estimate:  {self.memory_bytes} bytes",
         ]
-        lines.extend(f"{k}: {v}" for k, v in sorted(self.extra.items()))
         return "\n".join(lines)
 
 
@@ -99,134 +92,56 @@ def make_classifier(algo: str, ruleset: RuleSetFile, min_head_bits: int = 4):
     raise BenchError(f"unknown algo {algo!r}; pick one of {ALGOS}")
 
 
-def _memory_of(algo, clf, schema: FieldSchema) -> int:
-    if algo == "tc":
-        return clf.stats().memory_bytes
-    if algo == "etc":
-        return clf.memory_bytes()
-    key_bytes = (schema.total_width + 7) // 8
-    if algo == "tss":
-        n = sum(len(t) for t in clf.tables.values())
-        return n * (3 * key_bytes + 24)
-    return len(clf.rules) * (2 * key_bytes + 12)
-
-
-class _Source(threading.Thread):
-    """Feeds items into a bounded queue at a token-bucket rate."""
-
-    def __init__(self, items, rate, q, stop, cycle):
-        super().__init__(daemon=True)
-        self.items = items
-        self.rate = rate
-        self.q = q
-        self.stop = stop
-        self.cycle = cycle
-        self.sent = 0
-        self.drops = 0
-
-    def run(self):
-        if self.rate <= 0 or not self.items:
-            return
-        i = 0
-        n = len(self.items)
-        last = time.monotonic()
-        tokens = 0.0
-        burst = max(1.0, self.rate / 100)
-        while not self.stop.is_set():
-            now = time.monotonic()
-            tokens = min(burst, tokens + (now - last) * self.rate)
-            last = now
-            if tokens < 1.0:
-                time.sleep(0.001)
-                continue
-            while tokens >= 1.0 and not self.stop.is_set():
-                if i >= n:
-                    if not self.cycle:
-                        return
-                    i = 0
-                try:
-                    self.q.put_nowait(self.items[i])
-                    self.sent += 1
-                except queue.Full:
-                    self.drops += 1
-                tokens -= 1.0
-                i += 1
-
-
 def run_bench(config: BenchConfig) -> MetricsReport:
-    if config.algo not in ALGOS:
-        raise BenchError(f"unknown algo {config.algo!r}")
-    if config.tx_rate <= 0:
-        raise BenchError("tx_rate must be positive")
-    if config.update_rate < 0:
-        raise BenchError("update_rate must be non-negative")
+    """Build once, then walk the trace in order.  Update ``j`` of ``U``
+    runs just before lookup ``j * N // U`` of ``N``, and every lookup's
+    probes are checked against the classifier's current bound."""
+    trace = config.trace
+    if not trace:
+        raise BenchError("the trace is empty")
+    ops = config.updates.ops if config.updates else []
+    clock = time.perf_counter
+    t0 = clock()
     clf = make_classifier(config.algo, config.ruleset, config.min_head_bits)
-    bounded = config.algo in ("tc",)
-    stop = threading.Event()
-    lookup_q: queue.Queue = queue.Queue(maxsize=config.queue_depth)
-    update_q: queue.Queue = queue.Queue(maxsize=config.queue_depth)
-    pkt_src = _Source(config.trace, config.tx_rate, lookup_q, stop, True)
-    upd_items = config.updates.ops if config.updates else []
-    upd_src = _Source(upd_items, config.update_rate, update_q, stop, False)
+    build_s = clock() - t0
 
-    lookups = updates = 0
-    probes_total = 0
-    probes_max = 0
-    violations = 0
-    bound = clf.probe_bound() if bounded else 0
-
-    start = time.monotonic()
-    deadline = start + config.duration
-    pkt_src.start()
-    upd_src.start()
-    try:
-        while time.monotonic() < deadline:
-            structure_changed = False
-            # drain a few updates first, then lookups; one executor
-            for _ in range(64):
-                try:
-                    op, rule = update_q.get_nowait()
-                except queue.Empty:
-                    break
-                if op == "insert":
-                    clf.insert(rule)
-                else:
-                    clf.remove(rule)
-                updates += 1
-                structure_changed = True
-            if structure_changed and bounded:
-                bound = clf.probe_bound()
-            for _ in range(256):
-                try:
-                    key = lookup_q.get_nowait()
-                except queue.Empty:
-                    break
-                res = clf.lookup(key)
-                lookups += 1
-                probes_total += res.probes
-                if res.probes > probes_max:
-                    probes_max = res.probes
-                if bounded and res.probes > bound:
-                    violations += 1
-    finally:
-        stop.set()
-        pkt_src.join()
-        upd_src.join()
-    wall = time.monotonic() - start
+    n, u = len(trace), len(ops)
+    lookup_s = update_s = 0.0
+    probes_total = probes_max = violations = 0
+    bound = clf.probe_bound()
+    j = 0
+    for i, key in enumerate(trace):
+        while j < u and j * n // u == i:
+            op, rule = ops[j]
+            t0 = clock()
+            if op == "insert":
+                clf.insert(rule)
+            else:
+                clf.remove(rule)
+            update_s += clock() - t0
+            j += 1
+            bound = clf.probe_bound()
+        t0 = clock()
+        res = clf.lookup(key)
+        lookup_s += clock() - t0
+        p = res.probes
+        probes_total += p
+        if p > probes_max:
+            probes_max = p
+        if p > bound:
+            violations += 1
     return MetricsReport(
         algo=config.algo,
         rule_count=len(config.ruleset.rules),
-        lookups=lookups,
-        updates=updates,
-        wall_time=wall,
-        rx_rate_mpps=lookups / wall / 1e6 if wall else 0.0,
-        update_rate_ops=updates / wall if wall else 0.0,
-        avg_probes=probes_total / lookups if lookups else 0.0,
+        lookups=n,
+        updates=u,
+        build_s=build_s,
+        lookup_s=lookup_s,
+        update_s=update_s,
+        avg_probes=probes_total / n,
         max_probes=probes_max,
         bound_violations=violations,
-        lookup_drops=pkt_src.drops,
-        update_drops=upd_src.drops,
-        memory_bytes=_memory_of(config.algo, clf, config.ruleset.schema),
+        memory_bytes=clf.memory_bytes(),
     )
 
 
@@ -250,10 +165,7 @@ def run_audit(config: BenchConfig,
     clf = make_classifier(config.algo, config.ruleset, config.min_head_bits)
     if corrupt_hook is not None:
         corrupt_hook(clf)
-    if hasattr(clf, "audit"):
-        violations = clf.audit()
-    else:
-        violations = []
+    violations = clf.audit()
     return AuditReport(not violations, violations)
 
 

@@ -92,6 +92,8 @@ class Chain:
         nxt = t.next
         if nxt is None:
             return
+        # The re-left trail re-finds e's old marker by key (old.key ==
+        # e.key & t.prev.mask), so the old marker keeps an owner.
         for e in list(nxt.table.values()):
             old = e.marker
             if old is not None:
@@ -100,12 +102,6 @@ class Chain:
             leave_marker(e, t, self.touches)
             e.hint = best_rule(e.rule, e.marker.hint)
             report_hint(e, self.touches)
-            # The re-left marker trail re-finds the old entries by key,
-            # so orphans are not expected; collect defensively anyway.
-            if old is not None and old.rule is None and not old.owners:
-                delete_marker(old, t.prev.prev if t.prev else None,
-                              self.touches)
-                del t.prev.table[old.key]
 
     def remove_tuple(self, t: TupleTable) -> None:
         if t.table or t.rule_count:
@@ -126,8 +122,10 @@ class Chain:
             e = t.table.get(key & t.mask)
             probes += 1
             if e is not None:
-                if e.hint is not None:
-                    best = best_rule(best, e.hint)
+                # Each hit is deeper than the last, and a deeper entry's
+                # marker trail runs through every shallower hit, so by
+                # the hint law its hint dominates theirs.
+                best = e.hint
                 node = node.succ
             else:
                 node = node.fail
@@ -191,11 +189,10 @@ class Chain:
                 out.append(f"prev/next links wrong at position {i}")
         inorder: list[TupleTable] = []
 
-        def walk(n: _Node | None, depth: int) -> int:
+        def walk(n: _Node | None) -> int:
             if n is None:
                 return 0
-            h = 1 + max(walk(n.fail, depth), walk(n.succ, depth))
-            return h
+            return 1 + max(walk(n.fail), walk(n.succ))
 
         def collect(n: _Node | None):
             if n is None:
@@ -207,7 +204,7 @@ class Chain:
         collect(self.root)
         if inorder != self.tuples:
             out.append("tree in-order disagrees with chain order")
-        height = walk(self.root, 0)
+        height = walk(self.root)
         if self.tuples and height > 2 * math.log2(len(self.tuples) + 1):
             out.append(f"tree height {height} exceeds balance bound")
 

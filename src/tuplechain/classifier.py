@@ -207,6 +207,9 @@ class TupleChainClassifier:
             memory_bytes=mem,
         )
 
+    def memory_bytes(self) -> int:
+        return self.stats().memory_bytes
+
     def audit(self) -> list[str]:
         out = []
         for i, c in enumerate(self.chains):

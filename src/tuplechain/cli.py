@@ -48,31 +48,23 @@ def _config(args, need_trace=True):
     updates = parse_updates(args.updates) if args.updates else None
     return BenchConfig(
         algo=args.algo, ruleset=rs, trace=trace, updates=updates,
-        tx_rate=getattr(args, "tx_rate", 1e6),
-        update_rate=getattr(args, "update_rate", 0.0),
-        duration=getattr(args, "duration", 2.0),
         min_head_bits=args.min_head_bits)
 
 
 def cmd_build(args) -> int:
     rs = _load_rules(args)
     clf = make_classifier(args.algo, rs, args.min_head_bits)
+    violations = clf.audit()
+    body = {"rules": len(rs.rules), "probe_bound": clf.probe_bound(),
+            "memory_bytes": clf.memory_bytes(),
+            "audit_violations": len(violations)}
     if args.algo == "tc":
         st = clf.stats()
-        body = {
-            "rules": st.rule_count, "tuples": st.tuple_count,
-            "chains": st.chain_count, "entries": st.entry_total,
-            "owner_links": st.owner_link_total,
-            "memory_bytes": st.memory_bytes,
-            "probe_bound": clf.probe_bound(),
-        }
+        body.update(tuples=st.tuple_count, chains=st.chain_count,
+                    entries=st.entry_total,
+                    owner_links=st.owner_link_total)
     elif args.algo == "etc":
-        body = {"rules": len(rs.rules), "groups": clf.group_count,
-                "memory_bytes": clf.memory_bytes()}
-    else:
-        body = {"rules": len(rs.rules)}
-    violations = clf.audit() if hasattr(clf, "audit") else []
-    body["audit_violations"] = len(violations)
+        body["groups"] = clf.group_count
     if args.report == "json":
         import json
         _emit(json.dumps(body, indent=2, sort_keys=True), args)
@@ -129,14 +121,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("build", help="build a classifier and report stats")
     _add_io_flags(p)
 
-    p = sub.add_parser("bench", help="rate-controlled lookup/update run")
+    p = sub.add_parser("bench", help="replay a trace, updates spread "
+                       "evenly through it")
     _add_io_flags(p, trace_required=True)
-    p.add_argument("--tx-rate", type=float, default=1e6,
-                   help="offered lookups per second")
-    p.add_argument("--update-rate", type=float, default=0.0,
-                   help="offered updates per second")
-    p.add_argument("--duration", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("audit", help="structural invariant audit")
     _add_io_flags(p)

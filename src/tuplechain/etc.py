@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .chain import DuplicateRuleError
 from .classifier import TupleChainClassifier
 from .graph import PathCover, build_graph, min_path_cover
 from .model import FieldSchema, MatchResult, Rule, best_rule, mask_less_than
@@ -68,9 +69,9 @@ def group_chains(pc: PathCover, masks: list[int],
 class _HeadEntry:
     __slots__ = ("key", "local")
 
-    def __init__(self, key: int, schema: FieldSchema):
+    def __init__(self, key: int, local: TupleChainClassifier):
         self.key = key
-        self.local = TupleChainClassifier(schema)
+        self.local = local
 
 
 class _Group:
@@ -105,24 +106,25 @@ class EtcClassifier:
         masks = sorted({r.mask for r in rules})
         pc = min_path_cover(build_graph(masks))
         plans = group_chains(pc, masks, min_head_bits)
-        by_group: list[dict[int, list[Rule]]] = []
-        for plan in plans:
+        # rules per group, in input order so each local build sees its
+        # masks in first-appearance order
+        slot = {m: i for i, plan in enumerate(plans)
+                for m in plan.member_masks}
+        by_group: list[list[Rule]] = [[] for _ in plans]
+        for r in rules:
+            by_group[slot[r.mask]].append(r)
+        for plan, members in zip(plans, by_group):
             grp = _Group(plan.head_mask, set(plan.member_masks))
             self.groups.append(grp)
             for m in plan.member_masks:
                 self._mask_to_group[m] = grp
-            by_group.append({})
-        for r in rules:
-            grp = self._mask_to_group[r.mask]
-            gi = self.groups.index(grp)
-            by_group[gi].setdefault(r.fields & grp.head_mask, []).append(r)
-        for grp, buckets in zip(self.groups, by_group):
+            buckets: dict[int, list[Rule]] = {}
+            for r in members:
+                buckets.setdefault(r.fields & grp.head_mask, []).append(r)
             for hkey, bucket in buckets.items():
-                he = _HeadEntry(hkey, schema)
-                he.local = TupleChainClassifier.build(schema, bucket)
-                grp.head[hkey] = he
-        for r in rules:
-            self.rule_ids.add(r.rule_id)
+                grp.head[hkey] = _HeadEntry(
+                    hkey, TupleChainClassifier.build(schema, bucket))
+        self.rule_ids.update(r.rule_id for r in rules)
         return self
 
     # -- lookup ------------------------------------------------------
@@ -139,6 +141,12 @@ class EtcClassifier:
             probes += res.probes
             best = best_rule(best, res.rule)
         return MatchResult(best, probes)
+
+    def probe_bound(self) -> int:
+        """One head probe per group plus the worst local bound behind it."""
+        return sum(1 + max((he.local.probe_bound()
+                            for he in grp.head.values()), default=0)
+                   for grp in self.groups)
 
     # -- updates -----------------------------------------------------
 
@@ -161,12 +169,13 @@ class EtcClassifier:
 
     def insert(self, r: Rule) -> None:
         if r.rule_id in self.rule_ids:
-            raise ValueError(f"rule id {r.rule_id} already present")
+            raise DuplicateRuleError(f"rule id {r.rule_id} already present")
         grp = self._route(r)
         hkey = r.fields & grp.head_mask
         he = grp.head.get(hkey)
         if he is None:
-            he = grp.head[hkey] = _HeadEntry(hkey, self.schema)
+            he = grp.head[hkey] = _HeadEntry(
+                hkey, TupleChainClassifier(self.schema))
         he.local.insert(r)
         self.rule_ids.add(r.rule_id)
 

@@ -73,45 +73,53 @@ class TupleTable:
 
 def leave_marker(e: Entry, t: TupleTable | None,
                  counter: TouchCounter) -> Entry | None:
-    """Find-or-create e's marker in the preceding tuple t, recursively.
+    """Find-or-create e's marker in the preceding tuple t.
 
-    A freshly created marker leaves its own marker further down and
-    inherits that marker's hint; e is recorded as an owner either way.
+    A freshly created marker leaves its own marker further down, and so
+    on until an existing entry or the chain head ends the trail.  e is
+    recorded as an owner either way.  Iterative, so chain length is not
+    bounded by the interpreter's recursion limit.
     """
     if t is None:
         return None
-    key = e.key & t.mask
-    k = t.table.get(key)
-    counter.marker += 1
-    if k is None:
-        k = Entry(key)
-        t.table[key] = k
-        kk = leave_marker(k, t.prev, counter)
-        k.hint = kk.hint if kk is not None else None
-    k.owners.append(e)
-    e.marker = k
+    cur = e
+    while True:
+        key = cur.key & t.mask
+        k = t.table.get(key)
+        counter.marker += 1
+        if k is not None:
+            break
+        k = t.table[key] = Entry(key)
+        k.owners.append(cur)
+        cur.marker = k
+        cur, t = k, t.prev
+        if t is None:
+            # the trail reached the head: the new markers keep no hint
+            return e.marker
+    k.owners.append(cur)
+    cur.marker = k
+    # The markers made above hold no rule, so they inherit k's hint.
+    m = e.marker
+    while m is not k:
+        m.hint = k.hint
+        m = m.marker
     return k
-
-
-def obtain_marker(e: Entry, t: TupleTable | None) -> Entry | None:
-    """e's existing marker in t, without creating anything."""
-    if t is None:
-        return None
-    return e.marker
 
 
 def delete_marker(e: Entry, t: TupleTable | None,
                   counter: TouchCounter) -> None:
-    """Drop e from its marker's owners; erase markers left ownerless."""
+    """Drop e from its marker's owners; erase markers left ownerless,
+    walking down the trail until a marker is still in use."""
     k = e.marker
-    if k is None or t is None:
-        return
-    counter.marker += 1
-    k.owners.remove(e)
-    e.marker = None
-    if k.rule is None and not k.owners:
-        delete_marker(k, t.prev, counter)
+    while k is not None and t is not None:
+        counter.marker += 1
+        k.owners.remove(e)
+        e.marker = None
+        if k.rule is not None or k.owners:
+            return
         del t.table[k.key]
+        e, t = k, t.prev
+        k = e.marker
 
 
 def report_hint(e: Entry, counter: TouchCounter) -> None:

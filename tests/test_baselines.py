@@ -52,6 +52,13 @@ class TestLinear:
         assert c.remove(r) and not c.remove(r)
         assert c.lookup(0x1A).rule is None
 
+    def test_bound_audit_and_memory(self):
+        rng = random.Random(3)
+        c = LinearClassifier(random_rules(rng, 40))
+        assert c.probe_bound() == 40 == c.lookup(0).probes
+        assert c.audit() == []
+        assert c.memory_bytes() == 40 * (2 * 2 + 12)
+
 
 class TestLinearBatch:
     def test_matches_scalar(self):
@@ -123,6 +130,17 @@ class TestTss:
         c = TssClassifier([Rule(0x10, 0xF0, 1, 0)])
         with pytest.raises(ValueError):
             c.insert(Rule(0x10, 0xF0, 2, 1))
+
+    def test_bound_audit_and_memory(self):
+        rng = random.Random(8)
+        rules = random_rules(rng, 100)
+        c = TssClassifier(rules)
+        assert c.probe_bound() == c.tuple_count
+        assert c.audit() == []
+        assert c.memory_bytes() == 100 * (3 * 2 + 24)
+        tbl = c.tables[rules[0].mask]
+        tbl[rules[0].fields ^ 1] = tbl.pop(rules[0].fields)  # misfile
+        assert any("misfiled" in v for v in c.audit())
 
     def test_remove_drops_empty_tuple(self):
         r = Rule(0x10, 0xF0, 1, 0)

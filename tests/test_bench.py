@@ -9,9 +9,9 @@ from tuplechain.bench import (ALGOS, BenchConfig, BenchError, MetricsReport,
 from tuplechain.classifier import TupleChainClassifier
 from tuplechain.cli import main
 from tuplechain.etc import EtcClassifier
-from tuplechain.model import FieldSchema
-from tuplechain.workload import (TupleProfile, gen_rules, gen_trace,
-                                 gen_updates)
+from tuplechain.model import FieldSchema, Rule
+from tuplechain.workload import (RuleSetFile, TupleProfile, UpdateStream,
+                                 gen_rules, gen_trace, gen_updates)
 
 S = FieldSchema((16, 16))
 PROFILE = TupleProfile(num_masks=12, num_chains=4)
@@ -27,8 +27,7 @@ def workload():
 
 def short_config(workload, algo="tc", **kw):
     rs, trace, ups = workload
-    defaults = dict(algo=algo, ruleset=rs, trace=trace, updates=ups,
-                    tx_rate=2e5, update_rate=0.0, duration=0.25)
+    defaults = dict(algo=algo, ruleset=rs, trace=trace, updates=None)
     defaults.update(kw)
     return BenchConfig(**defaults)
 
@@ -52,17 +51,16 @@ class TestRunBench:
         with pytest.raises(BenchError):
             run_bench(short_config(workload, algo="nope"))
         with pytest.raises(BenchError):
-            run_bench(short_config(workload, tx_rate=0))
-        with pytest.raises(BenchError):
-            run_bench(short_config(workload, update_rate=-1))
+            run_bench(short_config(workload, trace=[]))
 
     def test_lookup_only_run(self, workload):
         rep = run_bench(short_config(workload))
-        assert rep.lookups > 0 and rep.updates == 0
+        assert rep.lookups == len(workload[1]) and rep.updates == 0
         assert rep.bound_violations == 0
         assert 0 < rep.avg_probes <= rep.max_probes
-        assert rep.rx_rate_mpps == pytest.approx(
-            rep.lookups / rep.wall_time / 1e6)
+        assert rep.lookups_per_s == pytest.approx(
+            rep.lookups / rep.lookup_s)
+        assert rep.build_s > 0 and rep.update_s == 0
         assert rep.memory_bytes > 0
 
     def test_probes_stay_within_static_bound(self, workload):
@@ -71,48 +69,57 @@ class TestRunBench:
         rep = run_bench(short_config(workload))
         assert rep.max_probes <= clf.probe_bound()
 
-    def test_concurrent_updates_run(self, workload):
-        rep = run_bench(short_config(workload, update_rate=500.0,
-                                     duration=0.4))
-        assert rep.updates > 0
-        assert rep.bound_violations == 0
-
     def test_offline_replay_matches_direct_loop(self, workload):
-        # the executor applies updates then lookups; replaying the same
-        # operations synchronously must land on the same final rule set
+        # the replay applies every update exactly once, like a direct
+        # loop over the stream
         rs, trace, ups = workload
         clf = make_classifier("tc", rs)
         for op, r in ups.ops:
             (clf.insert if op == "insert" else clf.remove)(r)
         assert clf.audit() == []
-        rep = run_bench(short_config(workload, update_rate=1e7,
-                                     duration=0.4))
-        assert rep.updates == len(ups.ops)   # stream fully drained
+        rep = run_bench(short_config(workload, updates=ups))
+        assert rep.updates == len(ups.ops)
+        assert rep.lookups == len(trace)
+
+    def test_updates_spread_evenly_through_trace(self):
+        # every insert opens a fresh tuple, so a TSS lookup's probe
+        # count shows how many updates ran before it: with 2 updates
+        # over 4 lookups they run before lookups 0 and 2
+        rules = [Rule(0, S.pack((0xFF00, 0)), 1, 0)]
+        ins = [Rule(0, S.pack((0xFFFF, m)), 1, i + 1)
+               for i, m in enumerate((0xF000, 0xFF00))]
+        rs = RuleSetFile(S, rules)
+        ups = UpdateStream(S, [("insert", r) for r in ins])
+        rep = run_bench(BenchConfig("tss", rs, [0, 1, 2, 3], ups))
+        assert rep.updates == 2 and rep.max_probes == 3
+        assert rep.avg_probes == pytest.approx((2 + 2 + 3 + 3) / 4)
+        assert rep.bound_violations == 0
 
     @pytest.mark.parametrize("algo", ALGOS)
     def test_all_algos_complete(self, workload, algo):
-        rep = run_bench(short_config(workload, algo=algo, duration=0.15,
-                                     tx_rate=5e4))
-        assert rep.algo == algo and rep.lookups > 0
+        _, trace, ups = workload
+        rep = run_bench(short_config(workload, algo=algo, updates=ups))
+        assert rep.algo == algo and rep.lookups == len(trace)
+        assert rep.updates == len(ups.ops)
+        assert rep.bound_violations == 0
 
 
 class TestReports:
     def test_json_keys_are_stable(self, workload):
-        rep = run_bench(short_config(workload, duration=0.1, tx_rate=1e4))
+        rep = run_bench(short_config(workload))
         d = json.loads(rep.to_json())
         assert set(d) == {
-            "algo", "rule_count", "lookups", "updates", "wall_time",
-            "rx_rate_mpps", "update_rate_ops", "avg_probes", "max_probes",
-            "bound_violations", "lookup_drops", "update_drops",
+            "algo", "rule_count", "lookups", "updates", "build_s",
+            "lookup_s", "update_s", "lookups_per_s", "updates_per_s",
+            "avg_probes", "max_probes", "bound_violations",
             "memory_bytes"}
         assert list(d) == sorted(d)
 
     def test_text_report_mentions_the_essentials(self):
-        rep = MetricsReport("tc", 1, 2, 3, 0.5, 0.004, 6.0, 1.5, 4, 0,
-                            0, 0, 1234)
+        rep = MetricsReport("tc", 1, 2, 3, 0.1, 0.5, 0.2, 1.5, 4, 0, 1234)
         txt = rep.to_text()
         for needle in ("algo", "avg probes", "bound violations",
-                       "memory estimate"):
+                       "memory estimate", "lookup rate", "build time"):
             assert needle in txt
 
 
@@ -184,11 +191,28 @@ class TestCli:
         rules, trace, ups = files
         rc = main(["bench", "--rules", str(rules), "--trace", str(trace),
                    "--updates", str(ups), "--algo", "tc",
-                   "--tx-rate", "20000", "--update-rate", "100",
-                   "--duration", "0.2", "--report", "json"])
+                   "--report", "json"])
         assert rc == 0
         d = json.loads(capsys.readouterr().out)
-        assert d["bound_violations"] == 0 and d["lookups"] > 0
+        assert d["bound_violations"] == 0 and d["lookups"] == 300
+        assert d["updates"] == 100
+
+    def test_bench_has_no_rate_flags(self, files):
+        rules, trace, _ = files
+        for flag in ("--tx-rate", "--update-rate", "--duration", "--seed"):
+            with pytest.raises(SystemExit):
+                main(["bench", "--rules", str(rules), "--trace", str(trace),
+                      flag, "1"])
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_build_reports_common_keys(self, files, tmp_path, algo):
+        rules, _, _ = files
+        out = tmp_path / "build.json"
+        assert main(["build", "--rules", str(rules), "--algo", algo,
+                     "--report", "json", "--out", str(out)]) == 0
+        d = json.loads(out.read_text())
+        assert d["rules"] == 200 and d["audit_violations"] == 0
+        assert d["probe_bound"] > 0 and d["memory_bytes"] > 0
 
     def test_missing_trace_fails(self, files):
         rules, _, _ = files

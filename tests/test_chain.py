@@ -259,3 +259,25 @@ class TestAudit:
         c = new_chain(T1, T2)
         c.tuples.reverse()
         assert any("chain order" in v for v in c.audit())
+
+
+class TestLongChain:
+    def test_fresh_key_insert_and_remove_on_1200_tuple_chain(self):
+        # nested masks of up to 1200 bits; a key fresh under every mask
+        # leaves a marker in all 1199 preceding tuples, a trail deeper
+        # than the default recursion limit
+        masks = [(1 << (i + 1)) - 1 for i in range(1200)]
+        c = new_chain(*masks)
+        for i, t in enumerate(c.tuples):
+            c.insert_rule(t, Rule(0, t.mask, i, i))
+        assert c.audit() == []
+        tail = c.tuples[-1]
+        r = Rule(tail.mask, tail.mask, 5000, 5000)
+        c.insert_rule(tail, r)
+        assert c.audit() == []
+        assert all(len(t.table) == 2 for t in c.tuples)
+        best, probes = c.lookup(tail.mask)
+        assert best is r and probes <= c.probe_bound()
+        assert c.delete_rule(tail, r)
+        assert c.audit() == []
+        assert all(len(t.table) == 1 for t in c.tuples)

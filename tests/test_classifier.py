@@ -198,6 +198,7 @@ class TestStats:
         assert st.max_chain_tuples == max(st.chain_tuple_counts)
         assert st.entry_total >= st.rule_count
         assert st.memory_bytes > 0
+        assert c.memory_bytes() == st.memory_bytes
 
     def test_entry_total_within_space_bound(self):
         rng = random.Random(10)

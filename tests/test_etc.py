@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tuplechain.baselines import linear_lookup
+from tuplechain.chain import DuplicateRuleError
 from tuplechain.etc import EtcClassifier, group_chains
 from tuplechain.graph import build_graph, min_path_cover
 from tuplechain.model import FieldSchema, Rule
@@ -103,6 +104,25 @@ class TestLookup:
                     assert c.lookup(key).rule is \
                         linear_lookup(rules, key).rule
 
+    def test_probe_bound_sums_worst_local_bound_per_group(self):
+        c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
+        assert c.probe_bound() == sum(
+            1 + max(he.local.probe_bound() for he in g.head.values())
+            for g in c.groups)
+        rng = random.Random(51)
+        pool = [rng.getrandbits(16) | 0x8000 for _ in range(10)]
+        rules, seen = [], set()
+        while len(rules) < 200:
+            m = rng.choice(pool)
+            f = rng.getrandbits(16) & m
+            if (m, f) not in seen:
+                seen.add((m, f))
+                rules.append(Rule(f, m, rng.randrange(99), len(rules)))
+        c = EtcClassifier.build(S, rules, min_head_bits=3)
+        bound = c.probe_bound()
+        assert all(c.lookup(rng.getrandbits(16)).probes <= bound
+                   for _ in range(500))
+
 
 class TestUpdates:
     def test_insert_routes_into_existing_group(self):
@@ -122,7 +142,7 @@ class TestUpdates:
 
     def test_duplicate_id_rejected(self):
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateRuleError):
             c.insert(Rule(0, 0, 1, 6))
 
     def test_remove_to_empty_drops_groups(self):

@@ -3,7 +3,7 @@ import random
 from tuplechain.model import FieldSchema, Rule, best_rule
 from tuplechain.tuple_store import (Entry, TouchCounter, TupleTable,
                                     delete_marker, leave_marker,
-                                    obtain_marker, report_hint)
+                                    report_hint)
 
 S = FieldSchema((8, 8))
 
@@ -121,17 +121,6 @@ def test_report_hint_no_owners_is_noop():
     c = TouchCounter()
     report_hint(e, c)
     assert c.hint == 0
-
-
-def test_obtain_marker_is_lookup_only():
-    t1, t2 = make_chain_tuples(T1, T2)
-    e = Entry(pk(0x40, 0x30))
-    t2.table[e.key] = e
-    assert obtain_marker(e, t2.prev) is None  # nothing created yet
-    assert not t1.table
-    k = leave_marker(e, t2.prev, TouchCounter())
-    assert obtain_marker(e, t2.prev) is k
-    assert obtain_marker(e, t2.prev) is t1.probe(e.key)
 
 
 def test_delete_marker_tears_down_sole_trail():
