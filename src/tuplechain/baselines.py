@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import MatchResult, Rule, best_rule, matches
+from .chain import DuplicateRuleError
+from .model import FieldSchema, MatchResult, Rule, best_rule, matches
 
 
 def linear_lookup(rules, key: int) -> MatchResult:
@@ -72,6 +73,10 @@ class LinearClassifier:
     def __init__(self, rules=()):
         self.rules: list[Rule] = list(rules)
 
+    @classmethod
+    def build(cls, schema: FieldSchema, rules) -> "LinearClassifier":
+        return cls(rules)
+
     def insert(self, r: Rule) -> None:
         self.rules.append(r)
 
@@ -102,22 +107,24 @@ class TssClassifier:
 
     def __init__(self, rules=()):
         self.tables: dict[int, dict[int, Rule]] = {}
-        self._order: list[int] = []   # mask-sorted for deterministic probes
         for r in rules:
             self.insert(r)
 
+    @classmethod
+    def build(cls, schema: FieldSchema, rules) -> "TssClassifier":
+        return cls(rules)
+
     @property
     def tuple_count(self) -> int:
-        return len(self._order)
+        return len(self.tables)
 
     def insert(self, r: Rule) -> None:
         tbl = self.tables.get(r.mask)
         if tbl is None:
             tbl = self.tables[r.mask] = {}
-            self._order.append(r.mask)
-            self._order.sort()
         if r.fields in tbl:
-            raise ValueError(f"entry {r.fields:#x} already holds a rule")
+            raise DuplicateRuleError(
+                f"entry {r.fields:#x} already holds a rule")
         tbl[r.fields] = r
 
     def remove(self, r: Rule) -> bool:
@@ -127,16 +134,13 @@ class TssClassifier:
         del tbl[r.fields]
         if not tbl:
             del self.tables[r.mask]
-            self._order.remove(r.mask)
         return True
 
     def probe_bound(self) -> int:
-        return len(self._order)
+        return len(self.tables)
 
     def audit(self) -> list[str]:
         out = []
-        if self._order != sorted(self.tables):
-            out.append("probe order disagrees with the tuple set")
         for mask, tbl in self.tables.items():
             if not tbl:
                 out.append(f"empty tuple {mask:#x}")
@@ -153,8 +157,8 @@ class TssClassifier:
 
     def lookup(self, key: int) -> MatchResult:
         best = None
-        for mask in self._order:
-            r = self.tables[mask].get(key & mask)
+        for mask, tbl in self.tables.items():
+            r = tbl.get(key & mask)
             if r is not None:
                 best = best_rule(best, r)
-        return MatchResult(best, len(self._order))
+        return MatchResult(best, len(self.tables))

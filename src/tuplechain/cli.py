@@ -1,12 +1,13 @@
-"""Command line front end: build, bench, audit, equiv, gen."""
+"""Command line front end: build, bench, equiv, gen."""
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import asdict
 
-from .bench import (ALGOS, BenchConfig, run_audit, run_bench, run_equiv,
-                    make_classifier)
+from .bench import ALGOS, make_classifier, run_bench, run_equiv
 from .model import FieldSchema
 from .workload import (TupleProfile, gen_rules, gen_trace, gen_updates,
                        parse_classbench, parse_generic, parse_trace,
@@ -20,12 +21,28 @@ def _load_rules(args):
     return parse_generic(args.rules)
 
 
+def _load_trace(args):
+    rs = _load_rules(args)
+    trace = parse_trace(args.trace, rs.schema)
+    if not trace:
+        raise SystemExit("a non-empty --trace is required")
+    return rs, trace
+
+
 def _emit(text, args):
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit_report(body: dict, args):
+    """Sorted-key JSON, or one ``key: value`` line per key."""
+    if args.report == "json":
+        _emit(json.dumps(body, indent=2, sort_keys=True), args)
+    else:
+        _emit("\n".join(f"{k}: {v}" for k, v in body.items()), args)
 
 
 def _add_io_flags(p, trace_required=False):
@@ -35,26 +52,16 @@ def _add_io_flags(p, trace_required=False):
     p.add_argument("--trace", required=trace_required, help="trace file")
     p.add_argument("--updates", help="update stream file")
     p.add_argument("--algo", choices=ALGOS, default="tc")
-    p.add_argument("--min-head-bits", type=int, default=4)
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
 
 
-def _config(args, need_trace=True):
-    rs = _load_rules(args)
-    trace = parse_trace(args.trace, rs.schema) if args.trace else []
-    if need_trace and not trace:
-        raise SystemExit("a non-empty --trace is required")
-    updates = parse_updates(args.updates) if args.updates else None
-    return BenchConfig(
-        algo=args.algo, ruleset=rs, trace=trace, updates=updates,
-        min_head_bits=args.min_head_bits)
-
-
 def cmd_build(args) -> int:
     rs = _load_rules(args)
-    clf = make_classifier(args.algo, rs, args.min_head_bits)
+    clf = make_classifier(args.algo, rs)
     violations = clf.audit()
+    for v in violations:
+        print(v, file=sys.stderr)
     body = {"rules": len(rs.rules), "probe_bound": clf.probe_bound(),
             "memory_bytes": clf.memory_bytes(),
             "audit_violations": len(violations)}
@@ -65,33 +72,26 @@ def cmd_build(args) -> int:
                     owner_links=st.owner_link_total)
     elif args.algo == "etc":
         body["groups"] = clf.group_count
-    if args.report == "json":
-        import json
-        _emit(json.dumps(body, indent=2, sort_keys=True), args)
-    else:
-        _emit("\n".join(f"{k}: {v}" for k, v in body.items()), args)
+    _emit_report(body, args)
     return 1 if violations else 0
 
 
 def cmd_bench(args) -> int:
-    cfg = _config(args)
-    rep = run_bench(cfg)
-    _emit(rep.to_json() if args.report == "json" else rep.to_text(), args)
+    rs, trace = _load_trace(args)
+    updates = parse_updates(args.updates) if args.updates else None
+    rep = run_bench(args.algo, rs, trace, updates)
+    _emit_report(asdict(rep), args)
     return 1 if rep.bound_violations else 0
 
 
-def cmd_audit(args) -> int:
-    cfg = _config(args, need_trace=False)
-    rep = run_audit(cfg)
-    _emit(rep.to_text(), args)
-    return 0 if rep.ok else 1
-
-
 def cmd_equiv(args) -> int:
-    cfg = _config(args)
-    rep = run_equiv(cfg)
-    _emit(rep.to_text(), args)
-    return 0 if rep.ok else 1
+    rs, trace = _load_trace(args)
+    divergence = run_equiv(rs, trace)
+    if divergence is None:
+        _emit(f"equivalence: {len(trace)} keys, no divergence", args)
+        return 0
+    _emit(f"equivalence: FAILED {divergence}", args)
+    return 1
 
 
 def cmd_gen(args) -> int:
@@ -118,15 +118,13 @@ def main(argv=None) -> int:
         description="chained-tuple flow table lookup toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("build", help="build a classifier and report stats")
+    p = sub.add_parser("build", help="build a classifier, audit it and "
+                       "report stats")
     _add_io_flags(p)
 
     p = sub.add_parser("bench", help="replay a trace, updates spread "
                        "evenly through it")
     _add_io_flags(p, trace_required=True)
-
-    p = sub.add_parser("audit", help="structural invariant audit")
-    _add_io_flags(p)
 
     p = sub.add_parser("equiv", help="cross-check algorithms on a trace")
     _add_io_flags(p, trace_required=True)
@@ -148,8 +146,8 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     handler = {
-        "build": cmd_build, "bench": cmd_bench, "audit": cmd_audit,
-        "equiv": cmd_equiv, "gen": cmd_gen,
+        "build": cmd_build, "bench": cmd_bench, "equiv": cmd_equiv,
+        "gen": cmd_gen,
     }[args.cmd]
     return handler(args)
 

@@ -8,7 +8,6 @@ set (out-copies matched to in-copies; cover size = V - |matching|).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -50,19 +49,6 @@ class PathCover:
 
     def mask_paths(self) -> list[list[int]]:
         return [[self.graph.vertices[i] for i in p] for p in self.paths]
-
-
-@dataclass(frozen=True, slots=True)
-class BoundReport:
-    chain_count: int
-    chain_sizes: tuple[int, ...]
-    probe_bound: int           # sum of per-chain binary search bounds
-    closed_form: float         # l * (1 + log2(m / l))
-    beats_full_scan: bool      # l < m / 2
-
-    @property
-    def tuple_count(self) -> int:
-        return sum(self.chain_sizes)
 
 
 def build_graph(masks: list[int]) -> TupleGraph:
@@ -154,10 +140,3 @@ def min_path_cover(g: TupleGraph) -> PathCover:
         paths.append(tuple(path))
     return PathCover(g, tuple(paths))
 
-
-def cover_quality(pc: PathCover, m: int) -> BoundReport:
-    sizes = tuple(len(p) for p in pc.paths)
-    l = len(sizes)
-    probe_bound = sum(1 + int(math.log2(s)) for s in sizes if s)
-    closed = l * (1 + math.log2(m / l)) if l and m else 0.0
-    return BoundReport(l, sizes, probe_bound, closed, l < m / 2)

@@ -11,7 +11,10 @@ File formats (all gzip-transparent by ``.gz`` suffix):
   priority and the rule id.
 * ClassBench filter sets: ``@sip/len dip/len slo : shi dlo : dhi
   proto/mask ...``; port ranges are expanded into maximal prefix blocks
-  and the source line order fixes descending priorities.
+  and the source line order fixes descending priorities.  Overlapping
+  ranges can expand two filters into the same ``(fields, mask)`` block;
+  only the first, higher-priority copy is kept, since the other can
+  never win a lookup.
 """
 
 from __future__ import annotations
@@ -108,7 +111,8 @@ def parse_classbench(path) -> RuleSetFile:
                 raise ParseError(path, lineno, f"malformed filter: {line!r}")
             raw.append((lineno, m.groups()))
     rules = []
-    next_id = 0
+    seen = set()
+    expanded = 0
     for seq, (lineno, g) in enumerate(raw):
         try:
             sip, dip = _ip_to_int(g[0]), _ip_to_int(g[2])
@@ -120,17 +124,20 @@ def parse_classbench(path) -> RuleSetFile:
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from exc
         priority = len(raw) - seq   # earlier lines win
+        expanded += len(sblocks) * len(dblocks)
         for sv, sm in sblocks:
             for dv, dm in dblocks:
                 fields = schema.pack((sip & smask, dip & dmask, sv, dv,
                                       proto & pmask))
                 mask = schema.pack((smask, dmask, sm, dm, pmask))
-                rules.append(Rule(fields, mask, priority, next_id))
-                next_id += 1
+                if (fields, mask) not in seen:
+                    seen.add((fields, mask))
+                    rules.append(Rule(fields, mask, priority, len(rules)))
     return RuleSetFile(schema, rules, {
         "format": "classbench",
         "path": str(path),
         "source_rules": len(raw),
+        "shadowed_duplicates": expanded - len(rules),
         "expansion_factor": len(rules) / len(raw) if raw else 1.0,
     })
 

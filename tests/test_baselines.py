@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tuplechain.baselines import (LinearClassifier, TssClassifier,
                                   linear_lookup, linear_lookup_batch)
+from tuplechain.chain import DuplicateRuleError
 from tuplechain.model import MISS_PRIORITY, FieldSchema, Rule, matches
 
 S = FieldSchema((8, 8))
@@ -128,7 +129,7 @@ class TestTss:
 
     def test_duplicate_entry_rejected(self):
         c = TssClassifier([Rule(0x10, 0xF0, 1, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateRuleError):
             c.insert(Rule(0x10, 0xF0, 2, 1))
 
     def test_bound_audit_and_memory(self):

@@ -3,13 +3,12 @@ import json
 import pytest
 
 from tuplechain.baselines import LinearClassifier, TssClassifier
-from tuplechain.bench import (ALGOS, BenchConfig, BenchError, MetricsReport,
-                              make_classifier, run_audit, run_bench,
+from tuplechain.bench import (ALGOS, BenchError, make_classifier, run_bench,
                               run_equiv)
 from tuplechain.classifier import TupleChainClassifier
 from tuplechain.cli import main
 from tuplechain.etc import EtcClassifier
-from tuplechain.model import FieldSchema, Rule
+from tuplechain.model import FieldSchema, MatchResult, Rule
 from tuplechain.workload import (RuleSetFile, TupleProfile, UpdateStream,
                                  gen_rules, gen_trace, gen_updates)
 
@@ -25,11 +24,10 @@ def workload():
     return rs, trace, ups
 
 
-def short_config(workload, algo="tc", **kw):
-    rs, trace, ups = workload
-    defaults = dict(algo=algo, ruleset=rs, trace=trace, updates=None)
-    defaults.update(kw)
-    return BenchConfig(**defaults)
+def bench(workload, algo="tc", **kw):
+    rs, trace, _ = workload
+    kw.setdefault("trace", trace)
+    return run_bench(algo, rs, **kw)
 
 
 class TestFactory:
@@ -49,12 +47,12 @@ class TestFactory:
 class TestRunBench:
     def test_config_validation(self, workload):
         with pytest.raises(BenchError):
-            run_bench(short_config(workload, algo="nope"))
+            bench(workload, algo="nope")
         with pytest.raises(BenchError):
-            run_bench(short_config(workload, trace=[]))
+            bench(workload, trace=[])
 
     def test_lookup_only_run(self, workload):
-        rep = run_bench(short_config(workload))
+        rep = bench(workload)
         assert rep.lookups == len(workload[1]) and rep.updates == 0
         assert rep.bound_violations == 0
         assert 0 < rep.avg_probes <= rep.max_probes
@@ -66,7 +64,7 @@ class TestRunBench:
     def test_probes_stay_within_static_bound(self, workload):
         rs, _, _ = workload
         clf = make_classifier("tc", rs)
-        rep = run_bench(short_config(workload))
+        rep = bench(workload)
         assert rep.max_probes <= clf.probe_bound()
 
     def test_offline_replay_matches_direct_loop(self, workload):
@@ -77,7 +75,7 @@ class TestRunBench:
         for op, r in ups.ops:
             (clf.insert if op == "insert" else clf.remove)(r)
         assert clf.audit() == []
-        rep = run_bench(short_config(workload, updates=ups))
+        rep = bench(workload, updates=ups)
         assert rep.updates == len(ups.ops)
         assert rep.lookups == len(trace)
 
@@ -90,7 +88,7 @@ class TestRunBench:
                for i, m in enumerate((0xF000, 0xFF00))]
         rs = RuleSetFile(S, rules)
         ups = UpdateStream(S, [("insert", r) for r in ins])
-        rep = run_bench(BenchConfig("tss", rs, [0, 1, 2, 3], ups))
+        rep = run_bench("tss", rs, [0, 1, 2, 3], ups)
         assert rep.updates == 2 and rep.max_probes == 3
         assert rep.avg_probes == pytest.approx((2 + 2 + 3 + 3) / 4)
         assert rep.bound_violations == 0
@@ -98,16 +96,18 @@ class TestRunBench:
     @pytest.mark.parametrize("algo", ALGOS)
     def test_all_algos_complete(self, workload, algo):
         _, trace, ups = workload
-        rep = run_bench(short_config(workload, algo=algo, updates=ups))
+        rep = bench(workload, algo=algo, updates=ups)
         assert rep.algo == algo and rep.lookups == len(trace)
         assert rep.updates == len(ups.ops)
         assert rep.bound_violations == 0
 
 
 class TestReports:
-    def test_json_keys_are_stable(self, workload):
-        rep = run_bench(short_config(workload))
-        d = json.loads(rep.to_json())
+    def test_json_keys_are_stable(self, files, capsys):
+        rules, trace, _ = files
+        assert main(["bench", "--rules", str(rules), "--trace", str(trace),
+                     "--report", "json"]) == 0
+        d = json.loads(capsys.readouterr().out)
         assert set(d) == {
             "algo", "rule_count", "lookups", "updates", "build_s",
             "lookup_s", "update_s", "lookups_per_s", "updates_per_s",
@@ -115,58 +115,44 @@ class TestReports:
             "memory_bytes"}
         assert list(d) == sorted(d)
 
-    def test_text_report_mentions_the_essentials(self):
-        rep = MetricsReport("tc", 1, 2, 3, 0.1, 0.5, 0.2, 1.5, 4, 0, 1234)
-        txt = rep.to_text()
-        for needle in ("algo", "avg probes", "bound violations",
-                       "memory estimate", "lookup rate", "build time"):
-            assert needle in txt
-
-
-class TestAuditDriver:
-    def test_clean_build_passes(self, workload):
-        for algo in ("tc", "etc"):
-            rep = run_audit(short_config(workload, algo=algo))
-            assert rep.ok and rep.violations == []
-            assert rep.to_text() == "audit: clean"
-
-    def test_fault_injection_is_caught(self, workload):
-        def corrupt(clf):
-            t = clf.chains[0].tuples[0]
-            for e in t.table.values():
-                if e.rule is not None:
-                    e.hint = None
-                    return
-
-        rep = run_audit(short_config(workload), corrupt_hook=corrupt)
-        assert not rep.ok
-        assert "FAILED" in rep.to_text()
-
-    def test_linear_has_nothing_to_audit(self, workload):
-        assert run_audit(short_config(workload, algo="linear")).ok
+    def test_text_and_json_reports_carry_the_same_keys(self, files, capsys):
+        rules, trace, _ = files
+        args = ["bench", "--rules", str(rules), "--trace", str(trace)]
+        assert main(args + ["--report", "json"]) == 0
+        keys = set(json.loads(capsys.readouterr().out))
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert {line.split(": ", 1)[0] for line in lines} == keys
+        assert len(lines) == len(keys)
 
 
 class TestEquivDriver:
     def test_all_algorithms_agree(self, workload):
-        rep = run_equiv(short_config(workload))
-        assert rep.ok
-        assert rep.checked == len(workload[1])
-        assert "no divergence" in rep.to_text()
+        rs, trace, _ = workload
+        assert run_equiv(rs, trace) is None
+
+    def test_divergence_is_reported(self, workload, monkeypatch):
+        rs, trace, _ = workload
+        monkeypatch.setattr(TssClassifier, "lookup",
+                            lambda self, key: MatchResult(None, 0))
+        div = run_equiv(rs, trace)
+        assert div is not None and "tss returned" in div
+
+
+@pytest.fixture()
+def files(tmp_path):
+    rules = tmp_path / "r.rules"
+    trace = tmp_path / "t.trace"
+    ups = tmp_path / "u.updates"
+    rc = main(["gen", "--rules", str(rules), "--trace", str(trace),
+               "--updates", str(ups), "--seed", "3", "--count", "200",
+               "--widths", "16", "16", "--masks", "10", "--chains", "4",
+               "--trace-count", "300", "--update-count", "100"])
+    assert rc == 0
+    return rules, trace, ups
 
 
 class TestCli:
-    @pytest.fixture()
-    def files(self, tmp_path):
-        rules = tmp_path / "r.rules"
-        trace = tmp_path / "t.trace"
-        ups = tmp_path / "u.updates"
-        rc = main(["gen", "--rules", str(rules), "--trace", str(trace),
-                   "--updates", str(ups), "--seed", "3", "--count", "200",
-                   "--widths", "16", "16", "--masks", "10", "--chains", "4",
-                   "--trace-count", "300", "--update-count", "100"])
-        assert rc == 0
-        return rules, trace, ups
-
     def test_build_json_report(self, files, tmp_path, capsys):
         rules, _, _ = files
         out = tmp_path / "build.json"
@@ -177,15 +163,37 @@ class TestCli:
         assert d["rules"] == 200 and d["audit_violations"] == 0
 
     def test_audit_exit_zero(self, files, capsys):
+        # build audits every structure it builds
         rules, _, _ = files
-        assert main(["audit", "--rules", str(rules), "--algo", "etc",
-                     "--min-head-bits", "2"]) == 0
-        assert "clean" in capsys.readouterr().out
+        assert main(["build", "--rules", str(rules), "--algo", "etc"]) == 0
+        out, err = capsys.readouterr()
+        assert "audit_violations: 0" in out.splitlines() and err == ""
+
+    def test_build_fails_on_audit_violation(self, files, capsys,
+                                            monkeypatch):
+        rules, _, _ = files
+        monkeypatch.setattr(EtcClassifier, "audit",
+                            lambda self: ["group 0: head entry misplaced"])
+        assert main(["build", "--rules", str(rules), "--algo", "etc"]) == 1
+        out, err = capsys.readouterr()
+        assert "audit_violations: 1" in out.splitlines()
+        assert "group 0: head entry misplaced" in err
+
+    def test_audit_and_min_head_bits_are_gone(self, files):
+        rules, _, _ = files
+        with pytest.raises(SystemExit):
+            main(["audit", "--rules", str(rules)])
+        for cmd in ("build", "bench", "equiv"):
+            with pytest.raises(SystemExit):
+                main([cmd, "--rules", str(rules), "--trace", str(rules),
+                      "--min-head-bits", "2"])
 
     def test_equiv_exit_zero(self, files, capsys):
         rules, trace, _ = files
         assert main(["equiv", "--rules", str(rules),
                      "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out == \
+            "equivalence: 300 keys, no divergence\n"
 
     def test_bench_smoke(self, files, capsys):
         rules, trace, ups = files

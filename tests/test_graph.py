@@ -4,7 +4,7 @@ import random
 import pytest
 
 from tuplechain.graph import (GraphError, TupleGraph, build_graph,
-                              cover_quality, min_path_cover)
+                              min_path_cover)
 from tuplechain.model import FieldSchema, mask_less_than
 
 S = FieldSchema((8, 8))
@@ -143,41 +143,6 @@ class TestMinPathCover:
         for path in pc.mask_paths():
             for a, b in zip(path, path[1:]):
                 assert mask_less_than(a, b)
-
-
-class TestCoverQuality:
-    def test_single_chain_of_eight(self):
-        n = 8
-        adj = tuple(tuple(range(i + 1, n)) for i in range(n))
-        pc = min_path_cover(TupleGraph(tuple(range(n)), adj))
-        rep = cover_quality(pc, n)
-        assert rep.chain_count == 1
-        assert rep.probe_bound == 4           # 1 + log2(8)
-        assert rep.closed_form == pytest.approx(4.0)
-        assert rep.beats_full_scan
-
-    def test_degenerate_all_singletons(self):
-        g = TupleGraph(tuple(range(6)), ((),) * 6)
-        rep = cover_quality(min_path_cover(g), 6)
-        assert rep.probe_bound == 6
-        assert rep.closed_form == pytest.approx(6.0)
-        assert not rep.beats_full_scan
-
-    def test_report_matches_direct_formula(self):
-        import math
-        rng = random.Random(6)
-        for _ in range(30):
-            g = random_dag(rng, rng.randint(2, 12), 0.4)
-            pc = min_path_cover(g)
-            rep = cover_quality(pc, len(g.vertices))
-            sizes = [len(p) for p in pc.paths]
-            assert rep.probe_bound == sum(1 + int(math.log2(s))
-                                          for s in sizes)
-            l, m = len(sizes), len(g.vertices)
-            assert rep.closed_form == pytest.approx(
-                l * (1 + math.log2(m / l)))
-            # the per-chain sum never exceeds the closed form
-            assert rep.probe_bound <= rep.closed_form + 1e-9
 
 
 def test_fewer_chains_never_raise_the_bound():

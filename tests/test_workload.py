@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tuplechain.baselines import linear_lookup
+from tuplechain.bench import ALGOS
+from tuplechain.cli import main
 from tuplechain.model import FieldSchema, Rule, matches
 from tuplechain.workload import (CLASSBENCH_SCHEMA, ParseError, TupleProfile,
                                  UpdateStream, gen_rules, gen_trace,
@@ -111,6 +113,28 @@ class TestClassBench(object):
         p = tmp_path / "cb.rules"
         p.write_text("# header\n\n" + self.LINES)
         assert len(parse_classbench(p).rules) == 7
+
+    def test_overlapping_port_ranges_keep_the_first_copy(self, tmp_path):
+        # 1024:65535 expands to six blocks, the last being 32768:65535,
+        # which is all the second filter expands to
+        p = tmp_path / "cb.rules"
+        p.write_text(
+            "@10.0.0.0/8 0.0.0.0/0 0 : 65535 1024 : 65535 0x06/0xFF\n"
+            "@10.0.0.0/8 0.0.0.0/0 0 : 65535 32768 : 65535 0x06/0xFF\n")
+        rsf = parse_classbench(p)
+        assert [r.rule_id for r in rsf.rules] == list(range(6))
+        assert all(r.priority == 2 for r in rsf.rules)
+        assert rsf.provenance["shadowed_duplicates"] == 1
+        assert rsf.expansion_factor == pytest.approx(6 / 2)
+        for algo in ALGOS:
+            assert main(["build", "--rules", str(p), "--format",
+                         "classbench", "--algo", algo]) == 0
+        trace = tmp_path / "t.trace"
+        write_trace([CLASSBENCH_SCHEMA.pack((10 << 24, 1, 5, dp, 6))
+                     for dp in (80, 1024, 40000, 65535)],
+                    CLASSBENCH_SCHEMA, trace)
+        assert main(["equiv", "--rules", str(p), "--format", "classbench",
+                     "--trace", str(trace)]) == 0
 
 
 class TestGenericFormat:
