@@ -145,6 +145,24 @@ class TestMinPathCover:
                 assert mask_less_than(a, b)
 
 
+class TestCoverQuality:
+    def test_report_matches_direct_formula(self):
+        # a cover of l chains over m tuples probes at most
+        # sum(1 + floor(log2 |chain|)) <= l(1 + log2(m/l)) per lookup
+        import math
+        rng = random.Random(6)
+        for _ in range(30):
+            g = random_dag(rng, rng.randint(2, 12), 0.4)
+            pc = min_path_cover(g)
+            sizes = [len(p) for p in pc.paths]
+            l, m = pc.chain_count, len(g.vertices)
+            assert l == len(sizes) and sum(sizes) == m
+            bound = sum(1 + int(math.log2(s)) for s in sizes)
+            closed_form = l * (1 + math.log2(m / l))
+            # the per-chain sum never exceeds the closed form
+            assert bound <= closed_form + 1e-9
+
+
 def test_fewer_chains_never_raise_the_bound():
     # the closed-form bound is monotone in l below m/2
     import math
