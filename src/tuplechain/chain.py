@@ -7,11 +7,17 @@ it whenever the tuple sequence changes; tuple insert/delete is rare
 entry), so the O(m) rebuild is cheap and the height bound is tight.
 A node's ``fail`` child covers the less specific side, ``succ`` the more
 specific side, so a probe hit descends succ and a miss descends fail.
+
+``search(chains, key)`` is the one lookup loop: it walks each chain's
+tree inline, keeps the deepest hit's entry, and merges that entry's hint
+into the running best once per chain.  ``Chain.lookup``, the tc
+classifier and every ETC head hit all call it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 from .model import Rule, best_rule, mask_less_than
 from .tuple_store import (Entry, TouchCounter, TupleTable, delete_marker,
@@ -43,6 +49,30 @@ def _build_tree(tuples: list[TupleTable], lo: int, hi: int) -> _Node | None:
     node.fail = _build_tree(tuples, lo, mid)
     node.succ = _build_tree(tuples, mid + 1, hi)
     return node
+
+
+def search(chains: Iterable[Chain], key: int) -> tuple[Rule | None, int]:
+    """Best rule over ``chains`` for ``key``, and the probes spent."""
+    best: Rule | None = None
+    probes = 0
+    for chain in chains:
+        node = chain.root
+        hit = None
+        while node is not None:
+            t = node.tup
+            e = t.table.get(key & t.mask)
+            probes += 1
+            if e is None:
+                node = node.fail
+            else:
+                # Each hit is deeper than the last, and a deeper entry's
+                # marker trail runs through every shallower hit, so by
+                # the hint law its hint dominates theirs.
+                hit = e
+                node = node.succ
+        if hit is not None:
+            best = best_rule(best, hit.hint)
+    return best, probes
 
 
 class Chain:
@@ -114,22 +144,7 @@ class Chain:
 
     def lookup(self, key: int) -> tuple[Rule | None, int]:
         """Binary search down the tree; returns (best rule, probes)."""
-        node = self.root
-        best: Rule | None = None
-        probes = 0
-        while node is not None:
-            t = node.tup
-            e = t.table.get(key & t.mask)
-            probes += 1
-            if e is not None:
-                # Each hit is deeper than the last, and a deeper entry's
-                # marker trail runs through every shallower hit, so by
-                # the hint law its hint dominates theirs.
-                best = e.hint
-                node = node.succ
-            else:
-                node = node.fail
-        return best, probes
+        return search((self,), key)
 
     # -- rule updates ------------------------------------------------
 

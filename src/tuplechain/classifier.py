@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import Chain, DuplicateRuleError
+from .chain import Chain, DuplicateRuleError, search
 from .graph import PathCover, build_graph, min_path_cover
-from .model import FieldSchema, MatchResult, Rule, best_rule
+from .model import FieldSchema, MatchResult, Rule
 from .tuple_store import TupleTable
 
 _PTR = 8  # pointer width of the structural cost model, bytes
@@ -97,12 +97,7 @@ class TupleChainClassifier:
     # -- lookup ------------------------------------------------------
 
     def lookup(self, key: int) -> MatchResult:
-        best: Rule | None = None
-        probes = 0
-        for chain in self.chains:
-            r, p = chain.lookup(key)
-            probes += p
-            best = best_rule(best, r)
+        best, probes = search(self.chains, key)
         return MatchResult(best, probes)
 
     def probe_bound(self) -> int:

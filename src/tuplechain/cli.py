@@ -30,7 +30,7 @@ def _load_trace(args):
 
 
 def _emit(text, args):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -45,15 +45,21 @@ def _emit_report(body: dict, args):
         _emit("\n".join(f"{k}: {v}" for k, v in body.items()), args)
 
 
-def _add_io_flags(p, trace_required=False):
+def _add_io_flags(p, *extra):
+    """--rules, --format and --out, plus each flag named in extra."""
     p.add_argument("--rules", required=True, help="rule set file")
     p.add_argument("--format", choices=("classbench", "generic"),
                    default="generic")
-    p.add_argument("--trace", required=trace_required, help="trace file")
-    p.add_argument("--updates", help="update stream file")
-    p.add_argument("--algo", choices=ALGOS, default="tc")
-    p.add_argument("--report", choices=("text", "json"), default="text")
-    p.add_argument("--out", help="write the report here instead of stdout")
+    if "trace" in extra:
+        p.add_argument("--trace", required=True, help="trace file")
+    if "updates" in extra:
+        p.add_argument("--updates", help="update stream file")
+    if "algo" in extra:
+        p.add_argument("--algo", choices=ALGOS, default="tc")
+    if "report" in extra:
+        p.add_argument("--report", choices=("text", "json"),
+                       default="text")
+    p.add_argument("--out", help="write the output here instead of stdout")
 
 
 def cmd_build(args) -> int:
@@ -120,14 +126,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("build", help="build a classifier, audit it and "
                        "report stats")
-    _add_io_flags(p)
+    _add_io_flags(p, "algo", "report")
 
     p = sub.add_parser("bench", help="replay a trace, updates spread "
                        "evenly through it")
-    _add_io_flags(p, trace_required=True)
+    _add_io_flags(p, "trace", "updates", "algo", "report")
 
     p = sub.add_parser("equiv", help="cross-check algorithms on a trace")
-    _add_io_flags(p, trace_required=True)
+    _add_io_flags(p, "trace")
 
     p = sub.add_parser("gen", help="generate synthetic rules/trace/updates")
     p.add_argument("--rules", required=True, help="output rules file")

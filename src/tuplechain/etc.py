@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import DuplicateRuleError
+from .chain import DuplicateRuleError, search
 from .classifier import TupleChainClassifier
 from .graph import PathCover, build_graph, min_path_cover
 from .model import FieldSchema, MatchResult, Rule, best_rule, mask_less_than
@@ -131,15 +131,13 @@ class EtcClassifier:
 
     def lookup(self, key: int) -> MatchResult:
         best = None
-        probes = 0
+        probes = len(self.groups)   # one head probe per group
         for grp in self.groups:
-            probes += 1
             he = grp.head.get(key & grp.head_mask)
-            if he is None:
-                continue
-            res = he.local.lookup(key)
-            probes += res.probes
-            best = best_rule(best, res.rule)
+            if he is not None:
+                r, p = search(he.local.chains, key)
+                probes += p
+                best = best_rule(best, r)
         return MatchResult(best, probes)
 
     def probe_bound(self) -> int:

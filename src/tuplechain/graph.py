@@ -107,15 +107,39 @@ def _hopcroft_karp(n: int, adj) -> list[int]:
                     q.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
+    def dfs(root: int) -> None:
+        """Augment from free vertex root along a shortest alternating
+        path, if any.  Iterative, so path length is not bounded by the
+        interpreter's recursion limit: ``path[k]`` resumes its scan of
+        ``tried[k]`` when the vertex after it dead-ends, and ``took[k]``
+        is the neighbour it last stepped through."""
+        path = [root]
+        tried = [iter(adj[root])]
+        took = [-1]
+        while path:
+            u = path[-1]
+            want = dist[u] + 1
+            for v in tried[-1]:
+                w = match_r[v]
+                if w == -1 or dist[w] == want:
+                    break
+            else:
+                # dead end: no augmenting path through u this phase
+                dist[u] = INF
+                path.pop()
+                tried.pop()
+                took.pop()
+                continue
+            took[-1] = v
+            if w == -1:
+                # free vertex reached: flip every edge along the path
+                for u, v in zip(path, took):
+                    match_l[u] = v
+                    match_r[v] = u
+                return
+            path.append(w)
+            tried.append(iter(adj[w]))
+            took.append(-1)
 
     while bfs():
         for u in range(n):

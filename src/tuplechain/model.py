@@ -125,4 +125,7 @@ def best_rule(a: Rule | None, b: Rule | None) -> Rule | None:
         return b
     if b is None:
         return a
-    return a if a.sort_key() >= b.sort_key() else b
+    # sort_key order, without building the two tuples
+    if a.priority != b.priority:
+        return a if a.priority > b.priority else b
+    return a if a.rule_id <= b.rule_id else b

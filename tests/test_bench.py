@@ -205,6 +205,19 @@ class TestCli:
         assert d["bound_violations"] == 0 and d["lookups"] == 300
         assert d["updates"] == 100
 
+    @pytest.mark.parametrize("cmd,flag,value", [
+        ("build", "--trace", "X"), ("build", "--updates", "X"),
+        ("equiv", "--algo", "tc"), ("equiv", "--report", "json")])
+    def test_subcommand_rejects_flags_it_does_not_read(self, files, cmd,
+                                                       flag, value):
+        rules, trace, _ = files
+        argv = [cmd, "--rules", str(rules), flag, value]
+        if cmd == "equiv":
+            argv += ["--trace", str(trace)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_bench_has_no_rate_flags(self, files):
         rules, trace, _ = files
         for flag in ("--tx-rate", "--update-rate", "--duration", "--seed"):

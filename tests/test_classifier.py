@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from tuplechain.baselines import linear_lookup
+from tuplechain.baselines import LinearClassifier, linear_lookup
 from tuplechain.chain import DuplicateRuleError
 from tuplechain.classifier import TupleChainClassifier
 from tuplechain.graph import PathCover, build_graph
-from tuplechain.model import FieldSchema, Rule
+from tuplechain.model import FieldSchema, Rule, best_rule
 
 S = FieldSchema((8, 8))
 
@@ -165,6 +165,72 @@ class TestUpdates:
         c.insert(Rule(pk(0xC0, 0xA0), pk(0xC0, 0xF0), 1, 2))
         assert len(c.chains) == 2   # extends the first chain
         assert c.registry[pk(0xC0, 0xF0)][0] is c.registry[pk(0x80, 0xC0)][0]
+
+
+def top_bits(k):
+    return ((1 << k) - 1) << (16 - k)
+
+
+def low_bits(k):
+    return (1 << k) - 1
+
+
+class TestSharedSearch:
+    """``lookup`` runs one search over all chains; it must give what
+    searching each chain on its own and merging would give."""
+
+    @staticmethod
+    def per_chain(c, key):
+        best, probes = None, 0
+        for chain in c.chains:
+            r, p = chain.lookup(key)
+            best = best_rule(best, r)
+            probes += p
+        return best, probes
+
+    def check(self, c, live, rng):
+        assert c.audit() == []
+        oracle = LinearClassifier(live)
+        for _ in range(300):
+            key = rng.getrandbits(16)
+            res = c.lookup(key)
+            assert (res.rule, res.probes) == self.per_chain(c, key)
+            assert res.rule is oracle.lookup(key).rule
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_chain_composition_through_splices(self, seed):
+        # two nested mask families (one chain each) plus random masks;
+        # the families' interior masks are held back and spliced in
+        rng = random.Random(seed)
+        held = [top_bits(k) for k in (4, 8, 12)] + \
+            [low_bits(k) for k in (5, 9, 13)]
+        base = [top_bits(k) for k in (2, 6, 10, 14)] + \
+            [low_bits(k) for k in (3, 7, 11, 15)] + \
+            [rng.getrandbits(16) for _ in range(3)]
+        rules = random_rules(rng, 240, mask_pool=base)
+        c = TupleChainClassifier.build(S, rules)
+        live = list(rules)
+        self.check(c, live, rng)
+        spliced = 0
+        for m in held:
+            for _ in range(8):
+                f = rng.getrandbits(16) & m
+                if any(r.mask == m and r.fields == f for r in live):
+                    continue
+                r = Rule(f, m, rng.randrange(1000), len(live))
+                c.insert(r)
+                live.append(r)
+            chain, t = c.registry[m]
+            spliced += 0 < chain.tuples.index(t) < len(chain.tuples) - 1
+        # placement may pick a shorter chain that takes the mask at an
+        # end, but most held-back masks land mid-chain
+        assert spliced >= len(held) // 2
+        self.check(c, live, rng)
+        rng.shuffle(live)
+        for r in live[:len(live) // 2]:
+            assert c.remove(r)
+        del live[:len(live) // 2]
+        self.check(c, live, rng)
 
 
 class TestRebuild:

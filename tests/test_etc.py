@@ -104,6 +104,30 @@ class TestLookup:
                     assert c.lookup(key).rule is \
                         linear_lookup(rules, key).rule
 
+    def test_probes_are_heads_plus_local_probes_behind_hits(self):
+        rng = random.Random(52)
+        pool = [rng.getrandbits(16) | 0x8000 for _ in range(8)]
+        fresh = [rng.getrandbits(16) & 0x7FFF for _ in range(3)]
+        rules, seen = [], set()
+        while len(rules) < 200:
+            m = rng.choice(pool if len(rules) < 150 else pool + fresh)
+            f = rng.getrandbits(16) & m
+            if (m, f) not in seen:
+                seen.add((m, f))
+                rules.append(Rule(f, m, rng.randrange(99), len(rules)))
+        c = EtcClassifier.build(S, rules[:150], min_head_bits=3)
+        bulk_groups = c.group_count
+        for r in rules[150:]:
+            c.insert(r)
+        assert c.group_count > bulk_groups   # fresh masks opened groups
+        for _ in range(400):
+            key = rng.getrandbits(16)
+            hits = [he.local.lookup(key) for g in c.groups
+                    if (he := g.head.get(key & g.head_mask)) is not None]
+            res = c.lookup(key)
+            assert res.probes == c.group_count + sum(h.probes for h in hits)
+            assert res.rule is linear_lookup(rules, key).rule
+
     def test_probe_bound_sums_worst_local_bound_per_group(self):
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
         assert c.probe_bound() == sum(

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from tuplechain.graph import (GraphError, TupleGraph, build_graph,
-                              min_path_cover)
+from tuplechain.graph import (GraphError, TupleGraph, _hopcroft_karp,
+                              build_graph, min_path_cover)
 from tuplechain.model import FieldSchema, mask_less_than
 
 S = FieldSchema((8, 8))
@@ -143,6 +143,14 @@ class TestMinPathCover:
         for path in pc.mask_paths():
             for a, b in zip(path, path[1:]):
                 assert mask_less_than(a, b)
+
+
+def test_matching_survives_a_4000_step_augmenting_path():
+    # left i -> right (i+1, i): the first phase matches every i < 1999
+    # to i+1 and leaves one augmenting path through all 2000 vertices
+    adj = [(i + 1, i) for i in range(1999)] + [(1999,)]
+    match = _hopcroft_karp(2000, adj)
+    assert sorted(match) == list(range(2000))
 
 
 class TestCoverQuality:

@@ -136,6 +136,17 @@ class TestBetter:
         b = Rule(0, 0, 5, 7)
         assert best_rule(a, b) is a
 
+    def test_equal_priorities_follow_sort_key_in_both_orders(self):
+        rng = random.Random(8)
+        for _ in range(500):
+            pri = rng.randrange(-3, 3)
+            a = Rule(0, 0, pri, rng.randrange(50))
+            b = Rule(0, 0, pri if rng.random() < 0.7 else pri + 1,
+                     rng.randrange(50, 100))
+            want = max(a, b, key=Rule.sort_key)
+            assert best_rule(a, b) is want
+            assert best_rule(b, a) is want
+
     def test_miss_loses(self):
         a = Rule(0, 0, -100, 1)
         assert best_rule(None, a) is a
