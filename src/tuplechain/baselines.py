@@ -107,6 +107,7 @@ class TssClassifier:
 
     def __init__(self, rules=()):
         self.tables: dict[int, dict[int, Rule]] = {}
+        self.rule_ids: set[int] = set()
         for r in rules:
             self.insert(r)
 
@@ -119,6 +120,8 @@ class TssClassifier:
         return len(self.tables)
 
     def insert(self, r: Rule) -> None:
+        if r.rule_id in self.rule_ids:
+            raise DuplicateRuleError(f"rule id {r.rule_id} already present")
         tbl = self.tables.get(r.mask)
         if tbl is None:
             tbl = self.tables[r.mask] = {}
@@ -126,12 +129,14 @@ class TssClassifier:
             raise DuplicateRuleError(
                 f"entry {r.fields:#x} already holds a rule")
         tbl[r.fields] = r
+        self.rule_ids.add(r.rule_id)
 
     def remove(self, r: Rule) -> bool:
         tbl = self.tables.get(r.mask)
         if tbl is None or tbl.get(r.fields) != r:
             return False
         del tbl[r.fields]
+        self.rule_ids.discard(r.rule_id)
         if not tbl:
             del self.tables[r.mask]
         return True
@@ -148,6 +153,9 @@ class TssClassifier:
                 if r.mask != mask or r.fields != key:
                     out.append(f"rule {r.rule_id} misfiled in tuple "
                                f"{mask:#x}")
+        if {r.rule_id for t in self.tables.values()
+                for r in t.values()} != self.rule_ids:
+            out.append("rule id set out of sync")
         return out
 
     def memory_bytes(self) -> int:

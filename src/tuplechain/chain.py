@@ -8,10 +8,15 @@ entry), so the O(m) rebuild is cheap and the height bound is tight.
 A node's ``fail`` child covers the less specific side, ``succ`` the more
 specific side, so a probe hit descends succ and a miss descends fail.
 
-``search(chains, key)`` is the one lookup loop: it walks each chain's
-tree inline, keeps the deepest hit's entry, and merges that entry's hint
-into the running best once per chain.  ``Chain.lookup``, the tc
-classifier and every ETC head hit all call it.
+Each node carries its tuple's ``mask`` and ``table`` (the very dict of
+the ``TupleTable``, which is never rebound), so a probe is
+``node.table.get(key & node.mask)`` with no hop through the tuple.
+
+``search(roots, key)`` is the one lookup loop.  It takes the root nodes
+of any number of chains, walks each tree inline, keeps the deepest
+hit's entry and merges that entry's hint into the running best once per
+root.  The tc classifier passes its chains' roots, ETC the roots behind
+every head entry a key hits, and ``Chain.lookup`` its own root.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ class DuplicateRuleError(ValueError):
 
 
 class _Node:
-    __slots__ = ("tup", "fail", "succ")
+    __slots__ = ("mask", "table", "fail", "succ")
 
     def __init__(self, tup: TupleTable):
-        self.tup = tup
+        self.mask = tup.mask
+        self.table = tup.table
         self.fail: _Node | None = None
         self.succ: _Node | None = None
 
@@ -51,16 +57,16 @@ def _build_tree(tuples: list[TupleTable], lo: int, hi: int) -> _Node | None:
     return node
 
 
-def search(chains: Iterable[Chain], key: int) -> tuple[Rule | None, int]:
-    """Best rule over ``chains`` for ``key``, and the probes spent."""
+def search(roots: Iterable[_Node | None],
+           key: int) -> tuple[Rule | None, int]:
+    """Best rule for ``key`` over the chains with these root nodes, and
+    the probes spent."""
     best: Rule | None = None
     probes = 0
-    for chain in chains:
-        node = chain.root
+    for node in roots:
         hit = None
         while node is not None:
-            t = node.tup
-            e = t.table.get(key & t.mask)
+            e = node.table.get(key & node.mask)
             probes += 1
             if e is None:
                 node = node.fail
@@ -144,7 +150,7 @@ class Chain:
 
     def lookup(self, key: int) -> tuple[Rule | None, int]:
         """Binary search down the tree; returns (best rule, probes)."""
-        return search((self,), key)
+        return search((self.root,), key)
 
     # -- rule updates ------------------------------------------------
 
@@ -202,7 +208,7 @@ class Chain:
             want_next = self.tuples[i + 1] if i + 1 < len(self.tuples) else None
             if t.prev is not want_prev or t.next is not want_next:
                 out.append(f"prev/next links wrong at position {i}")
-        inorder: list[TupleTable] = []
+        inorder: list[tuple[int, dict]] = []
 
         def walk(n: _Node | None) -> int:
             if n is None:
@@ -213,11 +219,13 @@ class Chain:
             if n is None:
                 return
             collect(n.fail)
-            inorder.append(n.tup)
+            inorder.append((n.mask, n.table))
             collect(n.succ)
 
         collect(self.root)
-        if inorder != self.tuples:
+        if len(inorder) != len(self.tuples) or any(
+                m != t.mask or tbl is not t.table
+                for (m, tbl), t in zip(inorder, self.tuples)):
             out.append("tree in-order disagrees with chain order")
         height = walk(self.root)
         if self.tuples and height > 2 * math.log2(len(self.tuples) + 1):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import Chain, DuplicateRuleError, search
+from .chain import Chain, DuplicateRuleError, _Node, search
 from .graph import PathCover, build_graph, min_path_cover
 from .model import FieldSchema, MatchResult, Rule
 from .tuple_store import TupleTable
@@ -39,6 +39,9 @@ class TupleChainClassifier:
     def __init__(self, schema: FieldSchema):
         self.schema = schema
         self.chains: list[Chain] = []
+        # the chains' root nodes, in chain order: what lookup searches.
+        # Refreshed only where the tuple set changes, never per rule.
+        self.roots: list[_Node | None] = []
         # mask -> (chain, tuple); at most one live tuple per mask
         self.registry: dict[int, tuple[Chain, TupleTable]] = {}
         self.rule_ids: set[int] = set()
@@ -80,6 +83,7 @@ class TupleChainClassifier:
                     self._check_id(r)
                     chain.insert_rule(t, r)
                     self.rule_ids.add(r.rule_id)
+        self._refresh_roots()
         return self
 
     def rebuild(self) -> None:
@@ -87,6 +91,7 @@ class TupleChainClassifier:
         rules = self.all_rules()
         fresh = TupleChainClassifier.build(self.schema, rules)
         self.chains = fresh.chains
+        self.roots = fresh.roots
         self.registry = fresh.registry
         self.rule_ids = fresh.rule_ids
 
@@ -97,7 +102,7 @@ class TupleChainClassifier:
     # -- lookup ------------------------------------------------------
 
     def lookup(self, key: int) -> MatchResult:
-        best, probes = search(self.chains, key)
+        best, probes = search(self.roots, key)
         return MatchResult(best, probes)
 
     def probe_bound(self) -> int:
@@ -121,6 +126,7 @@ class TupleChainClassifier:
         if hit is None:
             t = TupleTable(r.mask)
             chain = self._place_tuple(t)
+            self._refresh_roots()
             hit = (chain, t)
             self.registry[r.mask] = hit
         chain, t = hit
@@ -138,12 +144,18 @@ class TupleChainClassifier:
         # Marker teardown can empty predecessor tuples too; an empty
         # tuple never carries markers for a live successor, so dropping
         # every emptied tuple is safe.
-        for tup in [x for x in chain.tuples if not x.table]:
+        emptied = [x for x in chain.tuples if not x.table]
+        for tup in emptied:
             chain.remove_tuple(tup)
             del self.registry[tup.mask]
         if not chain.tuples:
             self.chains.remove(chain)
+        if emptied:
+            self._refresh_roots()
         return True
+
+    def _refresh_roots(self) -> None:
+        self.roots = [c.root for c in self.chains]
 
     def _place_tuple(self, t: TupleTable) -> Chain:
         best = None
@@ -209,6 +221,9 @@ class TupleChainClassifier:
         out = []
         for i, c in enumerate(self.chains):
             out.extend(f"chain {i}: {v}" for v in c.audit())
+        if len(self.roots) != len(self.chains) or any(
+                n is not c.root for n, c in zip(self.roots, self.chains)):
+            out.append("roots out of sync with the chains")
         seen: set[int] = set()
         for mask, (chain, t) in self.registry.items():
             if mask in seen:

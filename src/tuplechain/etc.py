@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .chain import DuplicateRuleError, search
 from .classifier import TupleChainClassifier
 from .graph import PathCover, build_graph, min_path_cover
-from .model import FieldSchema, MatchResult, Rule, best_rule, mask_less_than
+from .model import FieldSchema, MatchResult, Rule, mask_less_than
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,11 +67,16 @@ def group_chains(pc: PathCover, masks: list[int],
 
 
 class _HeadEntry:
-    __slots__ = ("key", "local")
+    """One head-tuple entry.  ``roots`` is ``local.roots``, re-read after
+    every build, insert and remove, so a lookup reaches the local chains'
+    trees without going through ``local``."""
+
+    __slots__ = ("key", "local", "roots")
 
     def __init__(self, key: int, local: TupleChainClassifier):
         self.key = key
         self.local = local
+        self.roots = local.roots
 
 
 class _Group:
@@ -130,15 +135,14 @@ class EtcClassifier:
     # -- lookup ------------------------------------------------------
 
     def lookup(self, key: int) -> MatchResult:
-        best = None
-        probes = len(self.groups)   # one head probe per group
+        roots = []
         for grp in self.groups:
             he = grp.head.get(key & grp.head_mask)
             if he is not None:
-                r, p = search(he.local.chains, key)
-                probes += p
-                best = best_rule(best, r)
-        return MatchResult(best, probes)
+                roots += he.roots
+        best, probes = search(roots, key)
+        # plus one head probe per group
+        return MatchResult(best, probes + len(self.groups))
 
     def probe_bound(self) -> int:
         """One head probe per group plus the worst local bound behind it."""
@@ -175,6 +179,7 @@ class EtcClassifier:
             he = grp.head[hkey] = _HeadEntry(
                 hkey, TupleChainClassifier(self.schema))
         he.local.insert(r)
+        he.roots = he.local.roots
         self.rule_ids.add(r.rule_id)
 
     def remove(self, r: Rule) -> bool:
@@ -184,6 +189,7 @@ class EtcClassifier:
         he = grp.head.get(r.fields & grp.head_mask)
         if he is None or not he.local.remove(r):
             return False
+        he.roots = he.local.roots
         self.rule_ids.discard(r.rule_id)
         if not he.local.chains:
             del grp.head[he.key]
@@ -204,10 +210,16 @@ class EtcClassifier:
                         or mask_less_than(grp.head_mask, m)):
                     out.append(f"group {gi}: head mask not contained "
                                f"in member {m:#x}")
+                if self._mask_to_group.get(m) is not grp:
+                    out.append(f"group {gi}: member {m:#x} routed to "
+                               "another group")
             for hkey, he in grp.head.items():
                 if hkey & grp.head_mask != hkey:
                     out.append(f"group {gi}: head key {hkey:#x} "
                                "not canonical")
+                if he.roots is not he.local.roots:
+                    out.append(f"group {gi}, head {hkey:#x}: roots out "
+                               "of sync with the local classifier")
                 for r in he.local.all_rules():
                     if r.fields & grp.head_mask != hkey:
                         out.append(f"group {gi}: rule {r.rule_id} in "
@@ -217,6 +229,12 @@ class EtcClassifier:
                                    "not a member")
                 out.extend(f"group {gi}, head {hkey:#x}: {v}"
                            for v in he.local.audit())
+        for m, grp in self._mask_to_group.items():
+            if m not in grp.member_masks:
+                out.append(f"mask {m:#x} routed to a group it is not "
+                           "a member of")
+        if {r.rule_id for r in self.all_rules()} != self.rule_ids:
+            out.append("rule id set out of sync")
         return out
 
     def all_rules(self) -> list[Rule]:

@@ -89,7 +89,9 @@ class Rule:
         return (self.priority, -self.rule_id)
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: every lookup builds one, and a frozen dataclass's
+# ``__init__`` (``object.__setattr__`` per field) costs over twice as much.
+@dataclass(slots=True)
 class MatchResult:
     """Outcome of one lookup: best rule (or miss) plus probe count."""
 

@@ -132,6 +132,17 @@ class TestTss:
         with pytest.raises(DuplicateRuleError):
             c.insert(Rule(0x10, 0xF0, 2, 1))
 
+    def test_duplicate_id_rejected(self):
+        r = Rule(0x10, 0xF0, 1, 0)
+        c = TssClassifier([r])
+        with pytest.raises(DuplicateRuleError):
+            c.insert(Rule(0x20, 0xF0, 1, 0))
+        assert c.audit() == [] and c.lookup(0x25).rule is None
+        assert c.remove(r)
+        c.insert(Rule(0x20, 0xF0, 1, 0))    # the id is free again
+        c.rule_ids.add(7)
+        assert c.audit() == ["rule id set out of sync"]
+
     def test_bound_audit_and_memory(self):
         rng = random.Random(8)
         rules = random_rules(rng, 100)

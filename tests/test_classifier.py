@@ -233,6 +233,20 @@ class TestSharedSearch:
         self.check(c, live, rng)
 
 
+class TestRootsAudit:
+    @pytest.mark.parametrize("corrupt", [
+        lambda roots: roots[::-1],      # chain order lost
+        lambda roots: roots[:-1],       # a chain's root missing
+        lambda roots: [None] + roots[1:],
+    ])
+    def test_roots_out_of_sync_are_flagged(self, corrupt):
+        rng = random.Random(3)
+        c = TupleChainClassifier.build(S, random_rules(rng, 60, MASKS))
+        assert len(c.roots) == 2 and c.audit() == []
+        c.roots = corrupt(c.roots)
+        assert c.audit() == ["roots out of sync with the chains"]
+
+
 class TestRebuild:
     def test_rebuild_preserves_semantics(self):
         rng = random.Random(44)

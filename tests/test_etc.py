@@ -206,6 +206,35 @@ class TestUpdates:
                         linear_lookup(live, key).rule
 
 
+class TestAudit:
+    @staticmethod
+    def two_groups():
+        c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
+        c.insert(Rule(pk(0x00, 0x03), pk(0x00, 0x03), 5, 9))
+        assert c.group_count == 2 and c.audit() == []
+        return c
+
+    def test_phantom_rule_id_is_flagged(self):
+        c = self.two_groups()
+        c.rule_ids.add(99)
+        assert c.audit() == ["rule id set out of sync"]
+
+    def test_mask_routed_to_another_group_is_flagged(self):
+        c = self.two_groups()
+        c._mask_to_group[M1] = c.groups[1]
+        out = c.audit()
+        assert f"group 0: member {M1:#x} routed to another group" in out
+        assert f"mask {M1:#x} routed to a group it is not a member of" \
+            in out
+
+    def test_stale_head_entry_roots_are_flagged(self):
+        c = self.two_groups()
+        he = c.groups[0].head[pk(0x00, 0x80)]
+        he.roots = list(he.roots)
+        assert c.audit() == [f"group 0, head {pk(0x00, 0x80):#x}: roots "
+                             "out of sync with the local classifier"]
+
+
 class TestReporting:
     def test_all_rules_round_trip(self):
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)

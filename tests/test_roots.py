@@ -1,0 +1,98 @@
+"""tc and ETC search the root nodes they keep, not their chains.  Those
+roots are refreshed only where the tuple set changes, so drive both
+classifiers through every such change (mid-chain splices, new chains,
+new head entries and groups, then removal down to nothing) and check
+them against the linear oracle after every step."""
+
+import random
+
+import pytest
+
+from tuplechain.baselines import LinearClassifier
+from tuplechain.classifier import TupleChainClassifier
+from tuplechain.etc import EtcClassifier
+from tuplechain.model import FieldSchema, Rule
+
+S = FieldSchema((8, 8))
+TOP = 0x8000
+
+
+def top_bits(k):
+    return ((1 << k) - 1) << (16 - k)
+
+
+def low_bits(k):
+    return TOP | (1 << k) - 1
+
+
+def draw(rng, masks, n, live, next_id):
+    """n new rules over masks, none repeating a live (mask, fields)."""
+    taken = {(r.mask, r.fields) for r in live}
+    out = []
+    while len(out) < n:
+        m = rng.choice(masks)
+        f = rng.getrandbits(16) & m
+        if (m, f) in taken:
+            continue
+        taken.add((m, f))
+        out.append(Rule(f, m, rng.randrange(200), next_id + len(out)))
+    return out
+
+
+def check(tc, etc, live, rng):
+    assert tc.audit() == []
+    assert etc.audit() == []
+    oracle = LinearClassifier(live)
+    for i in range(24):
+        key = rng.getrandbits(16)
+        if live and i % 2:  # half the keys hit a live rule
+            r = rng.choice(live)
+            key = r.fields | key & ~r.mask
+        want = oracle.lookup(key).rule
+        assert tc.lookup(key).rule is want
+        res = etc.lookup(key)
+        assert res.rule is want
+        local = sum(he.local.lookup(key).probes for g in etc.groups
+                    if (he := g.head.get(key & g.head_mask)) is not None)
+        assert res.probes == etc.group_count + local
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_roots_follow_every_tuple_set_change(seed):
+    rng = random.Random(seed)
+    # Two nested families (one chain each) with their interior masks
+    # held back, plus masks without the top bit: those fit no chain of
+    # the build and contain no head mask, so they open chains and groups.
+    base = [top_bits(k) for k in (2, 6, 10, 14)] + \
+        [low_bits(k) for k in (3, 7, 11)]
+    held = [top_bits(k) for k in (4, 8, 12)] + [low_bits(k) for k in (5, 9)]
+    fresh = [rng.getrandbits(15) | 0x0101 for _ in range(3)]
+    live = draw(rng, base, 120, [], 0)
+    tc = TupleChainClassifier.build(S, live)
+    etc = EtcClassifier.build(S, live, min_head_bits=3)
+    check(tc, etc, live, rng)
+    chains, groups = len(tc.chains), etc.group_count
+    heads = sum(len(g.head) for g in etc.groups)
+
+    spliced = 0
+    for m in held + fresh:
+        for r in draw(rng, [m], 6, live, len(live)):
+            tc.insert(r)
+            etc.insert(r)
+            live.append(r)
+            check(tc, etc, live, rng)
+        chain, t = tc.registry[m]
+        spliced += 0 < chain.tuples.index(t) < len(chain.tuples) - 1
+    assert spliced >= len(held) // 2
+    assert len(tc.chains) > chains
+    assert etc.group_count > groups
+    assert sum(len(g.head) for g in etc.groups) > heads
+
+    rng.shuffle(live)
+    while live:
+        r = live.pop()
+        assert tc.remove(r)
+        assert etc.remove(r)
+        check(tc, etc, live, rng)
+    assert tc.chains == [] and tc.roots == [] and tc.registry == {}
+    assert etc.groups == [] and etc.rule_ids == set()
