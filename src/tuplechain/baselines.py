@@ -71,21 +71,34 @@ class LinearClassifier:
     """Exhaustive scan over a flat rule list."""
 
     def __init__(self, rules=()):
-        self.rules: list[Rule] = list(rules)
+        self.rules: list[Rule] = []
+        self.rule_ids: set[int] = set()
+        self.entries: set[tuple[int, int]] = set()
+        for r in rules:
+            self.insert(r)
 
     @classmethod
     def build(cls, schema: FieldSchema, rules) -> "LinearClassifier":
         return cls(rules)
 
     def insert(self, r: Rule) -> None:
+        if r.rule_id in self.rule_ids:
+            raise DuplicateRuleError(f"rule id {r.rule_id} already present")
+        if (r.fields, r.mask) in self.entries:
+            raise DuplicateRuleError(
+                f"entry {r.fields:#x}/{r.mask:#x} already holds a rule")
         self.rules.append(r)
+        self.rule_ids.add(r.rule_id)
+        self.entries.add((r.fields, r.mask))
 
     def remove(self, r: Rule) -> bool:
         try:
             self.rules.remove(r)
-            return True
         except ValueError:
             return False
+        self.rule_ids.discard(r.rule_id)
+        self.entries.discard((r.fields, r.mask))
+        return True
 
     def lookup(self, key: int) -> MatchResult:
         return linear_lookup(self.rules, key)
@@ -94,7 +107,15 @@ class LinearClassifier:
         return len(self.rules)
 
     def audit(self) -> list[str]:
-        return []
+        out = []
+        n = len(self.rules)
+        ids = {r.rule_id for r in self.rules}
+        if ids != self.rule_ids or len(ids) != n:
+            out.append("rule id set out of sync")
+        entries = {(r.fields, r.mask) for r in self.rules}
+        if entries != self.entries or len(entries) != n:
+            out.append("entry set out of sync")
+        return out
 
     def memory_bytes(self) -> int:
         # fields + mask + priority + id per rule

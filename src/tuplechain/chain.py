@@ -1,12 +1,22 @@
 """A chain: a strictly ordered tuple sequence searched via a binary tree.
 
 Chain order runs from the least specific mask (head, index 0) to the most
-specific (tail).  The search tree is kept perfectly balanced by rebuilding
-it whenever the tuple sequence changes; tuple insert/delete is rare
-(triggered only by the first rule of a mask or the removal of its last
-entry), so the O(m) rebuild is cheap and the height bound is tight.
-A node's ``fail`` child covers the less specific side, ``succ`` the more
-specific side, so a probe hit descends succ and a miss descends fail.
+specific (tail).  A node's ``fail`` child covers the less specific side,
+``succ`` the more specific side, so a probe hit descends succ and a miss
+descends fail.  The tree is rebuilt whenever the tuple sequence changes;
+tuple insert/delete is rare (triggered only by the first rule of a mask
+or the removal of its last entry), so the O(m) rebuild is cheap.
+
+The tree is miss-first.  Its height is ``H = 1 + floor(log2 m)``, the
+height of a balanced tree over m tuples, so ``Chain.probe_bound()`` and
+every bound built on it are those of the balanced tree.  Within that
+height each subtree of height h over ``tuples[lo:hi]`` takes the least
+specific root whose succ side still fits in height h - 1, i.e. index
+``max(lo, hi - 2**(h-1))``.  Most keys miss most chains, and by the
+marker law a key that misses a tuple misses every tuple after it, so
+the all-miss path (the leftmost spine) is the common one; this shape
+shortens it, to a single probe of the head tuple when m is a power of
+two, while no path grows past H.
 
 Each node carries its tuple's ``mask`` and ``table`` (the very dict of
 the ``TupleTable``, which is never rebound), so a probe is
@@ -21,7 +31,6 @@ every head entry a key hits, and ``Chain.lookup`` its own root.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 
 from .model import Rule, best_rule, mask_less_than
@@ -47,13 +56,25 @@ class _Node:
         self.succ: _Node | None = None
 
 
-def _build_tree(tuples: list[TupleTable], lo: int, hi: int) -> _Node | None:
-    if lo >= hi:
-        return None
-    mid = (lo + hi) // 2
-    node = _Node(tuples[mid])
-    node.fail = _build_tree(tuples, lo, mid)
-    node.succ = _build_tree(tuples, mid + 1, hi)
+def _build_tree(tuples: list[TupleTable], lo: int, hi: int, h: int) -> _Node:
+    """Miss-first tree of height at most ``h`` over ``tuples[lo:hi]``,
+    which must be non-empty and hold fewer than ``2**h`` tuples.
+
+    The root is the least specific tuple whose succ side still fits in
+    height ``h - 1``; the fail side then holds fewer than ``2**(h-1)``
+    tuples and fits too.
+    """
+    # Plain compares, and no calls on empty ranges: a fresh mask
+    # rebuilds one small tree per ETC head entry it reaches, so this
+    # runs on ETC's update path.
+    r = hi - (1 << (h - 1))
+    if r < lo:
+        r = lo
+    node = _Node(tuples[r])
+    if lo < r:
+        node.fail = _build_tree(tuples, lo, r, h - 1)
+    if r + 1 < hi:
+        node.succ = _build_tree(tuples, r + 1, hi, h - 1)
     return node
 
 
@@ -105,7 +126,9 @@ class Chain:
             prev = t
         if prev is not None:
             prev.next = None
-        self.root = _build_tree(self.tuples, 0, len(self.tuples))
+        self.root = (_build_tree(self.tuples, 0, len(self.tuples),
+                                 self.probe_bound())
+                     if self.tuples else None)
 
     def can_host(self, mask: int) -> int | None:
         """The unique position keeping the chain strictly ordered, if any."""
@@ -149,7 +172,7 @@ class Chain:
     # -- lookup ------------------------------------------------------
 
     def lookup(self, key: int) -> tuple[Rule | None, int]:
-        """Binary search down the tree; returns (best rule, probes)."""
+        """Search this chain's tree alone; returns (best rule, probes)."""
         return search((self.root,), key)
 
     # -- rule updates ------------------------------------------------
@@ -193,8 +216,8 @@ class Chain:
     # -- auditing ----------------------------------------------------
 
     def probe_bound(self) -> int:
-        m = len(self.tuples)
-        return 1 + int(math.log2(m)) if m else 0
+        """Tree height: ``1 + floor(log2 m)`` for m tuples, 0 when empty."""
+        return len(self.tuples).bit_length()
 
     def audit(self) -> list[str]:
         """Structural invariant check; returns violations (empty = clean)."""
@@ -228,8 +251,9 @@ class Chain:
                 for (m, tbl), t in zip(inorder, self.tuples)):
             out.append("tree in-order disagrees with chain order")
         height = walk(self.root)
-        if self.tuples and height > 2 * math.log2(len(self.tuples) + 1):
-            out.append(f"tree height {height} exceeds balance bound")
+        if height > self.probe_bound():
+            out.append(f"tree height {height} exceeds probe bound "
+                       f"{self.probe_bound()}")
 
         entry_total = 0
         rules_seen = 0

@@ -27,7 +27,6 @@ class StructureStats:
     rule_count: int
     tuple_count: int
     chain_count: int
-    max_chain_rules: int
     max_chain_tuples: int
     chain_tuple_counts: tuple[int, ...]
     entry_total: int
@@ -205,8 +204,6 @@ class TupleChainClassifier:
             rule_count=rule_count,
             tuple_count=tuple_count,
             chain_count=len(self.chains),
-            max_chain_rules=max((c.rule_count for c in self.chains),
-                                default=0),
             max_chain_tuples=max(sizes, default=0),
             chain_tuple_counts=sizes,
             entry_total=entry_total,

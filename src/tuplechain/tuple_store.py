@@ -62,10 +62,6 @@ class TupleTable:
         self.prev: TupleTable | None = None
         self.next: TupleTable | None = None
 
-    @property
-    def entry_count(self) -> int:
-        return len(self.table)
-
     def probe(self, key: int) -> Entry | None:
         """One hash probe with the full (unmasked) packet key."""
         return self.table.get(key & self.mask)

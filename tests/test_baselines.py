@@ -53,6 +53,25 @@ class TestLinear:
         assert c.remove(r) and not c.remove(r)
         assert c.lookup(0x1A).rule is None
 
+    def test_duplicates_rejected(self):
+        r = Rule(1, 3, 5, 0)
+        c = LinearClassifier([r])
+        with pytest.raises(DuplicateRuleError):
+            c.insert(Rule(1, 3, 5, 0))          # same id and entry
+        with pytest.raises(DuplicateRuleError):
+            c.insert(Rule(2, 3, 1, 0))          # same id
+        with pytest.raises(DuplicateRuleError):
+            c.insert(Rule(1, 3, 9, 1))          # same (fields, mask)
+        with pytest.raises(DuplicateRuleError):
+            LinearClassifier([r, Rule(2, 3, 1, 0)])
+        assert c.rules == [r] and c.audit() == []
+        assert c.remove(r)
+        c.insert(Rule(1, 3, 9, 0))              # id and entry free again
+        assert c.audit() == []
+        c.rules.append(Rule(2, 3, 1, 0))
+        assert c.audit() == ["rule id set out of sync",
+                             "entry set out of sync"]
+
     def test_bound_audit_and_memory(self):
         rng = random.Random(3)
         c = LinearClassifier(random_rules(rng, 40))

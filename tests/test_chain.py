@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tuplechain.chain import Chain, ChainError, DuplicateRuleError
+from tuplechain.chain import Chain, ChainError, DuplicateRuleError, _Node
 from tuplechain.model import (FieldSchema, Rule, best_rule, mask_less_than,
                               matches)
 from tuplechain.tuple_store import TupleTable
@@ -47,8 +47,7 @@ def random_chain(rng, length, rules_per_tuple=6):
     m = 0
     while len(masks) < length:
         free = [b for b in range(16) if not m >> b & 1]
-        for b in rng.sample(free, rng.randint(1, 3)):
-            m |= 1 << b
+        m |= 1 << rng.choice(free)
         masks.append(m)
     c = new_chain(*masks)
     rid = 0
@@ -64,15 +63,16 @@ def random_chain(rng, length, rules_per_tuple=6):
 
 class TestLookup:
     def test_miss_branch_then_hit_skips_the_rest(self):
-        # 4-tuple chain: root probe misses, the fail child hits, and the
-        # hit's hint makes probing anything less specific unnecessary
+        # 4-tuple chain, tree t1 -succ-> t3 (fail t2, succ t5): the root
+        # hits ra's marker, t3 misses, its fail child t2 hits, and that
+        # hit's hint is the answer; t5 is skipped by t3's miss
         c = new_chain(T1, T2, T3, T5)
         ra = insert(c, T2, pk(0x40, 0xA0), 20, 0)
         insert(c, T5, pk(0x08, 0x54), 30, 1)   # populates t3 via marker
         key = pk(0x40 | 0x01, 0xA0 | 0x02)     # matches ra only
         best, probes = c.lookup(key)
         assert best is ra
-        assert probes == 2                     # t3 miss, t2 hit, t1 skipped
+        assert probes == 3                     # t1 hit, t3 miss, t2 hit
 
     def test_empty_chain(self):
         assert Chain().lookup(1234) == (None, 0)
@@ -80,7 +80,7 @@ class TestLookup:
     def test_probe_bound_and_oracle_on_random_chains(self):
         rng = random.Random(21)
         for _ in range(30):
-            c = random_chain(rng, rng.randint(1, 6))
+            c = random_chain(rng, rng.randint(1, 16))
             bound = c.probe_bound()
             for _ in range(200):
                 key = rng.getrandbits(16)
@@ -98,6 +98,29 @@ class TestLookup:
                 hits = [t.table.get(key & t.mask) is not None
                         for t in c.tuples]
                 assert hits == sorted(hits, reverse=True)
+
+
+def tree_inorder(n):
+    return [] if n is None else (
+        tree_inorder(n.fail) + [n.table] + tree_inorder(n.succ))
+
+
+def tree_height(n):
+    return 0 if n is None else 1 + max(tree_height(n.fail),
+                                       tree_height(n.succ))
+
+
+class TestTreeShape:
+    def test_miss_first_shape(self):
+        for m in range(1, 65):
+            c = new_chain(*[(1 << (i + 1)) - 1 for i in range(m)])
+            assert tree_inorder(c.root) == [t.table for t in c.tuples], m
+            assert tree_height(c.root) == c.probe_bound(), m
+            # every tuple is empty, so any key misses them all
+            _, probes = c.lookup(0)
+            assert probes <= m.bit_length(), m  # balanced: 1 + floor(log2 m)
+            if m & (m - 1) == 0:
+                assert probes == 1, m
 
 
 class TestRuleUpdates:
@@ -254,6 +277,16 @@ class TestAudit:
         e = c.tuples[1].table[pk(0x40, 0xA8)]
         e.hint = None  # hand corruption
         assert any("hint law" in v for v in c.audit())
+
+    def test_tree_one_level_too_tall_is_flagged(self):
+        # right in-order over 7 tuples, height 4 against a bound of 3
+        c = new_chain(*[(1 << (i + 1)) - 1 for i in range(7)])
+        t0, t1, t2, t3, t4, t5, t6 = (_Node(t) for t in c.tuples)
+        t0.succ, t4.fail, t4.succ = t4, t2, t5
+        t2.fail, t2.succ, t5.succ = t1, t3, t6
+        c.root = t0
+        assert tree_inorder(c.root) == [t.table for t in c.tuples]
+        assert any("exceeds probe bound" in v for v in c.audit())
 
     def test_broken_order_is_flagged(self):
         c = new_chain(T1, T2)

@@ -43,8 +43,9 @@ class TestBuild:
 
     def test_two_chain_walkthrough_probes(self):
         # six masks split optimally into two chains; the probe pattern
-        # for a key hitting the second tuple of each: miss at the tree
-        # root, hit one level down, hints cut off the rest
+        # for a key hitting the second tuple of each.  Chain (0, 1, 2, 4)
+        # has tree 0 -succ-> 2 (fail 1, succ 4): hit 0, miss 2, hit 1.
+        # Chain (3, 5) has tree 3 -succ-> 5: hit 3, miss 5.
         rules = [
             Rule(pk(0x80, 0x40), MASKS[0], 10, 0),
             Rule(pk(0x40, 0xA0), MASKS[1], 20, 1),
@@ -58,7 +59,7 @@ class TestBuild:
         assert c.audit() == []
         res = c.lookup(pk(0x41, 0xA9))
         assert res.rule is rules[3]     # priority 25 beats 20
-        assert res.probes == 4          # two probes per chain
+        assert res.probes == 5          # three in chain one, two in two
 
     def test_cover_must_match_masks(self):
         rules = [Rule(0, MASKS[0], 1, 0)]
