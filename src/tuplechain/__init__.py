@@ -7,14 +7,14 @@ from .classifier import StructureStats, TupleChainClassifier
 from .etc import EtcClassifier
 from .graph import build_graph, min_path_cover
 from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule,
-                    apply_mask, best_rule, mask_less_than, matches)
+                    best_rule, mask_less_than, matches)
 from .workload import (RuleSetFile, TupleProfile, UpdateStream, gen_rules,
                        gen_trace, gen_updates, parse_classbench,
                        parse_generic, write_generic)
 
 __all__ = [
     "MISS_PRIORITY", "FieldSchema", "MatchResult", "Rule",
-    "apply_mask", "best_rule", "mask_less_than", "matches",
+    "best_rule", "mask_less_than", "matches",
     "TupleChainClassifier", "StructureStats", "EtcClassifier",
     "LinearClassifier", "TssClassifier", "linear_lookup",
     "build_graph", "min_path_cover",

@@ -29,41 +29,66 @@ def group_chains(pc: PathCover, masks: list[int],
     Merge candidates are ranked by the number of tuple-graph edges
     crossing between the two groups (more crossing = "nearer"), ties by
     the popcount of the merged head mask; a merge is taken only while
-    the merged head keeps at least ``min_head_bits`` bits.
+    the merged head keeps at least ``min_head_bits`` bits.  Each pass
+    takes the first best pair ``a < b`` in list order and merges b into
+    a, which keeps a's place.
+
+    Crossings are counted once per edge into a G x G matrix over the
+    cover's G chains, and each group keeps its head mask, so a merge
+    adds row and column b into a and ANDs the heads: O(E) to count,
+    then O(G^2) per merge pass.  ``masks`` must be the graph's vertices.
     """
     if min_head_bits < 0:
         raise ValueError("min_head_bits must be >= 0")
     g = pc.graph
-    idx = {m: i for i, m in enumerate(g.vertices)}
-    edges = {(i, j) for i, outs in enumerate(g.adj) for j in outs}
-    groups: list[set[int]] = [set(idx[m] for m in path)
-                              for path in pc.mask_paths()]
-
-    def head(members: set[int]) -> int:
-        out = ~0
-        for i in members:
-            out &= g.vertices[i]
-        return out
+    if sorted(masks) != sorted(g.vertices):
+        raise ValueError("masks do not match the cover's graph")
+    chain_of = [0] * len(g.vertices)
+    for c, path in enumerate(pc.paths):
+        for i in path:
+            chain_of[i] = c
+    cross = [[0] * len(pc.paths) for _ in pc.paths]
+    for i, outs in enumerate(g.adj):
+        ci = chain_of[i]
+        for j in outs:
+            cj = chain_of[j]
+            if ci != cj:
+                cross[ci][cj] += 1
+                cross[cj][ci] += 1
+    members = [{g.vertices[i] for i in path} for path in pc.paths]
+    heads = []
+    for ms in members:
+        h = ~0
+        for m in ms:
+            h &= m
+        heads.append(h)
 
     while True:
         best = None
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                merged = head(groups[a] | groups[b])
-                if merged.bit_count() < min_head_bits:
+        for a, (ha, row) in enumerate(zip(heads, cross)):
+            for b in range(a + 1, len(heads)):
+                bits = (ha & heads[b]).bit_count()
+                if bits < min_head_bits:
                     continue
-                cross = sum(1 for i in groups[a] for j in groups[b]
-                            if (i, j) in edges or (j, i) in edges)
-                score = (cross, merged.bit_count())
+                score = (row[b], bits)
                 if best is None or score > best[0]:
                     best = (score, a, b)
         if best is None:
             break
         _, a, b = best
-        groups[a] |= groups[b]
-        del groups[b]
-    return [GroupPlan(head(g_), frozenset(g.vertices[i] for i in g_))
-            for g_ in groups]
+        row_a, row_b = cross[a], cross[b]
+        for k, v in enumerate(row_b):
+            row_a[k] += v
+        for row in cross:
+            row[a] += row[b]
+            del row[b]
+        row_a[a] = 0
+        del cross[b]
+        heads[a] &= heads[b]
+        del heads[b]
+        members[a] |= members[b]
+        del members[b]
+    return [GroupPlan(h, frozenset(ms)) for h, ms in zip(heads, members)]
 
 
 class _HeadEntry:
@@ -195,9 +220,8 @@ class EtcClassifier:
             del grp.head[he.key]
         if not grp.head:
             self.groups.remove(grp)
-            for m in list(self._mask_to_group):
-                if self._mask_to_group[m] is grp:
-                    del self._mask_to_group[m]
+            for m in grp.member_masks:
+                del self._mask_to_group[m]
         return True
 
     # -- auditing ----------------------------------------------------

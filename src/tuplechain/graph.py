@@ -27,14 +27,6 @@ class TupleGraph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj)
 
-    def dump(self) -> str:
-        """Text edge list, one `a -> b` (hex masks) per line."""
-        lines = []
-        for i, outs in enumerate(self.adj):
-            for j in outs:
-                lines.append(f"{self.vertices[i]:#x} -> {self.vertices[j]:#x}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True, slots=True)
 class PathCover:

@@ -112,10 +112,6 @@ def matches(key: int, rule: Rule) -> bool:
     return key & rule.mask == rule.fields
 
 
-def apply_mask(value: int, mask: int) -> int:
-    return value & mask
-
-
 def mask_less_than(a: int, b: int) -> bool:
     """Strict tuple order: every set bit of a is set in b, and a != b."""
     return a != b and a & b == a

@@ -1,12 +1,19 @@
+import functools
+import importlib
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from tuplechain.baselines import linear_lookup
 from tuplechain.chain import DuplicateRuleError
-from tuplechain.etc import EtcClassifier, group_chains
+from tuplechain.etc import EtcClassifier, GroupPlan, group_chains
 from tuplechain.graph import build_graph, min_path_cover
 from tuplechain.model import FieldSchema, Rule
+from tuplechain.workload import parse_classbench
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 S = FieldSchema((8, 8))
 
@@ -46,6 +53,16 @@ class TestGrouping:
         assert len(plans) == 1
         assert plans[0].head_mask == 0
 
+    def test_masks_must_match_the_graph(self):
+        pc = min_path_cover(build_graph([M1, M2, M3, M4]))
+        for masks in ([M1, M2, M3], [M1, M2, M3, M4, pk(1, 1)],
+                      [M1, M2, M3, M3]):
+            with pytest.raises(ValueError):
+                group_chains(pc, masks, min_head_bits=2)
+        # any order of the same masks is accepted
+        assert group_chains(pc, [M4, M2, M1, M3], 2) == \
+            group_chains(pc, [M1, M2, M3, M4], 2)
+
     def test_negative_threshold_rejected(self):
         pc = min_path_cover(build_graph([M1]))
         with pytest.raises(ValueError):
@@ -61,6 +78,124 @@ class TestGrouping:
                 assert plan.head_mask & m == plan.head_mask
             if plan.member_masks not in chains:  # an actual merge happened
                 assert plan.head_mask.bit_count() >= 3
+
+
+def reference_group_chains(pc, min_head_bits):
+    """Frozen copy of the first greedy, which recounted crossings and
+    recomputed heads for every pair on every pass.  Only the
+    differential tests below use it, as the reference for the plans."""
+    g = pc.graph
+    idx = {m: i for i, m in enumerate(g.vertices)}
+    edges = {(i, j) for i, outs in enumerate(g.adj) for j in outs}
+    groups = [set(idx[m] for m in path) for path in pc.mask_paths()]
+
+    def head(members):
+        out = ~0
+        for i in members:
+            out &= g.vertices[i]
+        return out
+
+    while True:
+        best = None
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                merged = head(groups[a] | groups[b])
+                if merged.bit_count() < min_head_bits:
+                    continue
+                cross = sum(1 for i in groups[a] for j in groups[b]
+                            if (i, j) in edges or (j, i) in edges)
+                score = (cross, merged.bit_count())
+                if best is None or score > best[0]:
+                    best = (score, a, b)
+        if best is None:
+            break
+        _, a, b = best
+        groups[a] |= groups[b]
+        del groups[b]
+    return [GroupPlan(head(g_), frozenset(g.vertices[i] for i in g_))
+            for g_ in groups]
+
+
+def tied_masks(rng):
+    """A 16-bit mask set built to tie: one small pattern copied into two
+    or three of the low nibbles over a shared high-nibble base, so chain
+    pairs repeat the same crossing count and head popcount, plus a few
+    masks that span the copies."""
+    base = rng.randrange(16) << 12
+    pattern = rng.sample([m for m in range(1, 16)
+                          if m.bit_count() <= rng.choice((2, 3))],
+                         rng.randint(2, 6))
+    copies = rng.sample(range(3), rng.randint(2, 3))
+    masks = {base | m << 4 * c for m in pattern for c in copies}
+    for _ in range(rng.randint(0, 3)):
+        masks.add(functools.reduce(
+            int.__or__, (rng.choice(pattern) << 4 * c for c in copies),
+            base))
+    return sorted(masks)
+
+
+def best_score_ties(pc, min_head_bits):
+    """Chain pairs sharing the first pass's best (crossings, bits)."""
+    g = pc.graph
+    chain_of = {i: c for c, p in enumerate(pc.paths) for i in p}
+    heads = [functools.reduce(int.__and__, (g.vertices[i] for i in p))
+             for p in pc.paths]
+    scores = []
+    for a, b in itertools.combinations(range(len(pc.paths)), 2):
+        bits = (heads[a] & heads[b]).bit_count()
+        if bits >= min_head_bits:
+            cross = sum(1 for i, outs in enumerate(g.adj) for j in outs
+                        if {chain_of[i], chain_of[j]} == {a, b})
+            scores.append((cross, bits))
+    return scores.count(max(scores)) if scores else 0
+
+
+class TestGroupingMatchesReference:
+    def test_tied_random_covers(self):
+        rng = random.Random(70)
+        mergeable = tied = 0
+        for _ in range(200):
+            masks = tied_masks(rng)
+            pc = min_path_cover(build_graph(masks))
+            for bits in range(S.total_width + 2):
+                assert group_chains(pc, masks, bits) == \
+                    reference_group_chains(pc, bits)
+                ties = best_score_ties(pc, bits)
+                mergeable += ties > 0
+                tied += ties > 1
+        # the covers really exercise tie-breaking: in most cases with a
+        # merge to take, the first pass has several equal best pairs
+        assert tied > mergeable / 2 > 200
+
+    def test_nested_random_covers(self):
+        # masks over a few bits nest often, so chains cross in uneven
+        # counts and later passes read merged rows and columns
+        rng = random.Random(72)
+        for _ in range(300):
+            bits = rng.sample(range(16), rng.randint(1, 9))
+            p = rng.choice((0.3, 0.5, 0.7))
+            masks = list({sum(1 << b for b in bits if rng.random() < p)
+                          for _ in range(rng.randint(1, 40))})
+            rng.shuffle(masks)
+            pc = min_path_cover(build_graph(masks))
+            for min_bits in range(S.total_width + 2):
+                assert group_chains(pc, masks, min_bits) == \
+                    reference_group_chains(pc, min_bits)
+
+    def test_acl_wide_seed_1(self, monkeypatch, tmp_path):
+        # the benchmark's own acl-wide rule set, read as the benchmark
+        # writes it
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        path = tmp_path / "acl-wide.txt"
+        workloads.acl_wide(1).write_rules(path)
+        masks = sorted({r.mask for r in parse_classbench(path).rules})
+        pc = min_path_cover(build_graph(masks))
+        assert len(masks) > 500 and pc.chain_count > 50
+        for bits in (0, 4, 16, 105):
+            plans = group_chains(pc, masks, bits)
+            assert plans == reference_group_chains(pc, bits)
+        assert len(group_chains(pc, masks, 4)) > 1
 
 
 class TestLookup:
@@ -175,6 +310,27 @@ class TestUpdates:
             assert c.remove(r)
         assert c.group_count == 0
         assert not c._mask_to_group and not c.rule_ids
+
+    def test_emptied_group_leaves_the_others_routed(self):
+        rng = random.Random(9)
+        c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
+        other = [Rule(pk(0x00, 0x03), pk(0x00, 0x03), 5, 9),
+                 Rule(pk(0x00, 0x0C), pk(0x00, 0x0C), 7, 10),
+                 Rule(pk(0x00, 0x0D), pk(0x00, 0x0F), 8, 11)]
+        for r in other:
+            c.insert(r)
+        assert c.group_count == 3 and c.audit() == []
+        gone = c._mask_to_group[pk(0x00, 0x0C)]
+        assert c.remove(other[1])
+        assert gone not in c.groups and c.group_count == 2
+        assert pk(0x00, 0x0C) not in c._mask_to_group
+        assert c.audit() == []
+        live = WALK_RULES + [other[0], other[2]]
+        for r in live:
+            assert c._mask_to_group[r.mask] in c.groups
+        for _ in range(300):
+            key = rng.getrandbits(16)
+            assert c.lookup(key).rule is linear_lookup(live, key).rule
 
     def test_remove_absent(self):
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)

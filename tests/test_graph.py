@@ -90,10 +90,6 @@ class TestBuildGraph:
             for j, b in enumerate(masks):
                 assert (j in g.adj[i]) == mask_less_than(a, b)
 
-    def test_dump_lists_every_edge(self):
-        g = build_graph(FIG_MASKS)
-        assert len(g.dump().splitlines()) == g.edge_count
-
 
 class TestMinPathCover:
     def test_edgeless_graph_all_singletons(self):

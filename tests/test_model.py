@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tuplechain.model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule,
-                              SchemaError, apply_mask, best_rule,
-                              mask_less_than, matches)
+                              SchemaError, best_rule, mask_less_than,
+                              matches)
 
 S88 = FieldSchema((8, 8))
 
@@ -94,24 +94,6 @@ class TestMaskOrder:
                 assert not mask_less_than(b, a)
 
 
-class TestApplyMask:
-    @pytest.mark.parametrize("v, m, want", [
-        ((0x20, 0xA8), (0xC0, 0xFC), (0x00, 0xA8)),
-        ((0x20, 0xA8), (0x80, 0x80), (0x00, 0x80)),
-    ])
-    def test_masking_down_examples(self, v, m, want):
-        assert apply_mask(pk(*v), pk(*m)) == pk(*want)
-
-    def test_identity_mask(self):
-        v = pk(0x12, 0x34)
-        assert apply_mask(v, pk(0xFF, 0xFF)) == v
-
-    @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
-    def test_idempotent(self, v, m):
-        once = apply_mask(v, m)
-        assert apply_mask(once, m) == once
-
-
 @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1),
        st.integers(0, 2**16 - 1))
 def test_matches_monotone_under_containment(key, coarse, fine):
@@ -120,7 +102,7 @@ def test_matches_monotone_under_containment(key, coarse, fine):
     coarse &= fine  # force containment (possibly equal)
     fine_rule = Rule(key & fine, fine, 0, 0)
     assert matches(key, fine_rule)
-    derived = Rule(apply_mask(fine_rule.fields, coarse), coarse, 0, 1)
+    derived = Rule(fine_rule.fields & coarse, coarse, 0, 1)
     assert matches(key, derived)
 
 
