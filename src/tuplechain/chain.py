@@ -22,6 +22,9 @@ Each node carries its tuple's ``mask`` and ``table`` (the very dict of
 the ``TupleTable``, which is never rebound), so a probe is
 ``node.table.get(key & node.mask)`` with no hop through the tuple.
 
+Chain order lives in ``Chain.tuples`` alone; a tuple links only back, by
+``TupleTable.prev``, for marker trails.  A splice does no hint work.
+
 ``search(roots, key)`` is the one lookup loop.  It takes the root nodes
 of any number of chains, walks each tree inline, keeps the deepest
 hit's entry and merges that entry's hint into the running best once per
@@ -108,12 +111,15 @@ class Chain:
     def __init__(self):
         self.tuples: list[TupleTable] = []
         self.root: _Node | None = None
-        self.rule_count = 0
         self.touches = TouchCounter()
 
     @property
     def tuple_count(self) -> int:
         return len(self.tuples)
+
+    @property
+    def rule_count(self) -> int:
+        return sum(t.rule_count for t in self.tuples)
 
     # -- structure ---------------------------------------------------
 
@@ -121,11 +127,7 @@ class Chain:
         prev = None
         for t in self.tuples:
             t.prev = prev
-            if prev is not None:
-                prev.next = t
             prev = t
-        if prev is not None:
-            prev.next = None
         self.root = (_build_tree(self.tuples, 0, len(self.tuples),
                                  self.probe_bound())
                      if self.tuples else None)
@@ -148,25 +150,23 @@ class Chain:
             raise ChainError(f"position {at} breaks chain order")
         self.tuples.insert(at, t)
         self._relink()
-        nxt = t.next
-        if nxt is None:
+        if at + 1 == len(self.tuples):
             return
         # The re-left trail re-finds e's old marker by key (old.key ==
-        # e.key & t.prev.mask), so the old marker keeps an owner.
-        for e in list(nxt.table.values()):
+        # e.key & t.prev.mask), so the old marker keeps an owner, and
+        # the new marker in t takes its hint: e's hint does not change.
+        for e in self.tuples[at + 1].table.values():
             old = e.marker
             if old is not None:
                 old.owners.remove(e)
                 e.marker = None
             leave_marker(e, t, self.touches)
-            e.hint = best_rule(e.rule, e.marker.hint)
-            report_hint(e, self.touches)
 
     def remove_tuple(self, t: TupleTable) -> None:
         if t.table or t.rule_count:
             raise ChainError("cannot remove a non-empty tuple")
         self.tuples.remove(t)
-        t.prev = t.next = None
+        t.prev = None
         self._relink()
 
     # -- lookup ------------------------------------------------------
@@ -193,7 +193,6 @@ class Chain:
         e.hint = best_rule(r, k.hint if k is not None else None)
         report_hint(e, self.touches)
         t.rule_count += 1
-        self.rule_count += 1
 
     def delete_rule(self, t: TupleTable, r: Rule) -> bool:
         """Remove r if present; True on deletion.  The caller is
@@ -210,7 +209,6 @@ class Chain:
             e.rule = None
             report_hint(e, self.touches)
         t.rule_count -= 1
-        self.rule_count -= 1
         return True
 
     # -- auditing ----------------------------------------------------
@@ -225,12 +223,10 @@ class Chain:
         for a, b in zip(self.tuples, self.tuples[1:]):
             if not mask_less_than(a.mask, b.mask):
                 out.append(f"chain order broken: {a.mask:#x} !< {b.mask:#x}")
-        # prev/next links and tree in-order must agree with the sequence.
+        # prev links and tree in-order must agree with the sequence.
         for i, t in enumerate(self.tuples):
-            want_prev = self.tuples[i - 1] if i > 0 else None
-            want_next = self.tuples[i + 1] if i + 1 < len(self.tuples) else None
-            if t.prev is not want_prev or t.next is not want_next:
-                out.append(f"prev/next links wrong at position {i}")
+            if t.prev is not (self.tuples[i - 1] if i > 0 else None):
+                out.append(f"prev link wrong at position {i}")
         inorder: list[tuple[int, dict]] = []
 
         def walk(n: _Node | None) -> int:
@@ -256,7 +252,6 @@ class Chain:
                        f"{self.probe_bound()}")
 
         entry_total = 0
-        rules_seen = 0
         for t in self.tuples:
             rc = 0
             for key, e in t.table.items():
@@ -293,9 +288,6 @@ class Chain:
                         out.append(f"owner back-link broken at {e.key:#x}")
             if rc != t.rule_count:
                 out.append(f"rule_count mismatch in tuple {t.mask:#x}")
-            rules_seen += rc
-        if rules_seen != self.rule_count:
-            out.append("chain rule_count mismatch")
         if self.rule_count and entry_total > self.rule_count * len(self.tuples):
             out.append(f"entry total {entry_total} exceeds space bound "
                        f"{self.rule_count * len(self.tuples)}")

@@ -34,6 +34,17 @@ class StructureStats:
     memory_bytes: int
 
 
+def check_rule(schema: FieldSchema, r: Rule, rule_ids: set[int]) -> None:
+    """Reject r unless it is a Rule that fits the schema, with an id not
+    in ``rule_ids``; build and insert both check this before any change."""
+    if not isinstance(r, Rule):
+        raise ValueError(f"{r!r} is not a Rule")
+    if r.mask >= (1 << schema.total_width):
+        raise ValueError(f"rule {r.rule_id} does not fit the schema")
+    if r.rule_id in rule_ids:
+        raise DuplicateRuleError(f"rule id {r.rule_id} already present")
+
+
 class TupleChainClassifier:
     def __init__(self, schema: FieldSchema):
         self.schema = schema
@@ -52,11 +63,9 @@ class TupleChainClassifier:
               cover: PathCover | None = None) -> "TupleChainClassifier":
         self = cls(schema)
         by_mask: dict[int, list[Rule]] = {}
-        for i, r in enumerate(rules):
-            if not isinstance(r, Rule):
-                raise ValueError(f"rule {i} is not a Rule")
-            if r.mask >= (1 << schema.total_width):
-                raise ValueError(f"rule {i} does not fit the schema")
+        for r in rules:
+            check_rule(schema, r, self.rule_ids)
+            self.rule_ids.add(r.rule_id)
             by_mask.setdefault(r.mask, []).append(r)
         masks = list(by_mask)
         if not masks:
@@ -79,9 +88,7 @@ class TupleChainClassifier:
         for chain in self.chains:
             for t in chain.tuples:
                 for r in by_mask[t.mask]:
-                    self._check_id(r)
                     chain.insert_rule(t, r)
-                    self.rule_ids.add(r.rule_id)
         self._refresh_roots()
         return self
 
@@ -115,12 +122,8 @@ class TupleChainClassifier:
 
     # -- updates -----------------------------------------------------
 
-    def _check_id(self, r: Rule) -> None:
-        if r.rule_id in self.rule_ids:
-            raise DuplicateRuleError(f"rule id {r.rule_id} already present")
-
     def insert(self, r: Rule) -> None:
-        self._check_id(r)
+        check_rule(self.schema, r, self.rule_ids)
         hit = self.registry.get(r.mask)
         if hit is None:
             t = TupleTable(r.mask)
@@ -162,15 +165,17 @@ class TupleChainClassifier:
             pos = chain.can_host(t.mask)
             if pos is None:
                 continue
-            score = (chain.tuple_count, chain.rule_count)
-            if best is None or score < best[0]:
-                best = (score, chain, pos)
+            # fewest tuples wins; rule_count sums tuples, so only ties read it
+            if best is None or chain.tuple_count < best[0].tuple_count or (
+                    chain.tuple_count == best[0].tuple_count
+                    and chain.rule_count < best[0].rule_count):
+                best = (chain, pos)
         if best is None:
             chain = Chain()
             self.chains.append(chain)
             chain.insert_tuple(t, 0)
             return chain
-        _, chain, pos = best
+        chain, pos = best
         chain.insert_tuple(t, pos)
         return chain
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import DuplicateRuleError, search
-from .classifier import TupleChainClassifier
+from .chain import search
+from .classifier import TupleChainClassifier, check_rule
 from .graph import PathCover, build_graph, min_path_cover
 from .model import FieldSchema, MatchResult, Rule, mask_less_than
 
@@ -92,14 +92,13 @@ def group_chains(pc: PathCover, masks: list[int],
 
 
 class _HeadEntry:
-    """One head-tuple entry.  ``roots`` is ``local.roots``, re-read after
-    every build, insert and remove, so a lookup reaches the local chains'
-    trees without going through ``local``."""
+    """One head-tuple entry, kept only under its key in ``_Group.head``.
+    ``roots`` is ``local.roots``, re-read after every build, insert and
+    remove, so a lookup reaches the local chains' trees directly."""
 
-    __slots__ = ("key", "local", "roots")
+    __slots__ = ("local", "roots")
 
-    def __init__(self, key: int, local: TupleChainClassifier):
-        self.key = key
+    def __init__(self, local: TupleChainClassifier):
         self.local = local
         self.roots = local.roots
 
@@ -131,6 +130,9 @@ class EtcClassifier:
     def build(cls, schema: FieldSchema, rules: list[Rule],
               min_head_bits: int = 4) -> "EtcClassifier":
         self = cls(schema, min_head_bits)
+        for r in rules:
+            check_rule(schema, r, self.rule_ids)
+            self.rule_ids.add(r.rule_id)
         if not rules:
             return self
         masks = sorted({r.mask for r in rules})
@@ -153,8 +155,7 @@ class EtcClassifier:
                 buckets.setdefault(r.fields & grp.head_mask, []).append(r)
             for hkey, bucket in buckets.items():
                 grp.head[hkey] = _HeadEntry(
-                    hkey, TupleChainClassifier.build(schema, bucket))
-        self.rule_ids.update(r.rule_id for r in rules)
+                    TupleChainClassifier.build(schema, bucket))
         return self
 
     # -- lookup ------------------------------------------------------
@@ -195,14 +196,13 @@ class EtcClassifier:
         return best
 
     def insert(self, r: Rule) -> None:
-        if r.rule_id in self.rule_ids:
-            raise DuplicateRuleError(f"rule id {r.rule_id} already present")
+        check_rule(self.schema, r, self.rule_ids)
         grp = self._route(r)
         hkey = r.fields & grp.head_mask
         he = grp.head.get(hkey)
         if he is None:
             he = grp.head[hkey] = _HeadEntry(
-                hkey, TupleChainClassifier(self.schema))
+                TupleChainClassifier(self.schema))
         he.local.insert(r)
         he.roots = he.local.roots
         self.rule_ids.add(r.rule_id)
@@ -211,13 +211,14 @@ class EtcClassifier:
         grp = self._mask_to_group.get(r.mask)
         if grp is None:
             return False
-        he = grp.head.get(r.fields & grp.head_mask)
+        hkey = r.fields & grp.head_mask
+        he = grp.head.get(hkey)
         if he is None or not he.local.remove(r):
             return False
         he.roots = he.local.roots
         self.rule_ids.discard(r.rule_id)
         if not he.local.chains:
-            del grp.head[he.key]
+            del grp.head[hkey]
         if not grp.head:
             self.groups.remove(grp)
             for m in grp.member_masks:
@@ -257,8 +258,11 @@ class EtcClassifier:
             if m not in grp.member_masks:
                 out.append(f"mask {m:#x} routed to a group it is not "
                            "a member of")
-        if {r.rule_id for r in self.all_rules()} != self.rule_ids:
+        rules = self.all_rules()
+        if {r.rule_id for r in rules} != self.rule_ids:
             out.append("rule id set out of sync")
+        elif len(rules) != len(self.rule_ids):
+            out.append("rule id stored twice")
         return out
 
     def all_rules(self) -> list[Rule]:

@@ -9,7 +9,7 @@ path is a couple of native big-int ops regardless of the field count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Priority reported for a miss; below any storable rule priority.
 MISS_PRIORITY = -(2**63)
@@ -24,6 +24,8 @@ class FieldSchema:
     """Bit widths of the fields a classifier matches on."""
 
     widths: tuple[int, ...]
+    # stored once: every build and insert checks rule masks against it
+    total_width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.widths:
@@ -31,14 +33,11 @@ class FieldSchema:
         for w in self.widths:
             if not 1 <= w <= 128:
                 raise SchemaError(f"field width {w} out of range 1..128")
+        object.__setattr__(self, "total_width", sum(self.widths))
 
     @property
     def field_count(self) -> int:
         return len(self.widths)
-
-    @property
-    def total_width(self) -> int:
-        return sum(self.widths)
 
     def pack(self, values) -> int:
         """Concatenate per-field values into one int (field 0 highest)."""

@@ -49,18 +49,17 @@ class TouchCounter:
 class TupleTable:
     """All rules sharing one mask, keyed by their masked field vectors.
 
-    ``prev``/``next`` are the chain-order neighbours (less / more
-    specific); they are maintained by the owning chain.
+    Only ``prev``, the less specific neighbour that marker trails walk,
+    is linked (by the owning chain); a splice does no hint work.
     """
 
-    __slots__ = ("mask", "table", "rule_count", "prev", "next")
+    __slots__ = ("mask", "table", "rule_count", "prev")
 
     def __init__(self, mask: int):
         self.mask = mask
         self.table: dict[int, Entry] = {}
         self.rule_count = 0
         self.prev: TupleTable | None = None
-        self.next: TupleTable | None = None
 
     def probe(self, key: int) -> Entry | None:
         """One hash probe with the full (unmasked) packet key."""

@@ -5,6 +5,7 @@ import pytest
 from tuplechain.baselines import LinearClassifier, linear_lookup
 from tuplechain.chain import DuplicateRuleError
 from tuplechain.classifier import TupleChainClassifier
+from tuplechain.etc import EtcClassifier
 from tuplechain.graph import PathCover, build_graph
 from tuplechain.model import FieldSchema, Rule, best_rule
 
@@ -116,6 +117,23 @@ class TestUpdates:
         c.insert(Rule(0, 0, 1, 7))
         with pytest.raises(DuplicateRuleError):
             c.insert(Rule(1, 0xFF, 2, 7))
+
+    @pytest.mark.parametrize("cls", [TupleChainClassifier, EtcClassifier])
+    @pytest.mark.parametrize("bad", [Rule(1 << 20, 1 << 20, 1, 0),
+                                     (0, 0, 1, 0)])
+    def test_insert_rejects_what_build_rejects(self, cls, bad):
+        rules = [Rule(pk(0x80, 0), pk(0xC0, 0), 1, 1),
+                 Rule(pk(0x80, 0x40), pk(0xC0, 0xC0), 2, 2)]
+        with pytest.raises(ValueError) as built:
+            cls.build(S, rules + [bad])
+        c = cls.build(S, rules)
+        groups = c.group_count if cls is EtcClassifier else len(c.chains)
+        with pytest.raises(built.type):
+            c.insert(bad)
+        assert c.audit() == []
+        assert groups == (c.group_count if cls is EtcClassifier
+                          else len(c.chains))
+        assert sorted(r.rule_id for r in c.all_rules()) == [1, 2]
 
     def test_remove_absent(self):
         c = TupleChainClassifier(S)

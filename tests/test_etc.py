@@ -8,7 +8,8 @@ import pytest
 
 from tuplechain.baselines import linear_lookup
 from tuplechain.chain import DuplicateRuleError
-from tuplechain.etc import EtcClassifier, GroupPlan, group_chains
+from tuplechain.classifier import TupleChainClassifier
+from tuplechain.etc import EtcClassifier, GroupPlan, _HeadEntry, group_chains
 from tuplechain.graph import build_graph, min_path_cover
 from tuplechain.model import FieldSchema, Rule
 from tuplechain.workload import parse_classbench
@@ -304,6 +305,11 @@ class TestUpdates:
         with pytest.raises(DuplicateRuleError):
             c.insert(Rule(0, 0, 1, 6))
 
+    def test_duplicate_id_rejected_by_build(self):
+        with pytest.raises(DuplicateRuleError):
+            EtcClassifier.build(S, [Rule(pk(0x01, 0), pk(0xFF, 0), 1, 7),
+                                    Rule(pk(0x02, 0), pk(0xFF, 0), 2, 7)])
+
     def test_remove_to_empty_drops_groups(self):
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
         for r in WALK_RULES:
@@ -374,6 +380,14 @@ class TestAudit:
         c = self.two_groups()
         c.rule_ids.add(99)
         assert c.audit() == ["rule id set out of sync"]
+
+    def test_repeated_rule_id_is_flagged(self):
+        c = self.two_groups()
+        # a second rule 9, filed in the head entry routing gives it
+        r = Rule(pk(0x00, 0x02), pk(0x00, 0x03), 6, 9)
+        c.groups[1].head[r.fields] = _HeadEntry(
+            TupleChainClassifier.build(S, [r]))
+        assert c.audit() == ["rule id stored twice"]
 
     def test_mask_routed_to_another_group_is_flagged(self):
         c = self.two_groups()

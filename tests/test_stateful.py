@@ -1,0 +1,128 @@
+"""Stateful differential test: tc, etc and tss driven next to the linear
+oracle through random builds, inserts, removals, mask drains, lookups
+and tc rebuilds, with every classifier audited after every step.
+
+The mask pool is nested (each mask contains the one before it), so a
+mask inserted while others of the pool are live splices into the middle
+of their chain, and draining a mask empties a chain-interior tuple.
+``LONE`` shares no bit with any pool mask, so no ETC head contains it
+and its first rule opens a group of its own.
+"""
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
+
+from tuplechain.baselines import LinearClassifier, TssClassifier
+from tuplechain.chain import DuplicateRuleError
+from tuplechain.classifier import TupleChainClassifier
+from tuplechain.etc import EtcClassifier
+from tuplechain.model import FieldSchema, Rule
+
+S = FieldSchema((8, 8))
+
+
+def pk(a, b):
+    return S.pack((a, b))
+
+
+NESTED = [pk(0x80, 0x00), pk(0xC0, 0x00), pk(0xC0, 0xC0), pk(0xE0, 0xC0),
+          pk(0xF0, 0xE0), pk(0xF8, 0xF0), pk(0xFC, 0xF8), pk(0xFF, 0xFC)]
+LONE = pk(0x00, 0x03)
+MASKS = NESTED + [LONE]
+
+KEYS = st.integers(0, (1 << S.total_width) - 1)
+DRAWN = st.tuples(st.sampled_from(MASKS), KEYS, st.integers(0, 40))
+
+
+class Differential(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.live: dict[tuple[int, int], Rule] = {}   # (fields, mask)
+        self.next_id = 0
+        self.clfs = {}
+
+    def _rule(self, mask, fields, priority) -> Rule:
+        r = Rule(fields & mask, mask, priority, self.next_id)
+        self.next_id += 1
+        return r
+
+    @initialize(drawn=st.lists(DRAWN, max_size=24))
+    def build(self, drawn):
+        for mask, fields, priority in drawn:
+            r = self._rule(mask, fields, priority)
+            self.live.setdefault((r.fields, r.mask), r)
+        rules = list(self.live.values())
+        self.clfs = {
+            "linear": LinearClassifier.build(S, rules),
+            "tc": TupleChainClassifier.build(S, rules),
+            "etc": EtcClassifier.build(S, rules),
+            "tss": TssClassifier.build(S, rules),
+        }
+
+    @rule(drawn=DRAWN)
+    def insert(self, drawn):
+        r = self._rule(*drawn)
+        if (r.fields, r.mask) in self.live:
+            for c in self.clfs.values():
+                try:
+                    c.insert(r)
+                except DuplicateRuleError:
+                    continue
+                raise AssertionError(f"{type(c).__name__} took a "
+                                     "repeated (fields, mask)")
+            return
+        for c in self.clfs.values():
+            c.insert(r)
+        self.live[(r.fields, r.mask)] = r
+
+    def _remove(self, r: Rule) -> None:
+        for name, c in self.clfs.items():
+            assert c.remove(r), name
+        del self.live[(r.fields, r.mask)]
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def remove(self, data):
+        self._remove(data.draw(st.sampled_from(sorted(
+            self.live.values(), key=lambda r: r.rule_id))))
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def drain(self, data):
+        mask = data.draw(st.sampled_from(sorted(
+            {m for _, m in self.live})))
+        for r in [r for r in self.live.values() if r.mask == mask]:
+            self._remove(r)
+
+    def _check(self, key: int) -> None:
+        want = self.clfs["linear"].lookup(key).rule
+        for name, c in self.clfs.items():
+            res = c.lookup(key)
+            assert res.rule == want, (name, key)
+            assert res.probes <= c.probe_bound(), (name, key)
+
+    @rule(key=KEYS)
+    def lookup(self, key):
+        self._check(key)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data(), noise=KEYS)
+    def lookup_grown(self, data, noise):
+        r = data.draw(st.sampled_from(sorted(
+            self.live.values(), key=lambda r: r.rule_id)))
+        self._check(r.fields | (noise & ~r.mask))
+
+    @rule()
+    def rebuild(self):
+        self.clfs["tc"].rebuild()
+
+    @invariant()
+    def audits_clean(self):
+        for name, c in self.clfs.items():
+            assert c.audit() == [], name
+
+
+Differential.TestCase.settings = settings(
+    max_examples=80, stateful_step_count=40, deadline=None)
+TestDifferential = Differential.TestCase

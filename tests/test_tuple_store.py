@@ -18,8 +18,6 @@ def make_chain_tuples(*masks):
     prev = None
     for t in tuples:
         t.prev = prev
-        if prev is not None:
-            prev.next = t
         prev = t
     return tuples
 
