@@ -18,14 +18,16 @@ the all-miss path (the leftmost spine) is the common one; this shape
 shortens it, to a single probe of the head tuple when m is a power of
 two, while no path grows past H.
 
-Each node carries its tuple's ``mask`` and ``table`` (the very dict of
-the ``TupleTable``, which is never rebound), so a probe is
-``node.table.get(key & node.mask)`` with no hop through the tuple.
+The tree's nodes are the chain's own tuples: ``TupleTable.fail`` and
+``TupleTable.succ`` are the links, so a probe is
+``node.table.get(key & node.mask)`` on the tuple itself.  Every relink
+sets both links on every tuple, and a tuple leaving the chain has them
+cleared, so no link outlives the splice that made it.
 
 Chain order lives in ``Chain.tuples`` alone; a tuple links only back, by
 ``TupleTable.prev``, for marker trails.  A splice does no hint work.
 
-``search(roots, key)`` is the one lookup loop.  It takes the root nodes
+``search(roots, key)`` is the one lookup loop.  It takes the root tuples
 of any number of chains, walks each tree inline, keeps the deepest
 hit's entry and merges that entry's hint into the running best once per
 root.  The tc classifier passes its chains' roots, ETC the roots behind
@@ -49,23 +51,14 @@ class DuplicateRuleError(ValueError):
     """A rule with the same fields and mask is already stored."""
 
 
-class _Node:
-    __slots__ = ("mask", "table", "fail", "succ")
-
-    def __init__(self, tup: TupleTable):
-        self.mask = tup.mask
-        self.table = tup.table
-        self.fail: _Node | None = None
-        self.succ: _Node | None = None
-
-
-def _build_tree(tuples: list[TupleTable], lo: int, hi: int, h: int) -> _Node:
-    """Miss-first tree of height at most ``h`` over ``tuples[lo:hi]``,
-    which must be non-empty and hold fewer than ``2**h`` tuples.
+def _build_tree(tuples: list[TupleTable], lo: int, hi: int,
+                h: int) -> TupleTable:
+    """Link ``tuples[lo:hi]``, which must be non-empty and hold fewer than
+    ``2**h`` tuples, into a miss-first tree of height at most ``h``.
 
     The root is the least specific tuple whose succ side still fits in
     height ``h - 1``; the fail side then holds fewer than ``2**(h-1)``
-    tuples and fits too.
+    tuples and fits too.  Every tuple in the range has both links set.
     """
     # Plain compares, and no calls on empty ranges: a fresh mask
     # rebuilds one small tree per ETC head entry it reaches, so this
@@ -73,17 +66,15 @@ def _build_tree(tuples: list[TupleTable], lo: int, hi: int, h: int) -> _Node:
     r = hi - (1 << (h - 1))
     if r < lo:
         r = lo
-    node = _Node(tuples[r])
-    if lo < r:
-        node.fail = _build_tree(tuples, lo, r, h - 1)
-    if r + 1 < hi:
-        node.succ = _build_tree(tuples, r + 1, hi, h - 1)
+    node = tuples[r]
+    node.fail = _build_tree(tuples, lo, r, h - 1) if lo < r else None
+    node.succ = _build_tree(tuples, r + 1, hi, h - 1) if r + 1 < hi else None
     return node
 
 
-def search(roots: Iterable[_Node | None],
+def search(roots: Iterable[TupleTable | None],
            key: int) -> tuple[Rule | None, int]:
-    """Best rule for ``key`` over the chains with these root nodes, and
+    """Best rule for ``key`` over the chains with these root tuples, and
     the probes spent."""
     best: Rule | None = None
     probes = 0
@@ -110,7 +101,7 @@ class Chain:
 
     def __init__(self):
         self.tuples: list[TupleTable] = []
-        self.root: _Node | None = None
+        self.root: TupleTable | None = None
         self.touches = TouchCounter()
 
     @property
@@ -166,7 +157,7 @@ class Chain:
         if t.table or t.rule_count:
             raise ChainError("cannot remove a non-empty tuple")
         self.tuples.remove(t)
-        t.prev = None
+        t.prev = t.fail = t.succ = None
         self._relink()
 
     # -- lookup ------------------------------------------------------
@@ -227,29 +218,31 @@ class Chain:
         for i, t in enumerate(self.tuples):
             if t.prev is not (self.tuples[i - 1] if i > 0 else None):
                 out.append(f"prev link wrong at position {i}")
-        inorder: list[tuple[int, dict]] = []
-
-        def walk(n: _Node | None) -> int:
-            if n is None:
-                return 0
-            return 1 + max(walk(n.fail), walk(n.succ))
-
-        def collect(n: _Node | None):
-            if n is None:
-                return
-            collect(n.fail)
-            inorder.append((n.mask, n.table))
-            collect(n.succ)
-
-        collect(self.root)
-        if len(inorder) != len(self.tuples) or any(
-                m != t.mask or tbl is not t.table
-                for (m, tbl), t in zip(inorder, self.tuples)):
-            out.append("tree in-order disagrees with chain order")
-        height = walk(self.root)
-        if height > self.probe_bound():
-            out.append(f"tree height {height} exceeds probe bound "
-                       f"{self.probe_bound()}")
+        # Iterative in-order walk that also takes the height.  A node met
+        # is on the stack or in ``inorder``; meeting more nodes than there
+        # are tuples means a cycle or a stray link, and ends the walk.
+        n = len(self.tuples)
+        inorder: list[TupleTable] = []
+        stack: list[tuple[TupleTable, int]] = []
+        node, depth, height = self.root, 1, 0
+        while (node is not None or stack) and len(stack) + len(inorder) <= n:
+            if node is not None:
+                height = max(height, depth)
+                stack.append((node, depth))
+                node, depth = node.fail, depth + 1
+            else:
+                node, depth = stack.pop()
+                inorder.append(node)
+                node, depth = node.succ, depth + 1
+        if len(stack) + len(inorder) > n:
+            out.append(f"tree meets more than its {n} tuples: a cycle or "
+                       "a stray link")
+        else:
+            if inorder != self.tuples:   # tuples compare by identity
+                out.append("tree in-order disagrees with chain order")
+            if height > self.probe_bound():
+                out.append(f"tree height {height} exceeds probe bound "
+                           f"{self.probe_bound()}")
 
         entry_total = 0
         for t in self.tuples:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import Chain, DuplicateRuleError, _Node, search
+from .chain import Chain, DuplicateRuleError, search
 from .graph import PathCover, build_graph, min_path_cover
 from .model import FieldSchema, MatchResult, Rule
 from .tuple_store import TupleTable
@@ -49,9 +49,9 @@ class TupleChainClassifier:
     def __init__(self, schema: FieldSchema):
         self.schema = schema
         self.chains: list[Chain] = []
-        # the chains' root nodes, in chain order: what lookup searches.
+        # the chains' root tuples, in chain order: what lookup searches.
         # Refreshed only where the tuple set changes, never per rule.
-        self.roots: list[_Node | None] = []
+        self.roots: list[TupleTable | None] = []
         # mask -> (chain, tuple); at most one live tuple per mask
         self.registry: dict[int, tuple[Chain, TupleTable]] = {}
         self.rule_ids: set[int] = set()
@@ -124,6 +124,10 @@ class TupleChainClassifier:
 
     def insert(self, r: Rule) -> None:
         check_rule(self.schema, r, self.rule_ids)
+        self._add(r)
+
+    def _add(self, r: Rule) -> None:
+        """Insert r, which the caller has checked with ``check_rule``."""
         hit = self.registry.get(r.mask)
         if hit is None:
             t = TupleTable(r.mask)
@@ -197,13 +201,12 @@ class TupleChainClassifier:
         # C-layout cost model, deliberately allocator-independent:
         # entry = key + rule/hint/marker pointers + owner-list head;
         # owner link = two pointers; rule = fields + mask + pri + id;
-        # tree node / tuple: four pointers each plus the hash slot array.
+        # tuple = mask + table/count/prev/fail/succ, plus the hash slots.
         mem = (entry_total * (key_bytes + 4 * _PTR)
                + owner_links * 2 * _PTR
                + rule_count * (2 * key_bytes + 12)
-               + tuple_count * (4 * _PTR + key_bytes)
-               + entry_total * int(1.5 * _PTR)   # hash slots at 2/3 load
-               + tuple_count * 4 * _PTR)         # tree nodes
+               + tuple_count * (5 * _PTR + key_bytes)
+               + entry_total * int(1.5 * _PTR))  # hash slots at 2/3 load
         sizes = tuple(c.tuple_count for c in self.chains)
         return StructureStats(
             rule_count=rule_count,

@@ -203,7 +203,7 @@ class EtcClassifier:
         if he is None:
             he = grp.head[hkey] = _HeadEntry(
                 TupleChainClassifier(self.schema))
-        he.local.insert(r)
+        he.local._add(r)   # r passed check_rule above
         he.roots = he.local.roots
         self.rule_ids.add(r.rule_id)
 
@@ -245,7 +245,10 @@ class EtcClassifier:
                 if he.roots is not he.local.roots:
                     out.append(f"group {gi}, head {hkey:#x}: roots out "
                                "of sync with the local classifier")
-                for r in he.local.all_rules():
+                rules = he.local.all_rules()
+                if not rules:
+                    out.append(f"group {gi}, head {hkey:#x}: holds no rules")
+                for r in rules:
                     if r.fields & grp.head_mask != hkey:
                         out.append(f"group {gi}: rule {r.rule_id} in "
                                    "wrong head entry")

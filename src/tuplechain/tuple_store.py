@@ -41,25 +41,24 @@ class TouchCounter:
     def total(self) -> int:
         return self.marker + self.hint
 
-    def reset(self):
-        self.marker = 0
-        self.hint = 0
-
 
 class TupleTable:
     """All rules sharing one mask, keyed by their masked field vectors.
 
-    Only ``prev``, the less specific neighbour that marker trails walk,
-    is linked (by the owning chain); a splice does no hint work.
+    The owning chain links ``prev``, the less specific neighbour that
+    marker trails walk, and ``fail``/``succ``, the tuple's children in
+    the chain's search tree; a splice does no hint work.
     """
 
-    __slots__ = ("mask", "table", "rule_count", "prev")
+    __slots__ = ("mask", "table", "rule_count", "prev", "fail", "succ")
 
     def __init__(self, mask: int):
         self.mask = mask
         self.table: dict[int, Entry] = {}
         self.rule_count = 0
         self.prev: TupleTable | None = None
+        self.fail: TupleTable | None = None
+        self.succ: TupleTable | None = None
 
     def probe(self, key: int) -> Entry | None:
         """One hash probe with the full (unmasked) packet key."""

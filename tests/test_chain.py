@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tuplechain.chain import Chain, ChainError, DuplicateRuleError, _Node
+from tuplechain.chain import Chain, ChainError, DuplicateRuleError
 from tuplechain.model import (FieldSchema, Rule, best_rule, mask_less_than,
                               matches)
 from tuplechain.tuple_store import TupleTable
@@ -281,7 +281,9 @@ class TestAudit:
     def test_tree_one_level_too_tall_is_flagged(self):
         # right in-order over 7 tuples, height 4 against a bound of 3
         c = new_chain(*[(1 << (i + 1)) - 1 for i in range(7)])
-        t0, t1, t2, t3, t4, t5, t6 = (_Node(t) for t in c.tuples)
+        t0, t1, t2, t3, t4, t5, t6 = c.tuples
+        for t in c.tuples:
+            t.fail = t.succ = None
         t0.succ, t4.fail, t4.succ = t4, t2, t5
         t2.fail, t2.succ, t5.succ = t1, t3, t6
         c.root = t0
@@ -292,6 +294,43 @@ class TestAudit:
         c = new_chain(T1, T2)
         c.tuples.reverse()
         assert any("chain order" in v for v in c.audit())
+
+    def test_self_loop_is_flagged(self):
+        c = new_chain(T1, T2, T3)
+        c.root.succ = c.root
+        assert c.audit() == ["tree meets more than its 3 tuples: a cycle "
+                             "or a stray link"]
+
+    @pytest.mark.parametrize("target", [
+        lambda c: c.root,            # back to an ancestor: a cycle
+        lambda c: c.tuples[1],       # a sibling, met twice
+        lambda c: TupleTable(T3),    # a tuple outside the chain
+    ])
+    def test_leaf_with_a_stray_fail_is_flagged(self, target):
+        # tree T1 -succ-> T3, whose children T2 and T5 are leaves
+        c = new_chain(T1, T2, T3, T5)
+        leaf = c.tuples[3]
+        assert leaf.fail is leaf.succ is None and c.audit() == []
+        leaf.fail = target(c)
+        assert c.audit() == ["tree meets more than its 4 tuples: a cycle "
+                             "or a stray link"]
+
+    def test_random_splices_leave_no_stale_links(self):
+        rng = random.Random(4)
+        for _ in range(30):
+            order = rng.sample(range(16), 10)
+            masks = [sum(1 << b for b in order[:i + 1]) for i in range(10)]
+            c = new_chain(masks[0])
+            insert(c, masks[0], rng.getrandbits(16), 5, 0)
+            for m in rng.sample(masks[1:], 9):
+                c.insert_tuple(TupleTable(m), c.can_host(m))
+                assert c.audit() == []
+            for t in rng.sample(c.tuples[1:], 9):
+                c.remove_tuple(t)
+                assert c.audit() == []
+                assert t.prev is None and t.fail is None and t.succ is None
+            assert c.root is c.tuples[0]
+            assert c.root.fail is None and c.root.succ is None
 
 
 class TestLongChain:

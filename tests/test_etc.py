@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from tuplechain import classifier, etc
 from tuplechain.baselines import linear_lookup
 from tuplechain.chain import DuplicateRuleError
-from tuplechain.classifier import TupleChainClassifier
+from tuplechain.classifier import TupleChainClassifier, check_rule
 from tuplechain.etc import EtcClassifier, GroupPlan, _HeadEntry, group_chains
 from tuplechain.graph import build_graph, min_path_cover
 from tuplechain.model import FieldSchema, Rule
@@ -310,6 +311,25 @@ class TestUpdates:
             EtcClassifier.build(S, [Rule(pk(0x01, 0), pk(0xFF, 0), 1, 7),
                                     Rule(pk(0x02, 0), pk(0xFF, 0), 2, 7)])
 
+    def test_insert_checks_the_rule_once(self, monkeypatch):
+        calls = []
+
+        def counting(schema, r, rule_ids):
+            calls.append(r)
+            return check_rule(schema, r, rule_ids)
+
+        for mod in (classifier, etc):
+            monkeypatch.setattr(mod, "check_rule", counting)
+        c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
+        calls.clear()
+        new = [Rule(pk(0x84, 0xA0), pk(0xFC, 0xE0), 70, 9),  # fresh mask
+               Rule(pk(0x00, 0x03), pk(0x00, 0x03), 5, 10),  # new group
+               Rule(pk(0x80, 0x80), M1, 11, 11)]             # live tuple
+        for r in new:
+            c.insert(r)
+        assert calls == new
+        assert c.audit() == []
+
     def test_remove_to_empty_drops_groups(self):
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
         for r in WALK_RULES:
@@ -396,6 +416,12 @@ class TestAudit:
         assert f"group 0: member {M1:#x} routed to another group" in out
         assert f"mask {M1:#x} routed to a group it is not a member of" \
             in out
+
+    def test_empty_head_entry_is_flagged(self):
+        c = self.two_groups()
+        c.groups[1].head[pk(0x00, 0x02)] = _HeadEntry(TupleChainClassifier(S))
+        assert c.audit() == [f"group 1, head {pk(0x00, 0x02):#x}: holds "
+                             "no rules"]
 
     def test_stale_head_entry_roots_are_flagged(self):
         c = self.two_groups()
