@@ -133,12 +133,14 @@ class Chain:
             return None
         return j
 
-    def insert_tuple(self, t: TupleTable, at: int) -> None:
-        """Splice an empty tuple in and re-anchor successor markers."""
+    def insert_tuple(self, t: TupleTable) -> None:
+        """Splice an empty tuple in at the one position that keeps the
+        chain ordered, and re-anchor successor markers."""
         if t.table or t.rule_count:
             raise ChainError("inserted tuple must be empty")
-        if at != self.can_host(t.mask):
-            raise ChainError(f"position {at} breaks chain order")
+        at = self.can_host(t.mask)
+        if at is None:
+            raise ChainError(f"mask {t.mask:#x} breaks chain order")
         self.tuples.insert(at, t)
         self._relink()
         if at + 1 == len(self.tuples):
@@ -245,7 +247,7 @@ class Chain:
                            f"{self.probe_bound()}")
 
         entry_total = 0
-        for t in self.tuples:
+        for t, nxt in zip(self.tuples, self.tuples[1:] + [None]):
             rc = 0
             for key, e in t.table.items():
                 entry_total += 1
@@ -279,6 +281,9 @@ class Chain:
                 for o in e.owners:
                     if o.marker is not e:
                         out.append(f"owner back-link broken at {e.key:#x}")
+                    if nxt is None or nxt.table.get(o.key) is not o:
+                        out.append(f"owner {o.key:#x} of {e.key:#x} not "
+                                   "in the next tuple")
             if rc != t.rule_count:
                 out.append(f"rule_count mismatch in tuple {t.mask:#x}")
         if self.rule_count and entry_total > self.rule_count * len(self.tuples):

@@ -28,7 +28,6 @@ class StructureStats:
     tuple_count: int
     chain_count: int
     max_chain_tuples: int
-    chain_tuple_counts: tuple[int, ...]
     entry_total: int
     owner_link_total: int
     memory_bytes: int
@@ -166,22 +165,18 @@ class TupleChainClassifier:
     def _place_tuple(self, t: TupleTable) -> Chain:
         best = None
         for chain in self.chains:
-            pos = chain.can_host(t.mask)
-            if pos is None:
+            if chain.can_host(t.mask) is None:
                 continue
             # fewest tuples wins; rule_count sums tuples, so only ties read it
-            if best is None or chain.tuple_count < best[0].tuple_count or (
-                    chain.tuple_count == best[0].tuple_count
-                    and chain.rule_count < best[0].rule_count):
-                best = (chain, pos)
+            if best is None or chain.tuple_count < best.tuple_count or (
+                    chain.tuple_count == best.tuple_count
+                    and chain.rule_count < best.rule_count):
+                best = chain
         if best is None:
-            chain = Chain()
-            self.chains.append(chain)
-            chain.insert_tuple(t, 0)
-            return chain
-        chain, pos = best
-        chain.insert_tuple(t, pos)
-        return chain
+            best = Chain()
+            self.chains.append(best)
+        best.insert_tuple(t)
+        return best
 
     # -- reporting ---------------------------------------------------
 
@@ -207,13 +202,12 @@ class TupleChainClassifier:
                + rule_count * (2 * key_bytes + 12)
                + tuple_count * (5 * _PTR + key_bytes)
                + entry_total * int(1.5 * _PTR))  # hash slots at 2/3 load
-        sizes = tuple(c.tuple_count for c in self.chains)
         return StructureStats(
             rule_count=rule_count,
             tuple_count=tuple_count,
             chain_count=len(self.chains),
-            max_chain_tuples=max(sizes, default=0),
-            chain_tuple_counts=sizes,
+            max_chain_tuples=max((c.tuple_count for c in self.chains),
+                                 default=0),
             entry_total=entry_total,
             owner_link_total=owner_links,
             memory_bytes=mem,
@@ -229,17 +223,13 @@ class TupleChainClassifier:
         if len(self.roots) != len(self.chains) or any(
                 n is not c.root for n, c in zip(self.roots, self.chains)):
             out.append("roots out of sync with the chains")
-        seen: set[int] = set()
         for mask, (chain, t) in self.registry.items():
-            if mask in seen:
-                out.append(f"mask {mask:#x} registered twice")
-            seen.add(mask)
             if t.mask != mask:
                 out.append(f"registry mask {mask:#x} points at {t.mask:#x}")
             if chain not in self.chains or t not in chain.tuples:
                 out.append(f"registry entry {mask:#x} is stale")
         live = {t.mask for c in self.chains for t in c.tuples}
-        for mask in live - seen:
+        for mask in live - self.registry.keys():
             out.append(f"tuple {mask:#x} not registered")
         ids = {e.rule.rule_id for c in self.chains for t in c.tuples
                for e in t.table.values() if e.rule is not None}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import search
-from .classifier import TupleChainClassifier, check_rule
+from .classifier import _PTR, TupleChainClassifier, check_rule
 from .graph import PathCover, build_graph, min_path_cover
 from .model import FieldSchema, MatchResult, Rule, mask_less_than
 
@@ -104,11 +104,13 @@ class _HeadEntry:
 
 
 class _Group:
-    __slots__ = ("head_mask", "member_masks", "head")
+    """A head mask and its entries.  Which masks the group serves is
+    recorded only in ``EtcClassifier._mask_to_group``."""
 
-    def __init__(self, head_mask: int, member_masks: set[int]):
+    __slots__ = ("head_mask", "head")
+
+    def __init__(self, head_mask: int):
         self.head_mask = head_mask
-        self.member_masks = member_masks
         self.head: dict[int, _HeadEntry] = {}
 
 
@@ -146,7 +148,7 @@ class EtcClassifier:
         for r in rules:
             by_group[slot[r.mask]].append(r)
         for plan, members in zip(plans, by_group):
-            grp = _Group(plan.head_mask, set(plan.member_masks))
+            grp = _Group(plan.head_mask)
             self.groups.append(grp)
             for m in plan.member_masks:
                 self._mask_to_group[m] = grp
@@ -189,9 +191,8 @@ class EtcClassifier:
                         best.head_mask.bit_count():
                     best = g
         if best is None:
-            best = _Group(r.mask, set())
+            best = _Group(r.mask)
             self.groups.append(best)
-        best.member_masks.add(r.mask)
         self._mask_to_group[r.mask] = best
         return best
 
@@ -220,8 +221,9 @@ class EtcClassifier:
         if not he.local.chains:
             del grp.head[hkey]
         if not grp.head:
+            # rare: no benchmark stream empties a group
             self.groups.remove(grp)
-            for m in grp.member_masks:
+            for m in [m for m, g in self._mask_to_group.items() if g is grp]:
                 del self._mask_to_group[m]
         return True
 
@@ -229,15 +231,18 @@ class EtcClassifier:
 
     def audit(self) -> list[str]:
         out = []
+        index = {grp: gi for gi, grp in enumerate(self.groups)}
+        for m, grp in self._mask_to_group.items():
+            gi = index.get(grp)
+            if gi is None:
+                out.append(f"mask {m:#x} routed to a dropped group")
+            elif not (grp.head_mask == m
+                      or mask_less_than(grp.head_mask, m)):
+                out.append(f"group {gi}: head mask not contained "
+                           f"in member {m:#x}")
         for gi, grp in enumerate(self.groups):
-            for m in grp.member_masks:
-                if not (grp.head_mask == m
-                        or mask_less_than(grp.head_mask, m)):
-                    out.append(f"group {gi}: head mask not contained "
-                               f"in member {m:#x}")
-                if self._mask_to_group.get(m) is not grp:
-                    out.append(f"group {gi}: member {m:#x} routed to "
-                               "another group")
+            if not grp.head:
+                out.append(f"group {gi}: holds no head entries")
             for hkey, he in grp.head.items():
                 if hkey & grp.head_mask != hkey:
                     out.append(f"group {gi}: head key {hkey:#x} "
@@ -252,15 +257,11 @@ class EtcClassifier:
                     if r.fields & grp.head_mask != hkey:
                         out.append(f"group {gi}: rule {r.rule_id} in "
                                    "wrong head entry")
-                    if r.mask not in grp.member_masks:
+                    if self._mask_to_group.get(r.mask) is not grp:
                         out.append(f"group {gi}: rule {r.rule_id} mask "
-                                   "not a member")
+                                   "routed to another group")
                 out.extend(f"group {gi}, head {hkey:#x}: {v}"
                            for v in he.local.audit())
-        for m, grp in self._mask_to_group.items():
-            if m not in grp.member_masks:
-                out.append(f"mask {m:#x} routed to a group it is not "
-                           "a member of")
         rules = self.all_rules()
         if {r.rule_id for r in rules} != self.rule_ids:
             out.append("rule id set out of sync")
@@ -276,8 +277,8 @@ class EtcClassifier:
         key_bytes = (self.schema.total_width + 7) // 8
         total = 0
         for grp in self.groups:
-            total += key_bytes + 4 * 8   # head tuple header
+            total += key_bytes + 4 * _PTR   # head tuple header
             for he in grp.head.values():
-                total += key_bytes + 2 * 8
+                total += key_bytes + 2 * _PTR
                 total += he.local.stats().memory_bytes
         return total

@@ -232,16 +232,16 @@ class TestTupleOps:
                 rid += 1
         keys = [rng.getrandbits(16) for _ in range(1000)]
         before = [c.lookup(k)[0] for k in keys]
-        at = c.can_host(T2)
-        assert at == 1
-        c.insert_tuple(TupleTable(T2), at)
-        assert c.audit() == []
+        assert c.can_host(T2) == 1
+        t = TupleTable(T2)
+        c.insert_tuple(t)
+        assert c.tuples[1] is t and c.audit() == []
         assert [c.lookup(k)[0] for k in keys] == before
 
     def test_insert_tuple_at_tail_no_marker_work(self):
         c = new_chain(T1, T2)
         insert(c, T2, pk(0x40, 0xA0), 5, 0)
-        c.insert_tuple(TupleTable(T3), 2)
+        c.insert_tuple(TupleTable(T3))
         assert c.audit() == []
         assert not c.tuples[2].table
 
@@ -250,7 +250,15 @@ class TestTupleOps:
         t = TupleTable(T2)
         t.table[0] = object()
         with pytest.raises(ChainError):
-            c.insert_tuple(t, 1)
+            c.insert_tuple(t)
+
+    @pytest.mark.parametrize("mask", [T2, pk(0x40, 0x00)])
+    def test_insert_unorderable_tuple_rejected(self, mask):
+        # T2 is already in the chain; 0x4000 and T1 are incomparable
+        c = new_chain(T1, T2)
+        with pytest.raises(ChainError):
+            c.insert_tuple(TupleTable(mask))
+        assert c.tuple_count == 2 and c.audit() == []
 
     @pytest.mark.parametrize("victim", [0, 1, 2])
     def test_remove_tuple_relinks(self, victim):
@@ -295,6 +303,20 @@ class TestAudit:
         c.tuples.reverse()
         assert any("chain order" in v for v in c.audit())
 
+    def test_stale_owner_link_is_flagged(self):
+        # a tail entry dropped as delete_rule would drop it, but without
+        # delete_marker: its marker in T1 keeps the owner link
+        c = new_chain(T1, T2)
+        insert(c, T1, pk(0x80, 0x40), 1, 0)
+        insert(c, T2, pk(0xC0, 0x70), 2, 1)
+        insert(c, T2, pk(0x80, 0x50), 3, 2)
+        t1, t2 = c.tuples
+        assert len(t1.table[pk(0x80, 0x40)].owners) == 2
+        del t2.table[pk(0xC0, 0x70)]
+        t2.rule_count -= 1
+        assert c.audit() == [f"owner {pk(0xC0, 0x70):#x} of "
+                             f"{pk(0x80, 0x40):#x} not in the next tuple"]
+
     def test_self_loop_is_flagged(self):
         c = new_chain(T1, T2, T3)
         c.root.succ = c.root
@@ -323,7 +345,7 @@ class TestAudit:
             c = new_chain(masks[0])
             insert(c, masks[0], rng.getrandbits(16), 5, 0)
             for m in rng.sample(masks[1:], 9):
-                c.insert_tuple(TupleTable(m), c.can_host(m))
+                c.insert_tuple(TupleTable(m))
                 assert c.audit() == []
             for t in rng.sample(c.tuples[1:], 9):
                 c.remove_tuple(t)

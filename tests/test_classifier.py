@@ -297,8 +297,9 @@ class TestStats:
         c = TupleChainClassifier.build(S, rules)
         st = c.stats()
         assert st.rule_count == len(rules)
-        assert st.tuple_count == sum(st.chain_tuple_counts)
-        assert st.max_chain_tuples == max(st.chain_tuple_counts)
+        sizes = [ch.tuple_count for ch in c.chains]
+        assert st.tuple_count == sum(sizes)
+        assert st.max_chain_tuples == max(sizes)
         assert st.entry_total >= st.rule_count
         assert st.memory_bytes > 0
         assert c.memory_bytes() == st.memory_bytes

@@ -10,7 +10,8 @@ from tuplechain import classifier, etc
 from tuplechain.baselines import linear_lookup
 from tuplechain.chain import DuplicateRuleError
 from tuplechain.classifier import TupleChainClassifier, check_rule
-from tuplechain.etc import EtcClassifier, GroupPlan, _HeadEntry, group_chains
+from tuplechain.etc import (EtcClassifier, GroupPlan, _Group, _HeadEntry,
+                            group_chains)
 from tuplechain.graph import build_graph, min_path_cover
 from tuplechain.model import FieldSchema, Rule
 from tuplechain.workload import parse_classbench
@@ -292,7 +293,7 @@ class TestUpdates:
         m = pk(0xFC, 0xE0)
         c.insert(Rule(pk(0x84, 0xA0), m, 70, 9))
         assert c.group_count == 1
-        assert m in c.groups[0].member_masks
+        assert c._mask_to_group[m] is c.groups[0]
         assert c.audit() == []
 
     def test_insert_incomparable_mask_opens_group(self):
@@ -412,10 +413,24 @@ class TestAudit:
     def test_mask_routed_to_another_group_is_flagged(self):
         c = self.two_groups()
         c._mask_to_group[M1] = c.groups[1]
-        out = c.audit()
-        assert f"group 0: member {M1:#x} routed to another group" in out
-        assert f"mask {M1:#x} routed to a group it is not a member of" \
-            in out
+        assert c.audit() == [
+            f"group 1: head mask not contained in member {M1:#x}",
+            "group 0: rule 1 mask routed to another group"]
+
+    def test_empty_group_is_flagged(self):
+        c = EtcClassifier.build(S, [Rule(0x0100, 0xFF00, 1, 1),
+                                    Rule(0x0200, 0xFF00, 1, 2)])
+        grp = _Group(0x00F0)
+        c.groups.append(grp)
+        c._mask_to_group[0x00F0] = grp
+        assert c.probe_bound() == 3
+        assert c.audit() == ["group 1: holds no head entries"]
+
+    def test_route_to_a_dropped_group_is_flagged(self):
+        c = self.two_groups()
+        c._mask_to_group[pk(0x00, 0x0F)] = _Group(pk(0x00, 0x03))
+        assert c.audit() == [f"mask {pk(0x00, 0x0F):#x} routed to a "
+                             "dropped group"]
 
     def test_empty_head_entry_is_flagged(self):
         c = self.two_groups()
