@@ -3,15 +3,20 @@
 The linear scan is the ground-truth oracle everything else is checked
 against.  ``linear_lookup_batch`` is a vectorized variant for schemas
 that fit 64 bits; it exists only to make large oracle sweeps practical
-and is itself spot-checked against the scalar scan.
+and is itself spot-checked against the scalar scan.  Tuple space search
+probes its tuples highest priority ceiling first and stops once no
+remaining tuple can win, as Open vSwitch does.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
 from .chain import DuplicateRuleError
-from .model import FieldSchema, MatchResult, Rule, best_rule, matches
+from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule, best_rule,
+                    matches)
 
 
 def linear_lookup(rules, key: int) -> MatchResult:
@@ -124,13 +129,20 @@ class LinearClassifier:
 
 
 class TssClassifier:
-    """Plain tuple space search: one probe per tuple, every lookup."""
+    """Tuple space search: one hash table per mask, probed highest
+    priority ceiling first until no remaining tuple can win."""
 
     def __init__(self, rules=()):
         self.tables: dict[int, dict[int, Rule]] = {}
+        # mask -> priority ceiling: no rule of the tuple ranks above it.
+        # Raised on insert, never lowered on remove.
+        self.tops: dict[int, int] = {}
+        # (top, mask, table) per tuple, highest ceiling first
+        self.order: list[tuple[int, int, dict[int, Rule]]] = []
         self.rule_ids: set[int] = set()
         for r in rules:
-            self.insert(r)
+            self._add(r)
+        self._sort()
 
     @classmethod
     def build(cls, schema: FieldSchema, rules) -> "TssClassifier":
@@ -141,16 +153,33 @@ class TssClassifier:
         return len(self.tables)
 
     def insert(self, r: Rule) -> None:
+        if self._add(r):
+            self._sort()
+
+    def _add(self, r: Rule) -> bool:
+        """Store r; True when the ceiling order needs a re-sort."""
         if r.rule_id in self.rule_ids:
             raise DuplicateRuleError(f"rule id {r.rule_id} already present")
         tbl = self.tables.get(r.mask)
-        if tbl is None:
+        fresh = tbl is None
+        if fresh:
             tbl = self.tables[r.mask] = {}
+            self.tops[r.mask] = MISS_PRIORITY
         if r.fields in tbl:
             raise DuplicateRuleError(
                 f"entry {r.fields:#x} already holds a rule")
         tbl[r.fields] = r
         self.rule_ids.add(r.rule_id)
+        if r.priority > self.tops[r.mask]:
+            self.tops[r.mask] = r.priority
+            return True
+        return fresh
+
+    def _sort(self) -> None:
+        # stable: equal ceilings keep first-insertion order
+        self.order = sorted(((self.tops[m], m, t)
+                             for m, t in self.tables.items()),
+                            key=itemgetter(0), reverse=True)
 
     def remove(self, r: Rule) -> bool:
         tbl = self.tables.get(r.mask)
@@ -160,6 +189,8 @@ class TssClassifier:
         self.rule_ids.discard(r.rule_id)
         if not tbl:
             del self.tables[r.mask]
+            del self.tops[r.mask]
+            self._sort()
         return True
 
     def probe_bound(self) -> int:
@@ -170,10 +201,22 @@ class TssClassifier:
         for mask, tbl in self.tables.items():
             if not tbl:
                 out.append(f"empty tuple {mask:#x}")
+            top = self.tops.get(mask, MISS_PRIORITY)
             for key, r in tbl.items():
                 if r.mask != mask or r.fields != key:
                     out.append(f"rule {r.rule_id} misfiled in tuple "
                                f"{mask:#x}")
+                if r.priority > top:
+                    out.append(f"ceiling {top} of tuple {mask:#x} below "
+                               f"rule {r.rule_id}")
+        if self.tops.keys() != self.tables.keys():
+            out.append("tuple ceilings out of sync with the tables")
+        elif sorted((top, m) for top, m, _ in self.order) != sorted(
+                (top, m) for m, top in self.tops.items()) or any(
+                self.tables[m] is not t for _, m, t in self.order):
+            out.append("tuple order out of sync with the tables")
+        if any(a[0] < b[0] for a, b in zip(self.order, self.order[1:])):
+            out.append("tuples out of ceiling order")
         if {r.rule_id for t in self.tables.values()
                 for r in t.values()} != self.rule_ids:
             out.append("rule id set out of sync")
@@ -186,8 +229,16 @@ class TssClassifier:
 
     def lookup(self, key: int) -> MatchResult:
         best = None
-        for mask, tbl in self.tables.items():
+        floor = MISS_PRIORITY
+        probes = 0
+        for top, mask, tbl in self.order:
+            if top < floor:
+                break
+            probes += 1
             r = tbl.get(key & mask)
-            if r is not None:
-                best = best_rule(best, r)
-        return MatchResult(best, len(self.tables))
+            # best_rule, inlined as in chain.search
+            if r is not None and (r.priority > floor or best is None or (
+                    r.priority == floor and r.rule_id < best.rule_id)):
+                best = r
+                floor = r.priority
+        return MatchResult(best, probes)

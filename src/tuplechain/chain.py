@@ -27,18 +27,29 @@ cleared, so no link outlives the splice that made it.
 Chain order lives in ``Chain.tuples`` alone; a tuple links only back, by
 ``TupleTable.prev``, for marker trails.  A splice does no hint work.
 
-``search(roots, key)`` is the one lookup loop.  It takes the root tuples
-of any number of chains, walks each tree inline, keeps the deepest
-hit's entry and merges that entry's hint into the running best once per
-root.  The tc classifier passes its chains' roots, ETC the roots behind
-every head entry a key hits, and ``Chain.lookup`` its own root.
+Each chain keeps a priority ceiling, ``Chain.top``: an upper bound on the
+priority of every rule it holds.  ``insert_rule`` raises it; a delete
+leaves it alone, which only makes the bound looser, and a fresh build
+makes it exact.
+
+``search(roots, key, best)`` is the one lookup loop.  It takes
+``(top, root)`` pairs of any number of chains, highest ceiling first,
+walks each tree inline, keeps the deepest hit's entry and merges that
+entry's hint into the running best once per root.  It stops at the
+first root whose ceiling is strictly below the best priority found so
+far: no rule there can win.  The cut is strict because ``best_rule``
+breaks priority ties by rule id, so a chain whose ceiling equals the
+best priority may still hold the winner.  Probe counts therefore depend
+on the rule priorities, not only on the masks.  The tc classifier passes
+its chains' pairs, ETC those behind each head entry a key hits, and
+``Chain.lookup`` its own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .model import Rule, best_rule, mask_less_than
+from .model import MISS_PRIORITY, Rule, best_rule, mask_less_than
 from .tuple_store import (Entry, TouchCounter, TupleTable, delete_marker,
                           leave_marker, report_hint)
 
@@ -72,13 +83,16 @@ def _build_tree(tuples: list[TupleTable], lo: int, hi: int,
     return node
 
 
-def search(roots: Iterable[TupleTable | None],
-           key: int) -> tuple[Rule | None, int]:
-    """Best rule for ``key`` over the chains with these root tuples, and
-    the probes spent."""
-    best: Rule | None = None
+def search(roots: Iterable[tuple[int, TupleTable | None]], key: int,
+           best: Rule | None = None) -> tuple[Rule | None, int]:
+    """Best rule for ``key`` over ``best`` and the chains with these
+    ``(top, root)`` pairs, which run highest ceiling first, and the
+    probes spent."""
+    floor = MISS_PRIORITY if best is None else best.priority
     probes = 0
-    for node in roots:
+    for top, node in roots:
+        if top < floor:
+            break
         hit = None
         while node is not None:
             e = node.table.get(key & node.mask)
@@ -92,7 +106,15 @@ def search(roots: Iterable[TupleTable | None],
                 hit = e
                 node = node.succ
         if hit is not None:
-            best = best_rule(best, hit.hint)
+            h = hit.hint
+            # a hit on a bare marker may carry no hint.  best_rule,
+            # inlined: higher priority wins, ties go to the smaller id.
+            if h is not None:
+                p = h.priority
+                if p > floor or best is None or (
+                        p == floor and h.rule_id < best.rule_id):
+                    best = h
+                    floor = p
     return best, probes
 
 
@@ -102,6 +124,8 @@ class Chain:
     def __init__(self):
         self.tuples: list[TupleTable] = []
         self.root: TupleTable | None = None
+        # priority ceiling: no rule held ranks above it
+        self.top = MISS_PRIORITY
         self.touches = TouchCounter()
 
     @property
@@ -166,7 +190,7 @@ class Chain:
 
     def lookup(self, key: int) -> tuple[Rule | None, int]:
         """Search this chain's tree alone; returns (best rule, probes)."""
-        return search((self.root,), key)
+        return search(((self.top, self.root),), key)
 
     # -- rule updates ------------------------------------------------
 
@@ -182,6 +206,8 @@ class Chain:
             raise DuplicateRuleError(
                 f"entry {r.fields:#x} already holds rule {e.rule.rule_id}")
         e.rule = r
+        if r.priority > self.top:
+            self.top = r.priority
         k = e.marker
         e.hint = best_rule(r, k.hint if k is not None else None)
         report_hint(e, self.touches)
@@ -260,6 +286,9 @@ class Chain:
                     rc += 1
                     if e.rule.mask != t.mask or e.rule.fields != e.key:
                         out.append(f"rule {e.rule.rule_id} misfiled")
+                    if e.rule.priority > self.top:
+                        out.append(f"ceiling {self.top} below rule "
+                                   f"{e.rule.rule_id}")
                 if t.prev is not None:
                     k = e.marker
                     if k is None:

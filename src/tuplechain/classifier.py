@@ -7,12 +7,17 @@ Construction paths:
   * incremental ``insert`` places brand-new tuples greedily: among the
     chains that can host the mask, the one with the fewest tuples wins,
     ties going to the one with fewer rules.
+
+Lookup searches the chains highest priority ceiling (``Chain.top``)
+first and stops once no remaining chain can beat the best rule found;
+see ``chain.search``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .chain import Chain, DuplicateRuleError, search
 from .graph import PathCover, build_graph, min_path_cover
@@ -48,9 +53,10 @@ class TupleChainClassifier:
     def __init__(self, schema: FieldSchema):
         self.schema = schema
         self.chains: list[Chain] = []
-        # the chains' root tuples, in chain order: what lookup searches.
-        # Refreshed only where the tuple set changes, never per rule.
-        self.roots: list[TupleTable | None] = []
+        # (top, root) per chain, highest ceiling first: what lookup
+        # searches.  Repaired where the tuple set changes or a ceiling
+        # rises, never otherwise per rule.
+        self.roots: list[tuple[int, TupleTable]] = []
         # mask -> (chain, tuple); at most one live tuple per mask
         self.registry: dict[int, tuple[Chain, TupleTable]] = {}
         self.rule_ids: set[int] = set()
@@ -88,7 +94,9 @@ class TupleChainClassifier:
             for t in chain.tuples:
                 for r in by_mask[t.mask]:
                     chain.insert_rule(t, r)
-        self._refresh_roots()
+        # stable: chains with equal ceilings keep chain order
+        self.roots = sorted(((c.top, c.root) for c in self.chains),
+                            key=itemgetter(0), reverse=True)
         return self
 
     def rebuild(self) -> None:
@@ -130,19 +138,24 @@ class TupleChainClassifier:
         hit = self.registry.get(r.mask)
         if hit is None:
             t = TupleTable(r.mask)
-            chain = self._place_tuple(t)
-            self._refresh_roots()
-            hit = (chain, t)
-            self.registry[r.mask] = hit
-        chain, t = hit
+            chain = self._pick_chain(t.mask)
+            top, root = chain.top, chain.root
+            chain.insert_tuple(t)
+            self.registry[r.mask] = (chain, t)
+        else:
+            chain, t = hit
+            top, root = chain.top, chain.root
         chain.insert_rule(t, r)
         self.rule_ids.add(r.rule_id)
+        if chain.root is not root or chain.top > top:
+            self._repair_roots(chain, (top, root))
 
     def remove(self, r: Rule) -> bool:
         hit = self.registry.get(r.mask)
         if hit is None:
             return False
         chain, t = hit
+        root = chain.root
         if not chain.delete_rule(t, r):
             return False
         self.rule_ids.discard(r.rule_id)
@@ -155,17 +168,38 @@ class TupleChainClassifier:
             del self.registry[tup.mask]
         if not chain.tuples:
             self.chains.remove(chain)
-        if emptied:
-            self._refresh_roots()
+        if chain.root is not root:
+            # a delete leaves the ceiling as it was
+            self._repair_roots(chain, (chain.top, root))
         return True
 
-    def _refresh_roots(self) -> None:
-        self.roots = [c.root for c in self.chains]
+    def _repair_roots(self, chain: Chain,
+                      old: tuple[int, TupleTable | None]) -> None:
+        """Replace chain's pair ``old`` in ``roots`` (a new chain has
+        none, and ``old[1]`` is None), or drop it when the chain is gone.
+        Ceilings only rise, so the pair can only move up, and the other
+        pairs stay in order; no re-sort."""
+        roots = self.roots
+        if old[1] is None:
+            i = len(roots)
+            roots.append(old)
+        else:
+            i = roots.index(old)   # each pair holds its own root
+        if chain.root is None:
+            del roots[i]
+            return
+        top = chain.top
+        while i and roots[i - 1][0] < top:
+            roots[i] = roots[i - 1]
+            i -= 1
+        roots[i] = (top, chain.root)
 
-    def _place_tuple(self, t: TupleTable) -> Chain:
+    def _pick_chain(self, mask: int) -> Chain:
+        """The chain a fresh tuple of ``mask`` goes into; a new, empty
+        chain when none can host it."""
         best = None
         for chain in self.chains:
-            if chain.can_host(t.mask) is None:
+            if chain.can_host(mask) is None:
                 continue
             # fewest tuples wins; rule_count sums tuples, so only ties read it
             if best is None or chain.tuple_count < best.tuple_count or (
@@ -175,7 +209,6 @@ class TupleChainClassifier:
         if best is None:
             best = Chain()
             self.chains.append(best)
-        best.insert_tuple(t)
         return best
 
     # -- reporting ---------------------------------------------------
@@ -220,9 +253,11 @@ class TupleChainClassifier:
         out = []
         for i, c in enumerate(self.chains):
             out.extend(f"chain {i}: {v}" for v in c.audit())
-        if len(self.roots) != len(self.chains) or any(
-                n is not c.root for n, c in zip(self.roots, self.chains)):
+        want = sorted((c.top, id(c.root)) for c in self.chains)
+        if sorted((top, id(n)) for top, n in self.roots) != want:
             out.append("roots out of sync with the chains")
+        if any(a[0] < b[0] for a, b in zip(self.roots, self.roots[1:])):
+            out.append("roots out of ceiling order")
         for mask, (chain, t) in self.registry.items():
             if t.mask != mask:
                 out.append(f"registry mask {mask:#x} points at {t.mask:#x}")

@@ -4,16 +4,30 @@ A group's head mask is the bitwise AND of all member masks, so a packet
 that matches any rule of the group necessarily hits the head entry its
 rules hashed into.  Each head entry fronts a local chained classifier
 over the rules colliding at that key; a head miss skips the whole group.
+
+Each group keeps a priority ceiling, ``_Group.top``, at least the local
+ceilings behind all its head entries, and ``groups`` runs highest
+ceiling first.  A lookup stops at the first group whose ceiling is
+strictly below the best rule found so far, head probe included, and
+each local search carries that best along, so it cuts its own chains
+the same way (see ``chain.search``).  Probe counts therefore depend on
+rule priorities.  Routing a fresh mask breaks ties between groups by
+creation order, never by list position, so the ceiling order does not
+move routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .chain import search
 from .classifier import _PTR, TupleChainClassifier, check_rule
 from .graph import PathCover, build_graph, min_path_cover
-from .model import FieldSchema, MatchResult, Rule, mask_less_than
+from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule,
+                    mask_less_than)
+
+_TOP = attrgetter("top")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,13 +119,17 @@ class _HeadEntry:
 
 class _Group:
     """A head mask and its entries.  Which masks the group serves is
-    recorded only in ``EtcClassifier._mask_to_group``."""
+    recorded only in ``EtcClassifier._mask_to_group``.  ``top`` bounds
+    the priority of every rule behind the head; ``born`` is the
+    group's creation rank, which routing breaks ties by."""
 
-    __slots__ = ("head_mask", "head")
+    __slots__ = ("head_mask", "head", "top", "born")
 
-    def __init__(self, head_mask: int):
+    def __init__(self, head_mask: int, born: int):
         self.head_mask = head_mask
         self.head: dict[int, _HeadEntry] = {}
+        self.top = MISS_PRIORITY
+        self.born = born
 
 
 class EtcClassifier:
@@ -120,9 +138,11 @@ class EtcClassifier:
     def __init__(self, schema: FieldSchema, min_head_bits: int = 4):
         self.schema = schema
         self.min_head_bits = min_head_bits
+        # highest ceiling first; re-sorted when a ceiling rises
         self.groups: list[_Group] = []
         self._mask_to_group: dict[int, _Group] = {}
         self.rule_ids: set[int] = set()
+        self._born = 0   # groups created so far
 
     @property
     def group_count(self) -> int:
@@ -148,29 +168,39 @@ class EtcClassifier:
         for r in rules:
             by_group[slot[r.mask]].append(r)
         for plan, members in zip(plans, by_group):
-            grp = _Group(plan.head_mask)
-            self.groups.append(grp)
+            grp = self._new_group(plan.head_mask)
             for m in plan.member_masks:
                 self._mask_to_group[m] = grp
             buckets: dict[int, list[Rule]] = {}
             for r in members:
                 buckets.setdefault(r.fields & grp.head_mask, []).append(r)
             for hkey, bucket in buckets.items():
-                grp.head[hkey] = _HeadEntry(
+                he = grp.head[hkey] = _HeadEntry(
                     TupleChainClassifier.build(schema, bucket))
+                grp.top = max(grp.top, he.roots[0][0])
+        self.groups.sort(key=_TOP, reverse=True)
         return self
+
+    def _new_group(self, head_mask: int) -> _Group:
+        grp = _Group(head_mask, self._born)
+        self._born += 1
+        self.groups.append(grp)
+        return grp
 
     # -- lookup ------------------------------------------------------
 
     def lookup(self, key: int) -> MatchResult:
-        roots = []
+        best = None
+        probes = 0
         for grp in self.groups:
+            if best is not None and grp.top < best.priority:
+                break
+            probes += 1   # the head probe
             he = grp.head.get(key & grp.head_mask)
             if he is not None:
-                roots += he.roots
-        best, probes = search(roots, key)
-        # plus one head probe per group
-        return MatchResult(best, probes + len(self.groups))
+                best, p = search(he.roots, key, best)
+                probes += p
+        return MatchResult(best, probes)
 
     def probe_bound(self) -> int:
         """One head probe per group plus the worst local bound behind it."""
@@ -184,15 +214,15 @@ class EtcClassifier:
         grp = self._mask_to_group.get(r.mask)
         if grp is not None:
             return grp
+        # the widest contained head; ties go to the oldest group
         best = None
         for g in self.groups:
             if g.head_mask == r.mask or mask_less_than(g.head_mask, r.mask):
-                if best is None or g.head_mask.bit_count() > \
-                        best.head_mask.bit_count():
+                if best is None or (g.head_mask.bit_count(), -g.born) > \
+                        (best.head_mask.bit_count(), -best.born):
                     best = g
         if best is None:
-            best = _Group(r.mask)
-            self.groups.append(best)
+            best = self._new_group(r.mask)
         self._mask_to_group[r.mask] = best
         return best
 
@@ -207,6 +237,9 @@ class EtcClassifier:
         he.local._add(r)   # r passed check_rule above
         he.roots = he.local.roots
         self.rule_ids.add(r.rule_id)
+        if r.priority > grp.top:
+            grp.top = r.priority
+            self.groups.sort(key=_TOP, reverse=True)
 
     def remove(self, r: Rule) -> bool:
         grp = self._mask_to_group.get(r.mask)
@@ -241,6 +274,8 @@ class EtcClassifier:
                 out.append(f"group {gi}: head mask not contained "
                            f"in member {m:#x}")
         for gi, grp in enumerate(self.groups):
+            if gi and self.groups[gi - 1].top < grp.top:
+                out.append(f"group {gi}: out of ceiling order")
             if not grp.head:
                 out.append(f"group {gi}: holds no head entries")
             for hkey, he in grp.head.items():
@@ -250,6 +285,9 @@ class EtcClassifier:
                 if he.roots is not he.local.roots:
                     out.append(f"group {gi}, head {hkey:#x}: roots out "
                                "of sync with the local classifier")
+                if he.roots and he.roots[0][0] > grp.top:
+                    out.append(f"group {gi}, head {hkey:#x}: local "
+                               f"ceiling above the group's {grp.top}")
                 rules = he.local.all_rules()
                 if not rules:
                     out.append(f"group {gi}, head {hkey:#x}: holds no rules")

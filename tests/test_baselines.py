@@ -131,12 +131,20 @@ class TestLinearBatch:
 
 class TestTss:
     def test_probes_equal_tuple_count(self):
+        # a lookup probes exactly the tuples whose ceiling is at least
+        # the winner's priority; a key that matches nothing probes all
         rng = random.Random(5)
         rules = random_rules(rng, 100)
         c = TssClassifier(rules)
         assert c.tuple_count == len({r.mask for r in rules})
+        tops = [max(r.priority for r in rules if r.mask == m)
+                for m in {r.mask for r in rules}]
         for _ in range(50):
-            assert c.lookup(rng.getrandbits(16)).probes == c.tuple_count
+            key = rng.getrandbits(16)
+            best = linear_lookup(rules, key).rule
+            want = c.tuple_count if best is None else sum(
+                t >= best.priority for t in tops)
+            assert c.lookup(key).probes == want
 
     def test_matches_linear(self):
         rng = random.Random(6)

@@ -1,0 +1,264 @@
+"""Priority ceilings and the early exit they allow, in tc, ETC and tss.
+
+Each classifier searches its chains (groups, tuples) highest ceiling
+first and stops at the first one whose ceiling is strictly below the
+best priority found.  The differential tests use rule sets whose
+priorities follow the mask or the file order, so ceilings differ from
+chain to chain and the cut really fires; the tie tests pin the strict
+comparison; the audit tests corrupt one ceiling or one order at a time.
+"""
+
+import random
+
+import pytest
+
+from tuplechain.baselines import LinearClassifier, TssClassifier
+from tuplechain.chain import Chain, search
+from tuplechain.classifier import TupleChainClassifier
+from tuplechain.etc import EtcClassifier
+from tuplechain.model import FieldSchema, Rule
+from tuplechain.tuple_store import TupleTable
+
+from pruned import ceiling_walk, etc_walk
+
+S = FieldSchema((8, 8))
+
+
+def pk(a, b):
+    return S.pack((a, b))
+
+
+def top_bits(k):
+    return ((1 << k) - 1) << (16 - k)
+
+
+def low_bits(k):
+    return (1 << k) - 1
+
+
+# two nested families (a chain each) plus masks that fit neither
+FAMILIES = [top_bits(k) for k in (2, 5, 8, 11, 14)] + \
+    [low_bits(k) for k in (3, 6, 9, 12, 15)]
+
+
+def correlated_rules(rng, n, how):
+    """n rules over FAMILIES and three random masks.  ``"mask"``: the
+    priority grows with the mask's bit count.  ``"file"``: rules come in
+    runs of one mask family, and an earlier rule ranks higher, as in a
+    ClassBench file."""
+    masks = FAMILIES + [rng.getrandbits(16) for _ in range(3)]
+    rng.shuffle(masks)
+    rules, seen = [], set()
+    while len(rules) < n:
+        i = len(rules)
+        if how == "mask":
+            m = rng.choice(masks)
+            pri = 100 * m.bit_count() + rng.randrange(100)
+        else:
+            at = int(i * len(masks) / n + rng.gauss(0, 1))
+            m = masks[min(len(masks) - 1, max(0, at))]
+            pri = n - i
+        f = rng.getrandbits(16) & m
+        if (m, f) in seen:
+            continue
+        seen.add((m, f))
+        rules.append(Rule(f, m, pri, i))
+    return rules
+
+
+def build_all(rules):
+    return {"tc": TupleChainClassifier.build(S, rules),
+            "etc": EtcClassifier.build(S, rules, min_head_bits=2),
+            "tss": TssClassifier.build(S, rules)}
+
+
+def check(clfs, live, rng):
+    """Same answers as the oracle, audits clean, exact pruned probe
+    counts; returns (probes, unpruned probes) summed over tc and etc."""
+    oracle = LinearClassifier(live)
+    spent = unpruned = 0
+    for name, c in clfs.items():
+        assert c.audit() == [], name
+    for i in range(150):
+        key = rng.getrandbits(16)
+        if live and i % 2:
+            r = rng.choice(live)
+            key = r.fields | key & ~r.mask
+        want = oracle.lookup(key).rule
+        for name, c in clfs.items():
+            assert c.lookup(key).rule is want, (name, key)
+        for res, (best, probes, full) in (
+                (clfs["tc"].lookup(key), ceiling_walk(clfs["tc"].chains, key)),
+                (clfs["etc"].lookup(key), etc_walk(clfs["etc"], key))):
+            assert res.rule is best and res.probes == probes <= full
+            spent += probes
+            unpruned += full
+    return spent, unpruned
+
+
+@pytest.mark.parametrize("how", ["mask", "file"])
+@pytest.mark.parametrize("seed", range(3))
+def test_correlated_priorities_match_the_oracle(how, seed):
+    rng = random.Random(seed)
+    rules = correlated_rules(rng, 300, how)
+    # a third held back, so inserts raise ceilings and open tuples
+    held = rules[::3]
+    live = [r for r in rules if r not in held]
+    clfs = build_all(live)
+    spent, unpruned = check(clfs, live, rng)
+    assert spent < unpruned     # the cut fires
+    for step, r in enumerate(held):
+        for c in clfs.values():
+            c.insert(r)
+        live.append(r)
+        if step % 25 == 24:
+            check(clfs, live, rng)
+    spent, unpruned = check(clfs, live, rng)
+    assert spent < unpruned
+    # removals never lower a ceiling; the stale bounds stay safe
+    rng.shuffle(live)
+    while len(live) > 40:
+        r = live.pop()
+        for c in clfs.values():
+            assert c.remove(r)
+        if len(live) % 40 == 0:
+            check(clfs, live, rng)
+    clfs["tc"].rebuild()
+    check(clfs, live, rng)
+
+
+class TestTies:
+    """Equal ceilings and equal priorities: the smaller rule id wins, so
+    a chain whose ceiling equals the best priority found must still be
+    searched.  A cut on ``>=`` fails one of the two id assignments."""
+
+    A, B = pk(0xFF, 0x00), pk(0x00, 0xFF)   # incomparable: two chains
+    KEY = pk(0x12, 0x34)
+
+    def rules(self, id_a, id_b):
+        return [Rule(self.KEY & self.A, self.A, 5, id_a),
+                Rule(self.KEY & self.B, self.B, 5, id_b)]
+
+    @pytest.mark.parametrize("ids", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("make", [
+        lambda rules: TupleChainClassifier.build(S, rules),
+        lambda rules: EtcClassifier.build(S, rules, min_head_bits=0),
+        lambda rules: EtcClassifier.build(S, rules, min_head_bits=4),
+        lambda rules: TssClassifier.build(S, rules),
+    ], ids=["tc", "etc-one-group", "etc-two-groups", "tss"])
+    def test_equal_ceiling_is_still_searched(self, ids, make):
+        c = make(self.rules(*ids))
+        assert c.audit() == []
+        assert c.lookup(self.KEY).rule.rule_id == 1
+
+    def test_search_keeps_equal_ceilings(self):
+        chains = []
+        for r in self.rules(2, 1):
+            chain = Chain()
+            chain.tuples = [TupleTable(r.mask)]
+            chain._relink()
+            chain.insert_rule(chain.tuples[0], r)
+            chains.append(chain)
+        pairs = [(c.top, c.root) for c in chains]
+        best, probes = search(pairs, self.KEY)
+        assert (best.rule_id, probes) == (1, 2)
+        # a running best that outranks both ceilings cuts every chain
+        first = Rule(0, 0, 6, 9)
+        assert search(pairs, self.KEY, first) == (first, 0)
+
+
+def test_marker_hit_without_hint_does_not_move_the_floor():
+    # the head tuple holds a bare marker for the rule behind it; a key
+    # that hits the marker and misses the rule finds nothing there
+    r1 = Rule(pk(0x10, 0x00), pk(0xF0, 0x00), 1, 1)
+    r2 = Rule(pk(0x23, 0x40), pk(0xFF, 0xF0), 5, 2)
+    other = Rule(pk(0x00, 0x09), pk(0x00, 0x0F), 3, 3)
+    c = TupleChainClassifier.build(S, [r1, r2, other])
+    assert len(c.chains) == 2
+    assert c.lookup(pk(0x29, 0x99)).rule is other
+    assert c.lookup(pk(0x29, 0x90)).rule is None
+
+
+class TestEtcRouting:
+    """A fresh mask goes to the widest group head it contains; ties go
+    to the group created first, wherever the ceiling order puts it."""
+
+    A, B = pk(0xF0, 0x00), pk(0x00, 0xF0)
+
+    def test_tie_routes_to_the_oldest_group(self):
+        c = EtcClassifier(S, min_head_bits=4)
+        a = Rule(pk(0x10, 0x00), self.A, 1, 0)
+        b = Rule(pk(0x00, 0x10), self.B, 9, 1)
+        c.insert(a)
+        c.insert(b)
+        ga, gb = c._mask_to_group[self.A], c._mask_to_group[self.B]
+        assert c.groups == [gb, ga]       # B has the higher ceiling
+        live = [a, b]
+        rid = 2
+        for pri, lifted, fresh in ((20, self.A, pk(0xF0, 0xF0)),
+                                   (30, self.B, pk(0xF8, 0xF0)),
+                                   (40, self.A, pk(0xFC, 0xF0))):
+            r = Rule(pk(0x30, 0x30) & fresh, fresh, 2, rid)
+            c.insert(r)
+            assert c._mask_to_group[fresh] is ga
+            # raise a ceiling: the groups swap places
+            f = (rid + 1) << 4
+            top = Rule(pk(f, f) & lifted, lifted, pri, rid + 1)
+            c.insert(top)
+            assert c.groups[0] is c._mask_to_group[lifted]
+            live += [r, top]
+            rid += 2
+            assert c.audit() == []
+        oracle = LinearClassifier(live)
+        rng = random.Random(4)
+        for _ in range(200):
+            key = rng.getrandbits(16)
+            assert c.lookup(key).rule is oracle.lookup(key).rule
+
+
+class TestAudit:
+    @staticmethod
+    def rules():
+        rng = random.Random(11)
+        return correlated_rules(rng, 120, "mask")
+
+    def test_chain_ceiling_below_a_rule_is_flagged(self):
+        chain = TupleChainClassifier.build(S, self.rules()).chains[0]
+        assert chain.audit() == []
+        chain.top -= 1
+        assert any(v.startswith(f"ceiling {chain.top} below rule ")
+                   for v in chain.audit())
+
+    def test_tss_ceiling_below_a_rule_is_flagged(self):
+        c = TssClassifier.build(S, self.rules())
+        assert c.audit() == []
+        mask = c.order[0][1]
+        c.tops[mask] -= 1000
+        c._sort()
+        assert any(v.startswith(f"ceiling {c.tops[mask]} of tuple ")
+                   for v in c.audit())
+
+    @pytest.mark.parametrize("corrupt, want", [
+        (lambda o: o[::-1], "tuples out of ceiling order"),
+        (lambda o: o[1:], "tuple order out of sync with the tables"),
+        (lambda o: [(o[0][0] + 1,) + o[0][1:]] + o[1:],
+         "tuple order out of sync with the tables"),
+    ])
+    def test_tss_order_is_checked(self, corrupt, want):
+        c = TssClassifier.build(S, self.rules())
+        c.order = corrupt(c.order)
+        assert c.audit() == [want]
+
+    def test_etc_groups_out_of_ceiling_order_are_flagged(self):
+        c = EtcClassifier.build(S, self.rules(), min_head_bits=6)
+        assert c.group_count >= 2 and c.audit() == []
+        assert c.groups[0].top > c.groups[-1].top
+        c.groups.reverse()
+        assert "group 1: out of ceiling order" in c.audit()
+
+    def test_etc_group_ceiling_below_a_local_ceiling_is_flagged(self):
+        c = EtcClassifier.build(S, self.rules(), min_head_bits=6)
+        grp = c.groups[-1]
+        grp.top -= 1000
+        assert any(v.endswith(f"local ceiling above the group's {grp.top}")
+                   for v in c.audit())

@@ -7,7 +7,9 @@ from tuplechain.chain import DuplicateRuleError
 from tuplechain.classifier import TupleChainClassifier
 from tuplechain.etc import EtcClassifier
 from tuplechain.graph import PathCover, build_graph
-from tuplechain.model import FieldSchema, Rule, best_rule
+from tuplechain.model import FieldSchema, Rule
+
+from pruned import ceiling_walk
 
 S = FieldSchema((8, 8))
 
@@ -196,16 +198,8 @@ def low_bits(k):
 
 class TestSharedSearch:
     """``lookup`` runs one search over all chains; it must give what
-    searching each chain on its own and merging would give."""
-
-    @staticmethod
-    def per_chain(c, key):
-        best, probes = None, 0
-        for chain in c.chains:
-            r, p = chain.lookup(key)
-            best = best_rule(best, r)
-            probes += p
-        return best, probes
+    searching each chain on its own, highest ceiling first with the same
+    cut, and merging would give."""
 
     def check(self, c, live, rng):
         assert c.audit() == []
@@ -213,7 +207,9 @@ class TestSharedSearch:
         for _ in range(300):
             key = rng.getrandbits(16)
             res = c.lookup(key)
-            assert (res.rule, res.probes) == self.per_chain(c, key)
+            best, probes, full = ceiling_walk(c.chains, key)
+            assert (res.rule, res.probes) == (best, probes)
+            assert res.probes <= full
             assert res.rule is oracle.lookup(key).rule
 
     @pytest.mark.parametrize("seed", range(6))
@@ -253,17 +249,30 @@ class TestSharedSearch:
 
 
 class TestRootsAudit:
-    @pytest.mark.parametrize("corrupt", [
-        lambda roots: roots[::-1],      # chain order lost
-        lambda roots: roots[:-1],       # a chain's root missing
-        lambda roots: [None] + roots[1:],
-    ])
-    def test_roots_out_of_sync_are_flagged(self, corrupt):
+    @staticmethod
+    def two_chains():
         rng = random.Random(3)
         c = TupleChainClassifier.build(S, random_rules(rng, 60, MASKS))
         assert len(c.roots) == 2 and c.audit() == []
+        return c
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda roots: roots[:-1],       # a chain's root missing
+        lambda roots: [(roots[0][0], None)] + roots[1:],
+        # a stale ceiling
+        lambda roots: [(roots[0][0] + 1, roots[0][1])] + roots[1:],
+        lambda roots: roots[:1] + roots,    # a root twice
+    ])
+    def test_roots_out_of_sync_are_flagged(self, corrupt):
+        c = self.two_chains()
         c.roots = corrupt(c.roots)
         assert c.audit() == ["roots out of sync with the chains"]
+
+    def test_roots_out_of_ceiling_order_are_flagged(self):
+        c = self.two_chains()
+        assert c.roots[0][0] > c.roots[1][0]
+        c.roots = c.roots[::-1]
+        assert c.audit() == ["roots out of ceiling order"]
 
 
 class TestRebuild:

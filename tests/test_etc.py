@@ -16,6 +16,8 @@ from tuplechain.graph import build_graph, min_path_cover
 from tuplechain.model import FieldSchema, Rule
 from tuplechain.workload import parse_classbench
 
+from pruned import etc_walk
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 S = FieldSchema((8, 8))
@@ -260,10 +262,10 @@ class TestLookup:
         assert c.group_count > bulk_groups   # fresh masks opened groups
         for _ in range(400):
             key = rng.getrandbits(16)
-            hits = [he.local.lookup(key) for g in c.groups
-                    if (he := g.head.get(key & g.head_mask)) is not None]
+            best, probes, full = etc_walk(c, key)
             res = c.lookup(key)
-            assert res.probes == c.group_count + sum(h.probes for h in hits)
+            assert (res.rule, res.probes) == (best, probes)
+            assert res.probes <= full
             assert res.rule is linear_lookup(rules, key).rule
 
     def test_probe_bound_sums_worst_local_bound_per_group(self):
@@ -408,7 +410,9 @@ class TestAudit:
         r = Rule(pk(0x00, 0x02), pk(0x00, 0x03), 6, 9)
         c.groups[1].head[r.fields] = _HeadEntry(
             TupleChainClassifier.build(S, [r]))
-        assert c.audit() == ["rule id stored twice"]
+        # rule 9 outranks the group's ceiling of 5 as well
+        assert c.audit() == [f"group 1, head {r.fields:#x}: local ceiling "
+                             "above the group's 5", "rule id stored twice"]
 
     def test_mask_routed_to_another_group_is_flagged(self):
         c = self.two_groups()
@@ -420,7 +424,7 @@ class TestAudit:
     def test_empty_group_is_flagged(self):
         c = EtcClassifier.build(S, [Rule(0x0100, 0xFF00, 1, 1),
                                     Rule(0x0200, 0xFF00, 1, 2)])
-        grp = _Group(0x00F0)
+        grp = _Group(0x00F0, 1)
         c.groups.append(grp)
         c._mask_to_group[0x00F0] = grp
         assert c.probe_bound() == 3
@@ -428,7 +432,7 @@ class TestAudit:
 
     def test_route_to_a_dropped_group_is_flagged(self):
         c = self.two_groups()
-        c._mask_to_group[pk(0x00, 0x0F)] = _Group(pk(0x00, 0x03))
+        c._mask_to_group[pk(0x00, 0x0F)] = _Group(pk(0x00, 0x03), 2)
         assert c.audit() == [f"mask {pk(0x00, 0x0F):#x} routed to a "
                              "dropped group"]
 

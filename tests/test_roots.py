@@ -13,6 +13,8 @@ from tuplechain.classifier import TupleChainClassifier
 from tuplechain.etc import EtcClassifier
 from tuplechain.model import FieldSchema, Rule
 
+from pruned import ceiling_walk, etc_walk
+
 S = FieldSchema((8, 8))
 TOP = 0x8000
 
@@ -49,12 +51,11 @@ def check(tc, etc, live, rng):
             r = rng.choice(live)
             key = r.fields | key & ~r.mask
         want = oracle.lookup(key).rule
-        assert tc.lookup(key).rule is want
-        res = etc.lookup(key)
-        assert res.rule is want
-        local = sum(he.local.lookup(key).probes for g in etc.groups
-                    if (he := g.head.get(key & g.head_mask)) is not None)
-        assert res.probes == etc.group_count + local
+        for res, (best, probes, full) in (
+                (tc.lookup(key), ceiling_walk(tc.chains, key)),
+                (etc.lookup(key), etc_walk(etc, key))):
+            assert res.rule is want is best
+            assert res.probes == probes <= full
 
 
 @pytest.mark.parametrize("seed", range(3))
