@@ -15,6 +15,7 @@ from operator import itemgetter
 import numpy as np
 
 from .chain import DuplicateRuleError
+from .classifier import StructureStats
 from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule, best_rule,
                     matches)
 
@@ -35,7 +36,6 @@ def linear_lookup_batch(rules, keys) -> list[tuple[int, int | None]]:
     """
     rules = list(rules)
     if not rules:
-        from .model import MISS_PRIORITY
         return [(MISS_PRIORITY, None) for _ in keys]
     ok = all(0 <= r.fields < 2**64 and 0 <= r.mask < 2**64
              and abs(r.priority) < 2**30 and r.rule_id < 2**32
@@ -51,7 +51,6 @@ def linear_lookup_batch(rules, keys) -> list[tuple[int, int | None]]:
     K = np.array(list(keys), dtype=np.uint64)
     out: list[tuple[int, int | None]] = []
     chunk = max(1, (1 << 24) // max(1, len(rules)))
-    from .model import MISS_PRIORITY
     for lo in range(0, len(K), chunk):
         kc = K[lo:lo + chunk]
         hit = (kc[:, None] & M[None, :]) == F[None, :]
@@ -73,12 +72,12 @@ def _key_bytes(masks) -> int:
 
 
 class LinearClassifier:
-    """Exhaustive scan over a flat rule list."""
+    """Exhaustive scan over every stored rule."""
 
     def __init__(self, rules=()):
-        self.rules: list[Rule] = []
+        # (fields, mask) -> the one rule stored there
+        self.rules: dict[tuple[int, int], Rule] = {}
         self.rule_ids: set[int] = set()
-        self.entries: set[tuple[int, int]] = set()
         for r in rules:
             self.insert(r)
 
@@ -89,43 +88,36 @@ class LinearClassifier:
     def insert(self, r: Rule) -> None:
         if r.rule_id in self.rule_ids:
             raise DuplicateRuleError(f"rule id {r.rule_id} already present")
-        if (r.fields, r.mask) in self.entries:
+        if (r.fields, r.mask) in self.rules:
             raise DuplicateRuleError(
                 f"entry {r.fields:#x}/{r.mask:#x} already holds a rule")
-        self.rules.append(r)
+        self.rules[r.fields, r.mask] = r
         self.rule_ids.add(r.rule_id)
-        self.entries.add((r.fields, r.mask))
 
     def remove(self, r: Rule) -> bool:
-        try:
-            self.rules.remove(r)
-        except ValueError:
+        if self.rules.get((r.fields, r.mask)) != r:
             return False
+        del self.rules[r.fields, r.mask]
         self.rule_ids.discard(r.rule_id)
-        self.entries.discard((r.fields, r.mask))
         return True
 
     def lookup(self, key: int) -> MatchResult:
-        return linear_lookup(self.rules, key)
+        return linear_lookup(self.rules.values(), key)
 
     def probe_bound(self) -> int:
         return len(self.rules)
 
     def audit(self) -> list[str]:
-        out = []
-        n = len(self.rules)
-        ids = {r.rule_id for r in self.rules}
-        if ids != self.rule_ids or len(ids) != n:
-            out.append("rule id set out of sync")
-        entries = {(r.fields, r.mask) for r in self.rules}
-        if entries != self.entries or len(entries) != n:
-            out.append("entry set out of sync")
-        return out
+        ids = {r.rule_id for r in self.rules.values()}
+        if ids != self.rule_ids or len(ids) != len(self.rules):
+            return ["rule id set out of sync"]
+        return []
 
-    def memory_bytes(self) -> int:
+    def stats(self) -> StructureStats:
         # fields + mask + priority + id per rule
-        return len(self.rules) * (
-            2 * _key_bytes(r.mask for r in self.rules) + 12)
+        n = len(self.rules)
+        return StructureStats(rule_count=n, memory_bytes=n * (
+            2 * _key_bytes(m for _, m in self.rules) + 12))
 
 
 class TssClassifier:
@@ -133,16 +125,17 @@ class TssClassifier:
     priority ceiling first until no remaining tuple can win."""
 
     def __init__(self, rules=()):
-        self.tables: dict[int, dict[int, Rule]] = {}
-        # mask -> priority ceiling: no rule of the tuple ranks above it.
-        # Raised on insert, never lowered on remove.
-        self.tops: dict[int, int] = {}
-        # (top, mask, table) per tuple, highest ceiling first
-        self.order: list[tuple[int, int, dict[int, Rule]]] = []
+        # mask -> [top, mask, table], one record per tuple.  top is the
+        # priority ceiling: no rule of the tuple ranks above it.  Raised
+        # on insert, never lowered on remove.
+        self.tables: dict[int, list] = {}
+        # the same records, highest ceiling first
+        self.order: list[list] = []
         self.rule_ids: set[int] = set()
         for r in rules:
             self._add(r)
-        self._sort()
+        # stable: equal ceilings keep their order
+        self.order.sort(key=itemgetter(0), reverse=True)
 
     @classmethod
     def build(cls, schema: FieldSchema, rules) -> "TssClassifier":
@@ -154,43 +147,37 @@ class TssClassifier:
 
     def insert(self, r: Rule) -> None:
         if self._add(r):
-            self._sort()
+            self.order.sort(key=itemgetter(0), reverse=True)
 
     def _add(self, r: Rule) -> bool:
         """Store r; True when the ceiling order needs a re-sort."""
         if r.rule_id in self.rule_ids:
             raise DuplicateRuleError(f"rule id {r.rule_id} already present")
-        tbl = self.tables.get(r.mask)
-        fresh = tbl is None
+        rec = self.tables.get(r.mask)
+        fresh = rec is None
         if fresh:
-            tbl = self.tables[r.mask] = {}
-            self.tops[r.mask] = MISS_PRIORITY
+            rec = self.tables[r.mask] = [MISS_PRIORITY, r.mask, {}]
+            self.order.append(rec)
+        tbl = rec[2]
         if r.fields in tbl:
             raise DuplicateRuleError(
                 f"entry {r.fields:#x} already holds a rule")
         tbl[r.fields] = r
         self.rule_ids.add(r.rule_id)
-        if r.priority > self.tops[r.mask]:
-            self.tops[r.mask] = r.priority
+        if r.priority > rec[0]:
+            rec[0] = r.priority
             return True
         return fresh
 
-    def _sort(self) -> None:
-        # stable: equal ceilings keep first-insertion order
-        self.order = sorted(((self.tops[m], m, t)
-                             for m, t in self.tables.items()),
-                            key=itemgetter(0), reverse=True)
-
     def remove(self, r: Rule) -> bool:
-        tbl = self.tables.get(r.mask)
-        if tbl is None or tbl.get(r.fields) != r:
+        rec = self.tables.get(r.mask)
+        if rec is None or rec[2].get(r.fields) != r:
             return False
-        del tbl[r.fields]
+        del rec[2][r.fields]
         self.rule_ids.discard(r.rule_id)
-        if not tbl:
+        if not rec[2]:
             del self.tables[r.mask]
-            del self.tops[r.mask]
-            self._sort()
+            self.order.remove(rec)
         return True
 
     def probe_bound(self) -> int:
@@ -198,10 +185,9 @@ class TssClassifier:
 
     def audit(self) -> list[str]:
         out = []
-        for mask, tbl in self.tables.items():
+        for mask, (top, _, tbl) in self.tables.items():
             if not tbl:
                 out.append(f"empty tuple {mask:#x}")
-            top = self.tops.get(mask, MISS_PRIORITY)
             for key, r in tbl.items():
                 if r.mask != mask or r.fields != key:
                     out.append(f"rule {r.rule_id} misfiled in tuple "
@@ -209,23 +195,22 @@ class TssClassifier:
                 if r.priority > top:
                     out.append(f"ceiling {top} of tuple {mask:#x} below "
                                f"rule {r.rule_id}")
-        if self.tops.keys() != self.tables.keys():
-            out.append("tuple ceilings out of sync with the tables")
-        elif sorted((top, m) for top, m, _ in self.order) != sorted(
-                (top, m) for m, top in self.tops.items()) or any(
-                self.tables[m] is not t for _, m, t in self.order):
+        if sorted(map(id, self.order)) != sorted(
+                map(id, self.tables.values())):
             out.append("tuple order out of sync with the tables")
         if any(a[0] < b[0] for a, b in zip(self.order, self.order[1:])):
             out.append("tuples out of ceiling order")
-        if {r.rule_id for t in self.tables.values()
+        if {r.rule_id for _, _, t in self.tables.values()
                 for r in t.values()} != self.rule_ids:
             out.append("rule id set out of sync")
         return out
 
-    def memory_bytes(self) -> int:
+    def stats(self) -> StructureStats:
+        n = sum(len(t) for _, _, t in self.tables.values())
         # per entry: stored key plus the rule's fields, mask, priority, id
-        n = sum(len(t) for t in self.tables.values())
-        return n * (3 * _key_bytes(self.tables) + 24)
+        mem = n * (3 * _key_bytes(self.tables) + 24)
+        return StructureStats(rule_count=n, memory_bytes=mem,
+                              tuple_count=len(self.tables), entry_total=n)
 
     def lookup(self, key: int) -> MatchResult:
         best = None

@@ -98,7 +98,7 @@ def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
         avg_probes=probes_total / n,
         max_probes=probes_max,
         bound_violations=violations,
-        memory_bytes=clf.memory_bytes(),
+        memory_bytes=clf.stats().memory_bytes,
     )
 
 

@@ -29,13 +29,17 @@ _PTR = 8  # pointer width of the structural cost model, bytes
 
 @dataclass(frozen=True, slots=True)
 class StructureStats:
+    """What every classifier's ``stats()`` reports; a count that does
+    not apply to an algorithm reads 0."""
+
     rule_count: int
-    tuple_count: int
-    chain_count: int
-    max_chain_tuples: int
-    entry_total: int
-    owner_link_total: int
     memory_bytes: int
+    tuple_count: int = 0
+    chain_count: int = 0
+    max_chain_tuples: int = 0
+    entry_total: int = 0
+    owner_link_total: int = 0
+    group_count: int = 0
 
 
 def check_rule(schema: FieldSchema, r: Rule, rule_ids: set[int]) -> None:
@@ -245,9 +249,6 @@ class TupleChainClassifier:
             owner_link_total=owner_links,
             memory_bytes=mem,
         )
-
-    def memory_bytes(self) -> int:
-        return self.stats().memory_bytes
 
     def audit(self) -> list[str]:
         out = []

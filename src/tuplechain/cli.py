@@ -68,16 +68,12 @@ def cmd_build(args) -> int:
     violations = clf.audit()
     for v in violations:
         print(v, file=sys.stderr)
-    body = {"rules": len(rs.rules), "probe_bound": clf.probe_bound(),
-            "memory_bytes": clf.memory_bytes(),
+    st = clf.stats()
+    body = {"rules": st.rule_count, "tuples": st.tuple_count,
+            "chains": st.chain_count, "groups": st.group_count,
+            "entries": st.entry_total, "owner_links": st.owner_link_total,
+            "memory_bytes": st.memory_bytes, "probe_bound": clf.probe_bound(),
             "audit_violations": len(violations)}
-    if args.algo == "tc":
-        st = clf.stats()
-        body.update(tuples=st.tuple_count, chains=st.chain_count,
-                    entries=st.entry_total,
-                    owner_links=st.owner_link_total)
-    elif args.algo == "etc":
-        body["groups"] = clf.group_count
     _emit_report(body, args)
     return 1 if violations else 0
 

@@ -13,16 +13,18 @@ each local search carries that best along, so it cuts its own chains
 the same way (see ``chain.search``).  Probe counts therefore depend on
 rule priorities.  Routing a fresh mask breaks ties between groups by
 creation order, never by list position, so the ceiling order does not
-move routes.
+move routes, and a mask has a route only while it holds rules.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
 from .chain import search
-from .classifier import _PTR, TupleChainClassifier, check_rule
+from .classifier import (_PTR, StructureStats, TupleChainClassifier,
+                         check_rule)
 from .graph import PathCover, build_graph, min_path_cover
 from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule,
                     mask_less_than)
@@ -107,8 +109,8 @@ def group_chains(pc: PathCover, masks: list[int],
 
 class _HeadEntry:
     """One head-tuple entry, kept only under its key in ``_Group.head``.
-    ``roots`` is ``local.roots``, re-read after every build, insert and
-    remove, so a lookup reaches the local chains' trees directly."""
+    ``roots`` is ``local.roots`` itself, edited in place by the local
+    classifier, so a lookup reaches the local chains' trees directly."""
 
     __slots__ = ("local", "roots")
 
@@ -140,7 +142,8 @@ class EtcClassifier:
         self.min_head_bits = min_head_bits
         # highest ceiling first; re-sorted when a ceiling rises
         self.groups: list[_Group] = []
-        self._mask_to_group: dict[int, _Group] = {}
+        # mask -> [group, live rule count], for masks that hold rules
+        self._mask_to_group: dict[int, list] = {}
         self.rule_ids: set[int] = set()
         self._born = 0   # groups created so far
 
@@ -169,10 +172,9 @@ class EtcClassifier:
             by_group[slot[r.mask]].append(r)
         for plan, members in zip(plans, by_group):
             grp = self._new_group(plan.head_mask)
-            for m in plan.member_masks:
-                self._mask_to_group[m] = grp
             buckets: dict[int, list[Rule]] = {}
             for r in members:
+                self._mask_to_group.setdefault(r.mask, [grp, 0])[1] += 1
                 buckets.setdefault(r.fields & grp.head_mask, []).append(r)
             for hkey, bucket in buckets.items():
                 he = grp.head[hkey] = _HeadEntry(
@@ -210,62 +212,65 @@ class EtcClassifier:
 
     # -- updates -----------------------------------------------------
 
-    def _route(self, r: Rule) -> _Group:
-        grp = self._mask_to_group.get(r.mask)
-        if grp is not None:
-            return grp
+    def _route(self, mask: int) -> _Group:
+        route = self._mask_to_group.get(mask)
+        if route is not None:
+            return route[0]
         # the widest contained head; ties go to the oldest group
         best = None
         for g in self.groups:
-            if g.head_mask == r.mask or mask_less_than(g.head_mask, r.mask):
+            if g.head_mask == mask or mask_less_than(g.head_mask, mask):
                 if best is None or (g.head_mask.bit_count(), -g.born) > \
                         (best.head_mask.bit_count(), -best.born):
                     best = g
         if best is None:
-            best = self._new_group(r.mask)
-        self._mask_to_group[r.mask] = best
+            best = self._new_group(mask)
+        self._mask_to_group[mask] = [best, 0]
         return best
 
     def insert(self, r: Rule) -> None:
         check_rule(self.schema, r, self.rule_ids)
-        grp = self._route(r)
+        grp = self._route(r.mask)
         hkey = r.fields & grp.head_mask
         he = grp.head.get(hkey)
         if he is None:
             he = grp.head[hkey] = _HeadEntry(
                 TupleChainClassifier(self.schema))
         he.local._add(r)   # r passed check_rule above
-        he.roots = he.local.roots
+        self._mask_to_group[r.mask][1] += 1
         self.rule_ids.add(r.rule_id)
         if r.priority > grp.top:
             grp.top = r.priority
             self.groups.sort(key=_TOP, reverse=True)
 
     def remove(self, r: Rule) -> bool:
-        grp = self._mask_to_group.get(r.mask)
-        if grp is None:
+        route = self._mask_to_group.get(r.mask)
+        if route is None:
             return False
+        grp = route[0]
         hkey = r.fields & grp.head_mask
         he = grp.head.get(hkey)
         if he is None or not he.local.remove(r):
             return False
-        he.roots = he.local.roots
         self.rule_ids.discard(r.rule_id)
+        route[1] -= 1
+        if not route[1]:
+            del self._mask_to_group[r.mask]
         if not he.local.chains:
             del grp.head[hkey]
         if not grp.head:
-            # rare: no benchmark stream empties a group
+            # every mask of the group has lost its route already
             self.groups.remove(grp)
-            for m in [m for m, g in self._mask_to_group.items() if g is grp]:
-                del self._mask_to_group[m]
         return True
 
     # -- auditing ----------------------------------------------------
 
     def audit(self) -> list[str]:
         out = []
+        rules = self.all_rules()
+        stored = Counter(r.mask for r in rules)
         index = {grp: gi for gi, grp in enumerate(self.groups)}
-        for m, grp in self._mask_to_group.items():
+        for m, (grp, n) in self._mask_to_group.items():
             gi = index.get(grp)
             if gi is None:
                 out.append(f"mask {m:#x} routed to a dropped group")
@@ -273,6 +278,9 @@ class EtcClassifier:
                       or mask_less_than(grp.head_mask, m)):
                 out.append(f"group {gi}: head mask not contained "
                            f"in member {m:#x}")
+            if n != stored[m] or not n:
+                out.append(f"mask {m:#x}: route counts {n} of "
+                           f"{stored[m]} stored rules")
         for gi, grp in enumerate(self.groups):
             if gi and self.groups[gi - 1].top < grp.top:
                 out.append(f"group {gi}: out of ceiling order")
@@ -288,19 +296,19 @@ class EtcClassifier:
                 if he.roots and he.roots[0][0] > grp.top:
                     out.append(f"group {gi}, head {hkey:#x}: local "
                                f"ceiling above the group's {grp.top}")
-                rules = he.local.all_rules()
-                if not rules:
+                local = he.local.all_rules()
+                if not local:
                     out.append(f"group {gi}, head {hkey:#x}: holds no rules")
-                for r in rules:
+                for r in local:
                     if r.fields & grp.head_mask != hkey:
                         out.append(f"group {gi}: rule {r.rule_id} in "
                                    "wrong head entry")
-                    if self._mask_to_group.get(r.mask) is not grp:
+                    route = self._mask_to_group.get(r.mask)
+                    if route is None or route[0] is not grp:
                         out.append(f"group {gi}: rule {r.rule_id} mask "
                                    "routed to another group")
                 out.extend(f"group {gi}, head {hkey:#x}: {v}"
                            for v in he.local.audit())
-        rules = self.all_rules()
         if {r.rule_id for r in rules} != self.rule_ids:
             out.append("rule id set out of sync")
         elif len(rules) != len(self.rule_ids):
@@ -311,12 +319,21 @@ class EtcClassifier:
         return [r for grp in self.groups for he in grp.head.values()
                 for r in he.local.all_rules()]
 
-    def memory_bytes(self) -> int:
+    def stats(self) -> StructureStats:
+        """Head tuples and entries plus the sums of the local stats."""
         key_bytes = (self.schema.total_width + 7) // 8
-        total = 0
-        for grp in self.groups:
-            total += key_bytes + 4 * _PTR   # head tuple header
-            for he in grp.head.values():
-                total += key_bytes + 2 * _PTR
-                total += he.local.stats().memory_bytes
-        return total
+        local = [he.local.stats() for grp in self.groups
+                 for he in grp.head.values()]
+        return StructureStats(
+            rule_count=sum(st.rule_count for st in local),
+            # head tuple header per group; key and two pointers per entry
+            memory_bytes=len(self.groups) * (key_bytes + 4 * _PTR)
+            + len(local) * (key_bytes + 2 * _PTR)
+            + sum(st.memory_bytes for st in local),
+            tuple_count=len(self.groups) + sum(st.tuple_count for st in local),
+            chain_count=sum(st.chain_count for st in local),
+            max_chain_tuples=max((st.max_chain_tuples for st in local),
+                                 default=0),
+            entry_total=len(local) + sum(st.entry_total for st in local),
+            owner_link_total=sum(st.owner_link_total for st in local),
+            group_count=len(self.groups))

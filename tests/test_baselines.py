@@ -64,20 +64,26 @@ class TestLinear:
             c.insert(Rule(1, 3, 9, 1))          # same (fields, mask)
         with pytest.raises(DuplicateRuleError):
             LinearClassifier([r, Rule(2, 3, 1, 0)])
-        assert c.rules == [r] and c.audit() == []
+        assert list(c.rules.values()) == [r] and c.audit() == []
         assert c.remove(r)
         c.insert(Rule(1, 3, 9, 0))              # id and entry free again
         assert c.audit() == []
-        c.rules.append(Rule(2, 3, 1, 0))
-        assert c.audit() == ["rule id set out of sync",
-                             "entry set out of sync"]
+        c.rules[2, 3] = Rule(2, 3, 1, 0)        # id 0 stored twice
+        assert c.audit() == ["rule id set out of sync"]
+
+    def test_remove_takes_only_the_stored_rule(self):
+        r = Rule(1, 3, 5, 0)
+        c = LinearClassifier([r])
+        assert not c.remove(Rule(1, 3, 6, 1))   # same entry, other rule
+        assert not c.remove(Rule(2, 3, 5, 0))
+        assert c.remove(r) and not c.rules and not c.rule_ids
 
     def test_bound_audit_and_memory(self):
         rng = random.Random(3)
         c = LinearClassifier(random_rules(rng, 40))
         assert c.probe_bound() == 40 == c.lookup(0).probes
         assert c.audit() == []
-        assert c.memory_bytes() == 40 * (2 * 2 + 12)
+        assert c.stats().memory_bytes == 40 * (2 * 2 + 12)
 
 
 class TestLinearBatch:
@@ -176,8 +182,8 @@ class TestTss:
         c = TssClassifier(rules)
         assert c.probe_bound() == c.tuple_count
         assert c.audit() == []
-        assert c.memory_bytes() == 100 * (3 * 2 + 24)
-        tbl = c.tables[rules[0].mask]
+        assert c.stats().memory_bytes == 100 * (3 * 2 + 24)
+        tbl = c.tables[rules[0].mask][2]
         tbl[rules[0].fields ^ 1] = tbl.pop(rules[0].fields)  # misfile
         assert any("misfiled" in v for v in c.audit())
 

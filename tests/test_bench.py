@@ -5,7 +5,7 @@ import pytest
 from tuplechain.baselines import LinearClassifier, TssClassifier
 from tuplechain.bench import (ALGOS, BenchError, make_classifier, run_bench,
                               run_equiv)
-from tuplechain.classifier import TupleChainClassifier
+from tuplechain.classifier import StructureStats, TupleChainClassifier
 from tuplechain.cli import main
 from tuplechain.etc import EtcClassifier
 from tuplechain.model import FieldSchema, MatchResult, Rule
@@ -37,6 +37,23 @@ class TestFactory:
                  "tss": TssClassifier, "linear": LinearClassifier}
         for algo in ALGOS:
             assert isinstance(make_classifier(algo, rs), types[algo])
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_every_algo_reports_through_stats(self, workload, algo):
+        rs, _, _ = workload
+        clf = make_classifier(algo, rs)
+        assert not hasattr(clf, "memory_bytes")
+        st = clf.stats()
+        assert isinstance(st, StructureStats)
+        assert st.rule_count == len(rs.rules)
+
+    @pytest.mark.parametrize("algo, want", [
+        ("tc", 34944), ("etc", 38564), ("tss", 10800), ("linear", 6000)])
+    def test_model_bytes_are_pinned(self, workload, algo, want):
+        # the C-layout cost model's figures on this fixture; a change
+        # to any of them is a change to the model
+        rs, _, _ = workload
+        assert make_classifier(algo, rs).stats().memory_bytes == want
 
     def test_unknown_algo_rejected(self, workload):
         rs, _, _ = workload
@@ -232,8 +249,14 @@ class TestCli:
         assert main(["build", "--rules", str(rules), "--algo", algo,
                      "--report", "json", "--out", str(out)]) == 0
         d = json.loads(out.read_text())
+        # the same keys for every algorithm
+        assert set(d) == {"rules", "tuples", "chains", "groups", "entries",
+                          "owner_links", "memory_bytes", "probe_bound",
+                          "audit_violations"}
         assert d["rules"] == 200 and d["audit_violations"] == 0
         assert d["probe_bound"] > 0 and d["memory_bytes"] > 0
+        assert (d["groups"] > 0) == (algo == "etc")
+        assert (d["chains"] > 0) == (algo in ("tc", "etc"))
 
     def test_missing_trace_fails(self, files):
         rules, _, _ = files

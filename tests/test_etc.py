@@ -295,7 +295,7 @@ class TestUpdates:
         m = pk(0xFC, 0xE0)
         c.insert(Rule(pk(0x84, 0xA0), m, 70, 9))
         assert c.group_count == 1
-        assert c._mask_to_group[m] is c.groups[0]
+        assert c._mask_to_group[m] == [c.groups[0], 1]
         assert c.audit() == []
 
     def test_insert_incomparable_mask_opens_group(self):
@@ -349,17 +349,62 @@ class TestUpdates:
         for r in other:
             c.insert(r)
         assert c.group_count == 3 and c.audit() == []
-        gone = c._mask_to_group[pk(0x00, 0x0C)]
+        gone = c._mask_to_group[pk(0x00, 0x0C)][0]
         assert c.remove(other[1])
         assert gone not in c.groups and c.group_count == 2
         assert pk(0x00, 0x0C) not in c._mask_to_group
         assert c.audit() == []
         live = WALK_RULES + [other[0], other[2]]
         for r in live:
-            assert c._mask_to_group[r.mask] in c.groups
+            assert c._mask_to_group[r.mask][0] in c.groups
         for _ in range(300):
             key = rng.getrandbits(16)
             assert c.lookup(key).rule is linear_lookup(live, key).rule
+
+    def test_route_lives_as_long_as_its_mask_holds_rules(self):
+        c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
+        assert {m: n for m, (_, n) in c._mask_to_group.items()} == \
+            {M1: 1, M2: 1, M3: 1, M4: 1}
+        m = pk(0xFC, 0xE0)
+        fresh = [Rule(pk(0x84, 0xA0), m, 70, 9),
+                 Rule(pk(0x88, 0xA0), m, 71, 10)]
+        for r in fresh:
+            c.insert(r)
+        assert c._mask_to_group[m] == [c.groups[0], 2]
+        assert c.remove(fresh[0])
+        assert c._mask_to_group[m] == [c.groups[0], 1]
+        assert c.remove(fresh[1])
+        assert m not in c._mask_to_group and c.audit() == []
+        assert c.remove(WALK_RULES[0])     # a mask of the bulk build
+        assert M1 not in c._mask_to_group and c.audit() == []
+        c.insert(WALK_RULES[0])            # comes back through routing
+        assert c._mask_to_group[M1] == [c.groups[0], 1]
+        assert c.audit() == []
+
+    def test_churn_leaves_one_route_per_live_mask(self):
+        rng = random.Random(12)
+        masks = [M1, M2, M3, M4, pk(0xFC, 0xE0), pk(0x00, 0x03),
+                 pk(0x0C, 0x30)]
+        c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
+        live, rid = list(WALK_RULES), 100
+        for _ in range(600):
+            if live and rng.random() < 0.5:
+                assert c.remove(live.pop(rng.randrange(len(live))))
+            else:
+                m = rng.choice(masks)
+                f = rng.getrandbits(16) & m
+                if any(x.mask == m and x.fields == f for x in live):
+                    continue
+                live.append(Rule(f, m, rng.randrange(100), rid))
+                c.insert(live[-1])
+                rid += 1
+            per_mask = {}
+            for r in live:
+                per_mask[r.mask] = per_mask.get(r.mask, 0) + 1
+            assert c._mask_to_group.keys() == per_mask.keys()
+            assert {m: n for m, (_, n) in c._mask_to_group.items()} == \
+                per_mask
+        assert c.audit() == []
 
     def test_remove_absent(self):
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
@@ -410,13 +455,16 @@ class TestAudit:
         r = Rule(pk(0x00, 0x02), pk(0x00, 0x03), 6, 9)
         c.groups[1].head[r.fields] = _HeadEntry(
             TupleChainClassifier.build(S, [r]))
-        # rule 9 outranks the group's ceiling of 5 as well
-        assert c.audit() == [f"group 1, head {r.fields:#x}: local ceiling "
+        # rule 9 outranks the group's ceiling of 5 as well, and its
+        # mask's route counts one rule
+        assert c.audit() == [f"mask {r.mask:#x}: route counts 1 of 2 "
+                             "stored rules",
+                             f"group 1, head {r.fields:#x}: local ceiling "
                              "above the group's 5", "rule id stored twice"]
 
     def test_mask_routed_to_another_group_is_flagged(self):
         c = self.two_groups()
-        c._mask_to_group[M1] = c.groups[1]
+        c._mask_to_group[M1][0] = c.groups[1]
         assert c.audit() == [
             f"group 1: head mask not contained in member {M1:#x}",
             "group 0: rule 1 mask routed to another group"]
@@ -426,21 +474,36 @@ class TestAudit:
                                     Rule(0x0200, 0xFF00, 1, 2)])
         grp = _Group(0x00F0, 1)
         c.groups.append(grp)
-        c._mask_to_group[0x00F0] = grp
+        c._mask_to_group[0x00F0] = [grp, 0]
         assert c.probe_bound() == 3
-        assert c.audit() == ["group 1: holds no head entries"]
+        assert c.audit() == ["mask 0xf0: route counts 0 of 0 stored rules",
+                             "group 1: holds no head entries"]
 
     def test_route_to_a_dropped_group_is_flagged(self):
         c = self.two_groups()
-        c._mask_to_group[pk(0x00, 0x0F)] = _Group(pk(0x00, 0x03), 2)
+        c._mask_to_group[pk(0x00, 0x0F)] = [_Group(pk(0x00, 0x03), 2), 0]
         assert c.audit() == [f"mask {pk(0x00, 0x0F):#x} routed to a "
-                             "dropped group"]
+                             "dropped group",
+                             f"mask {pk(0x00, 0x0F):#x}: route counts 0 of "
+                             "0 stored rules"]
 
     def test_empty_head_entry_is_flagged(self):
         c = self.two_groups()
         c.groups[1].head[pk(0x00, 0x02)] = _HeadEntry(TupleChainClassifier(S))
         assert c.audit() == [f"group 1, head {pk(0x00, 0x02):#x}: holds "
                              "no rules"]
+
+    def test_route_count_out_of_step_is_flagged(self):
+        c = self.two_groups()
+        c._mask_to_group[M1][1] += 1
+        assert c.audit() == [f"mask {M1:#x}: route counts 2 of 1 stored "
+                             "rules"]
+
+    def test_route_without_rules_is_flagged(self):
+        c = self.two_groups()
+        c._mask_to_group[pk(0xFC, 0xE0)] = [c.groups[0], 0]
+        assert c.audit() == [f"mask {pk(0xFC, 0xE0):#x}: route counts 0 of "
+                             "0 stored rules"]
 
     def test_stale_head_entry_roots_are_flagged(self):
         c = self.two_groups()
@@ -455,7 +518,29 @@ class TestReporting:
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
         assert sorted(r.rule_id for r in c.all_rules()) == [1, 2, 5, 6]
 
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_stats_sum_the_heads_and_the_locals(self, extra):
+        c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
+        for i in range(extra):   # a second group
+            c.insert(Rule(pk(0x00, i), pk(0x00, 0x03), 5, 9 + i))
+        local = [he.local.stats() for g in c.groups for he in g.head.values()]
+        heads = sum(len(g.head) for g in c.groups)
+        key_bytes = (S.total_width + 7) // 8
+        st = c.stats()
+        assert st.group_count == c.group_count == len(c.groups)
+        assert st.rule_count == len(WALK_RULES) + extra
+        assert st.rule_count == sum(s.rule_count for s in local)
+        assert st.tuple_count == c.group_count + sum(
+            s.tuple_count for s in local)
+        assert st.chain_count == sum(s.chain_count for s in local)
+        assert st.entry_total == heads + sum(s.entry_total for s in local)
+        assert st.owner_link_total == sum(s.owner_link_total for s in local)
+        assert st.max_chain_tuples == max(s.max_chain_tuples for s in local)
+        assert st.memory_bytes == (c.group_count * (key_bytes + 32)
+                                   + heads * (key_bytes + 16)
+                                   + sum(s.memory_bytes for s in local))
+
     def test_memory_positive_and_grows(self):
         small = EtcClassifier.build(S, WALK_RULES[:1], min_head_bits=2)
         full = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
-        assert 0 < small.memory_bytes() < full.memory_bytes()
+        assert 0 < small.stats().memory_bytes < full.stats().memory_bytes
