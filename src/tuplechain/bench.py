@@ -51,9 +51,15 @@ def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
               updates: UpdateStream | None = None) -> MetricsReport:
     """Build once, then walk the trace in order.  Update ``j`` of ``U``
     runs just before lookup ``j * N // U`` of ``N``, and every lookup's
-    probes are checked against the classifier's current bound."""
+    probes are checked against the classifier's current bound.  An
+    update that changes nothing (a rejected insert, a delete of a rule
+    not stored) stops the run with a ``BenchError`` naming it."""
     if not trace:
         raise BenchError("the trace is empty")
+    if updates and updates.schema.widths != ruleset.schema.widths:
+        raise BenchError(f"update stream widths {updates.schema.widths} "
+                         f"differ from the rule set's "
+                         f"{ruleset.schema.widths}")
     ops = updates.ops if updates else []
     clock = time.perf_counter
     t0 = clock()
@@ -69,11 +75,19 @@ def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
         while j < u and j * n // u == i:
             op, rule = ops[j]
             t0 = clock()
-            if op == "insert":
-                clf.insert(rule)
-            else:
-                clf.remove(rule)
+            try:
+                if op == "insert":
+                    clf.insert(rule)
+                    done = True
+                else:
+                    done = clf.remove(rule)
+            except ValueError as exc:
+                raise BenchError(f"update {j}: {op} of rule "
+                                 f"{rule.rule_id} rejected: {exc}") from None
             update_s += clock() - t0
+            if not done:
+                raise BenchError(f"update {j}: delete of rule "
+                                 f"{rule.rule_id} removed nothing")
             j += 1
             bound = clf.probe_bound()
         t0 = clock()

@@ -30,19 +30,20 @@ Chain order lives in ``Chain.tuples`` alone; a tuple links only back, by
 Each chain keeps a priority ceiling, ``Chain.top``: an upper bound on the
 priority of every rule it holds.  ``insert_rule`` raises it; a delete
 leaves it alone, which only makes the bound looser, and a fresh build
-makes it exact.
+makes it exact.  ``Chain`` has slots, so the ``top`` and ``root`` that
+search reads off every chain it visits cost no more than a pair unpack.
 
-``search(roots, key, best)`` is the one lookup loop.  It takes
-``(top, root)`` pairs of any number of chains, highest ceiling first,
-walks each tree inline, keeps the deepest hit's entry and merges that
-entry's hint into the running best once per root.  It stops at the
-first root whose ceiling is strictly below the best priority found so
-far: no rule there can win.  The cut is strict because ``best_rule``
-breaks priority ties by rule id, so a chain whose ceiling equals the
-best priority may still hold the winner.  Probe counts therefore depend
-on the rule priorities, not only on the masks.  The tc classifier passes
-its chains' pairs, ETC those behind each head entry a key hits, and
-``Chain.lookup`` its own.
+``search(chains, key, best)`` is the one lookup loop.  It takes chains,
+highest ceiling first, walks each one's tree inline from ``Chain.root``,
+keeps the deepest hit's entry and merges that entry's hint into the
+running best once per chain.  It stops at the first chain whose ceiling
+is strictly below the best priority found so far: no rule there can
+win.  The cut is strict because ``best_rule`` breaks priority ties by
+rule id, so a chain whose ceiling equals the best priority may still
+hold the winner.  Probe counts therefore depend on the rule priorities,
+not only on the masks.  The tc classifier passes its chain list, which
+it keeps in ceiling order, ETC the chain list behind each head entry a
+key hits, and ``Chain.lookup`` the chain alone.
 """
 
 from __future__ import annotations
@@ -83,16 +84,16 @@ def _build_tree(tuples: list[TupleTable], lo: int, hi: int,
     return node
 
 
-def search(roots: Iterable[tuple[int, TupleTable | None]], key: int,
+def search(chains: Iterable[Chain], key: int,
            best: Rule | None = None) -> tuple[Rule | None, int]:
-    """Best rule for ``key`` over ``best`` and the chains with these
-    ``(top, root)`` pairs, which run highest ceiling first, and the
-    probes spent."""
+    """Best rule for ``key`` over ``best`` and ``chains``, which run
+    highest ceiling first, and the probes spent."""
     floor = MISS_PRIORITY if best is None else best.priority
     probes = 0
-    for top, node in roots:
-        if top < floor:
+    for c in chains:
+        if c.top < floor:
             break
+        node = c.root
         hit = None
         while node is not None:
             e = node.table.get(key & node.mask)
@@ -120,6 +121,8 @@ def search(roots: Iterable[tuple[int, TupleTable | None]], key: int,
 
 class Chain:
     """One tuple chain with its search tree and maintenance counters."""
+
+    __slots__ = ("tuples", "root", "top", "touches")
 
     def __init__(self):
         self.tuples: list[TupleTable] = []
@@ -190,7 +193,7 @@ class Chain:
 
     def lookup(self, key: int) -> tuple[Rule | None, int]:
         """Search this chain's tree alone; returns (best rule, probes)."""
-        return search(((self.top, self.root),), key)
+        return search((self,), key)
 
     # -- rule updates ------------------------------------------------
 

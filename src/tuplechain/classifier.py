@@ -6,18 +6,21 @@ Construction paths:
     reporting is amortized.
   * incremental ``insert`` places brand-new tuples greedily: among the
     chains that can host the mask, the one with the fewest tuples wins,
-    ties going to the one with fewer rules.
+    ties going to the one with fewer rules, then to the one searched
+    first.
 
-Lookup searches the chains highest priority ceiling (``Chain.top``)
-first and stops once no remaining chain can beat the best rule found;
-see ``chain.search``.
+``chains`` itself is the search order: it runs highest priority
+ceiling (``Chain.top``) first, so lookup passes it to ``chain.search``
+as it stands, which stops once no remaining chain can beat the best
+rule found.  ``build`` sorts it, and an insert that raises a ceiling
+moves that chain up; nothing else needs repair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter
 
 from .chain import Chain, DuplicateRuleError, search
 from .graph import PathCover, build_graph, min_path_cover
@@ -25,6 +28,7 @@ from .model import FieldSchema, MatchResult, Rule
 from .tuple_store import TupleTable
 
 _PTR = 8  # pointer width of the structural cost model, bytes
+_TOP = attrgetter("top")
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,11 +60,8 @@ def check_rule(schema: FieldSchema, r: Rule, rule_ids: set[int]) -> None:
 class TupleChainClassifier:
     def __init__(self, schema: FieldSchema):
         self.schema = schema
+        # highest ceiling first: the order lookup searches them in
         self.chains: list[Chain] = []
-        # (top, root) per chain, highest ceiling first: what lookup
-        # searches.  Repaired where the tuple set changes or a ceiling
-        # rises, never otherwise per rule.
-        self.roots: list[tuple[int, TupleTable]] = []
         # mask -> (chain, tuple); at most one live tuple per mask
         self.registry: dict[int, tuple[Chain, TupleTable]] = {}
         self.rule_ids: set[int] = set()
@@ -98,19 +99,9 @@ class TupleChainClassifier:
             for t in chain.tuples:
                 for r in by_mask[t.mask]:
                     chain.insert_rule(t, r)
-        # stable: chains with equal ceilings keep chain order
-        self.roots = sorted(((c.top, c.root) for c in self.chains),
-                            key=itemgetter(0), reverse=True)
+        # stable: chains with equal ceilings keep cover order
+        self.chains.sort(key=_TOP, reverse=True)
         return self
-
-    def rebuild(self) -> None:
-        """Re-optimize the chain layout from the current rule set."""
-        rules = self.all_rules()
-        fresh = TupleChainClassifier.build(self.schema, rules)
-        self.chains = fresh.chains
-        self.roots = fresh.roots
-        self.registry = fresh.registry
-        self.rule_ids = fresh.rule_ids
 
     def all_rules(self) -> list[Rule]:
         return [e.rule for c in self.chains for t in c.tuples
@@ -119,7 +110,7 @@ class TupleChainClassifier:
     # -- lookup ------------------------------------------------------
 
     def lookup(self, key: int) -> MatchResult:
-        best, probes = search(self.roots, key)
+        best, probes = search(self.chains, key)
         return MatchResult(best, probes)
 
     def probe_bound(self) -> int:
@@ -143,23 +134,24 @@ class TupleChainClassifier:
         if hit is None:
             t = TupleTable(r.mask)
             chain = self._pick_chain(t.mask)
-            top, root = chain.top, chain.root
             chain.insert_tuple(t)
             self.registry[r.mask] = (chain, t)
         else:
             chain, t = hit
-            top, root = chain.top, chain.root
+        top = chain.top
         chain.insert_rule(t, r)
         self.rule_ids.add(r.rule_id)
-        if chain.root is not root or chain.top > top:
-            self._repair_roots(chain, (top, root))
+        if chain.top > top:
+            # Only this chain is out of place, so the stable sort just
+            # moves it up past lower ceilings.  A new chain rises here
+            # too, from the end of the list where _pick_chain put it.
+            self.chains.sort(key=_TOP, reverse=True)
 
     def remove(self, r: Rule) -> bool:
         hit = self.registry.get(r.mask)
         if hit is None:
             return False
         chain, t = hit
-        root = chain.root
         if not chain.delete_rule(t, r):
             return False
         self.rule_ids.discard(r.rule_id)
@@ -172,35 +164,13 @@ class TupleChainClassifier:
             del self.registry[tup.mask]
         if not chain.tuples:
             self.chains.remove(chain)
-        if chain.root is not root:
-            # a delete leaves the ceiling as it was
-            self._repair_roots(chain, (chain.top, root))
         return True
 
-    def _repair_roots(self, chain: Chain,
-                      old: tuple[int, TupleTable | None]) -> None:
-        """Replace chain's pair ``old`` in ``roots`` (a new chain has
-        none, and ``old[1]`` is None), or drop it when the chain is gone.
-        Ceilings only rise, so the pair can only move up, and the other
-        pairs stay in order; no re-sort."""
-        roots = self.roots
-        if old[1] is None:
-            i = len(roots)
-            roots.append(old)
-        else:
-            i = roots.index(old)   # each pair holds its own root
-        if chain.root is None:
-            del roots[i]
-            return
-        top = chain.top
-        while i and roots[i - 1][0] < top:
-            roots[i] = roots[i - 1]
-            i -= 1
-        roots[i] = (top, chain.root)
-
     def _pick_chain(self, mask: int) -> Chain:
-        """The chain a fresh tuple of ``mask`` goes into; a new, empty
-        chain when none can host it."""
+        """The chain a fresh tuple of ``mask`` goes into: of those that
+        can host it, the one with the fewest tuples, then the fewest
+        rules, then the first in search order.  A new, empty chain, at
+        the end of the list, when none can host it."""
         best = None
         for chain in self.chains:
             if chain.can_host(mask) is None:
@@ -254,11 +224,8 @@ class TupleChainClassifier:
         out = []
         for i, c in enumerate(self.chains):
             out.extend(f"chain {i}: {v}" for v in c.audit())
-        want = sorted((c.top, id(c.root)) for c in self.chains)
-        if sorted((top, id(n)) for top, n in self.roots) != want:
-            out.append("roots out of sync with the chains")
-        if any(a[0] < b[0] for a, b in zip(self.roots, self.roots[1:])):
-            out.append("roots out of ceiling order")
+        if any(a.top < b.top for a, b in zip(self.chains, self.chains[1:])):
+            out.append("chains out of ceiling order")
         for mask, (chain, t) in self.registry.items():
             if t.mask != mask:
                 out.append(f"registry mask {mask:#x} points at {t.mask:#x}")

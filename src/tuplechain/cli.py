@@ -7,7 +7,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .bench import ALGOS, make_classifier, run_bench, run_equiv
+from .bench import ALGOS, BenchError, make_classifier, run_bench, run_equiv
 from .model import FieldSchema
 from .workload import (TupleProfile, gen_rules, gen_trace, gen_updates,
                        parse_classbench, parse_generic, parse_trace,
@@ -81,7 +81,11 @@ def cmd_build(args) -> int:
 def cmd_bench(args) -> int:
     rs, trace = _load_trace(args)
     updates = parse_updates(args.updates) if args.updates else None
-    rep = run_bench(args.algo, rs, trace, updates)
+    try:
+        rep = run_bench(args.algo, rs, trace, updates)
+    except BenchError as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return 1
     _emit_report(asdict(rep), args)
     return 1 if rep.bound_violations else 0
 

@@ -20,16 +20,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .chain import search
-from .classifier import (_PTR, StructureStats, TupleChainClassifier,
+from .classifier import (_PTR, _TOP, StructureStats, TupleChainClassifier,
                          check_rule)
 from .graph import PathCover, build_graph, min_path_cover
 from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule,
                     mask_less_than)
-
-_TOP = attrgetter("top")
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,14 +106,15 @@ def group_chains(pc: PathCover, masks: list[int],
 
 class _HeadEntry:
     """One head-tuple entry, kept only under its key in ``_Group.head``.
-    ``roots`` is ``local.roots`` itself, edited in place by the local
-    classifier, so a lookup reaches the local chains' trees directly."""
+    ``chains`` is ``local.chains`` itself, the local classifier's chain
+    list in its search order, which that classifier reorders in place;
+    a lookup passes it to ``chain.search`` directly."""
 
-    __slots__ = ("local", "roots")
+    __slots__ = ("local", "chains")
 
     def __init__(self, local: TupleChainClassifier):
         self.local = local
-        self.roots = local.roots
+        self.chains = local.chains
 
 
 class _Group:
@@ -138,6 +136,8 @@ class EtcClassifier:
     """Group-of-chains classifier with head-tuple filtering."""
 
     def __init__(self, schema: FieldSchema, min_head_bits: int = 4):
+        if min_head_bits < 0:
+            raise ValueError("min_head_bits must be >= 0")
         self.schema = schema
         self.min_head_bits = min_head_bits
         # highest ceiling first; re-sorted when a ceiling rises
@@ -179,7 +179,7 @@ class EtcClassifier:
             for hkey, bucket in buckets.items():
                 he = grp.head[hkey] = _HeadEntry(
                     TupleChainClassifier.build(schema, bucket))
-                grp.top = max(grp.top, he.roots[0][0])
+                grp.top = max(grp.top, he.chains[0].top)
         self.groups.sort(key=_TOP, reverse=True)
         return self
 
@@ -200,7 +200,7 @@ class EtcClassifier:
             probes += 1   # the head probe
             he = grp.head.get(key & grp.head_mask)
             if he is not None:
-                best, p = search(he.roots, key, best)
+                best, p = search(he.chains, key, best)
                 probes += p
         return MatchResult(best, probes)
 
@@ -290,10 +290,10 @@ class EtcClassifier:
                 if hkey & grp.head_mask != hkey:
                     out.append(f"group {gi}: head key {hkey:#x} "
                                "not canonical")
-                if he.roots is not he.local.roots:
-                    out.append(f"group {gi}, head {hkey:#x}: roots out "
-                               "of sync with the local classifier")
-                if he.roots and he.roots[0][0] > grp.top:
+                if he.chains is not he.local.chains:
+                    out.append(f"group {gi}, head {hkey:#x}: chains are "
+                               "not the local classifier's")
+                if he.chains and he.chains[0].top > grp.top:
                     out.append(f"group {gi}, head {hkey:#x}: local "
                                f"ceiling above the group's {grp.top}")
                 local = he.local.all_rules()

@@ -111,6 +111,18 @@ class TestRunBench:
         assert rep.bound_violations == 0
 
     @pytest.mark.parametrize("algo", ALGOS)
+    def test_update_that_changes_nothing_stops_the_run(self, workload, algo):
+        rs, _, _ = workload
+        stored = rs.rules[5]
+        absent = Rule(stored.fields, stored.mask, stored.priority, 10**6)
+        for op, r, what in (("delete", absent, "removed nothing"),
+                            ("insert", stored, "rejected")):
+            ups = UpdateStream(S, [("delete", rs.rules[0]), (op, r)])
+            with pytest.raises(BenchError, match=f"^update 1: {op} of "
+                               f"rule {r.rule_id} .*{what}"):
+                bench(workload, algo=algo, updates=ups)
+
+    @pytest.mark.parametrize("algo", ALGOS)
     def test_all_algos_complete(self, workload, algo):
         _, trace, ups = workload
         rep = bench(workload, algo=algo, updates=ups)
@@ -221,6 +233,25 @@ class TestCli:
         d = json.loads(capsys.readouterr().out)
         assert d["bound_violations"] == 0 and d["lookups"] == 300
         assert d["updates"] == 100
+
+    def test_bench_refuses_another_rule_sets_updates(self, files, tmp_path,
+                                                     capsys):
+        rules, trace, _ = files
+        for widths in (["16", "16"], ["8", "8", "8"]):
+            other = tmp_path / f"u{len(widths)}.updates"
+            assert main(["gen", "--rules", str(tmp_path / "o.rules"),
+                         "--updates", str(other), "--seed", "4",
+                         "--count", "200", "--widths", *widths,
+                         "--masks", "10", "--chains", "4",
+                         "--update-count", "100"]) == 0
+            capsys.readouterr()
+            assert main(["bench", "--rules", str(rules), "--trace",
+                         str(trace), "--updates", str(other)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("bench: ")
+        # the last stream's widths differ from the rule set's
+        assert "widths (8, 8, 8) differ" in err
 
     @pytest.mark.parametrize("cmd,flag,value", [
         ("build", "--trace", "X"), ("build", "--updates", "X"),

@@ -248,55 +248,14 @@ class TestSharedSearch:
         self.check(c, live, rng)
 
 
-class TestRootsAudit:
-    @staticmethod
-    def two_chains():
+class TestOrderAudit:
+    def test_reversed_chains_are_flagged(self):
         rng = random.Random(3)
         c = TupleChainClassifier.build(S, random_rules(rng, 60, MASKS))
-        assert len(c.roots) == 2 and c.audit() == []
-        return c
-
-    @pytest.mark.parametrize("corrupt", [
-        lambda roots: roots[:-1],       # a chain's root missing
-        lambda roots: [(roots[0][0], None)] + roots[1:],
-        # a stale ceiling
-        lambda roots: [(roots[0][0] + 1, roots[0][1])] + roots[1:],
-        lambda roots: roots[:1] + roots,    # a root twice
-    ])
-    def test_roots_out_of_sync_are_flagged(self, corrupt):
-        c = self.two_chains()
-        c.roots = corrupt(c.roots)
-        assert c.audit() == ["roots out of sync with the chains"]
-
-    def test_roots_out_of_ceiling_order_are_flagged(self):
-        c = self.two_chains()
-        assert c.roots[0][0] > c.roots[1][0]
-        c.roots = c.roots[::-1]
-        assert c.audit() == ["roots out of ceiling order"]
-
-
-class TestRebuild:
-    def test_rebuild_preserves_semantics(self):
-        rng = random.Random(44)
-        c = TupleChainClassifier(S)
-        rules = random_rules(rng, 100, mask_pool=MASKS)
-        for r in rules:
-            c.insert(r)
-        keys = [rng.getrandbits(16) for _ in range(400)]
-        before = [c.lookup(k).rule for k in keys]
-        c.rebuild()
-        assert c.audit() == []
-        assert [c.lookup(k).rule for k in keys] == before
-
-    def test_rebuild_reaches_cover_optimum(self):
-        # adversarial insertion order can fragment chains; rebuild
-        # restores the minimum cover (2 chains for these six masks)
-        c = TupleChainClassifier(S)
-        for i, m in enumerate([MASKS[5], MASKS[0], MASKS[3], MASKS[2],
-                               MASKS[1], MASKS[4]]):
-            c.insert(Rule(pk(0x12, 0x34) & m, m, i, i))
-        c.rebuild()
-        assert len(c.chains) == 2
+        assert len(c.chains) == 2 and c.audit() == []
+        assert c.chains[0].top > c.chains[1].top
+        c.chains.reverse()
+        assert c.audit() == ["chains out of ceiling order"]
 
 
 class TestStats:

@@ -289,6 +289,15 @@ class TestLookup:
 
 
 class TestUpdates:
+    @pytest.mark.parametrize("make", [
+        lambda: EtcClassifier(S, -3),
+        lambda: EtcClassifier.build(S, [], min_head_bits=-1),
+        lambda: EtcClassifier.build(S, WALK_RULES, min_head_bits=-1),
+    ], ids=["empty", "build-empty", "build"])
+    def test_negative_min_head_bits_rejected(self, make):
+        with pytest.raises(ValueError, match="min_head_bits"):
+            make()
+
     def test_insert_routes_into_existing_group(self):
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
         # a brand-new mask containing the head mask joins the group
@@ -505,12 +514,12 @@ class TestAudit:
         assert c.audit() == [f"mask {pk(0xFC, 0xE0):#x}: route counts 0 of "
                              "0 stored rules"]
 
-    def test_stale_head_entry_roots_are_flagged(self):
+    def test_stale_head_entry_chains_are_flagged(self):
         c = self.two_groups()
         he = c.groups[0].head[pk(0x00, 0x80)]
-        he.roots = list(he.roots)
-        assert c.audit() == [f"group 0, head {pk(0x00, 0x80):#x}: roots "
-                             "out of sync with the local classifier"]
+        he.chains = list(he.chains)
+        assert c.audit() == [f"group 0, head {pk(0x00, 0x80):#x}: chains "
+                             "are not the local classifier's"]
 
 
 class TestReporting:
