@@ -4,10 +4,8 @@ Construction paths:
   * ``build`` computes a minimum path cover over the masks and lays the
     chains out optimally, inserting rules head-tuple-first so hint
     reporting is amortized.
-  * incremental ``insert`` places brand-new tuples greedily: among the
-    chains that can host the mask, the one with the fewest tuples wins,
-    ties going to the one with fewer rules, then to the one searched
-    first.
+  * incremental ``insert`` places a brand-new tuple in the first chain,
+    in search order, that can host its mask.
 
 ``chains`` itself is the search order: it runs highest priority
 ceiling (``Chain.top``) first, so lookup passes it to ``chain.search``
@@ -78,8 +76,6 @@ class TupleChainClassifier:
             self.rule_ids.add(r.rule_id)
             by_mask.setdefault(r.mask, []).append(r)
         masks = list(by_mask)
-        if not masks:
-            return self
         if cover is None:
             cover = min_path_cover(build_graph(masks))
         else:
@@ -167,23 +163,15 @@ class TupleChainClassifier:
         return True
 
     def _pick_chain(self, mask: int) -> Chain:
-        """The chain a fresh tuple of ``mask`` goes into: of those that
-        can host it, the one with the fewest tuples, then the fewest
-        rules, then the first in search order.  A new, empty chain, at
-        the end of the list, when none can host it."""
-        best = None
+        """The chain a fresh tuple of ``mask`` goes into: the first in
+        search order that can host it, else a new, empty chain at the
+        end of the list."""
         for chain in self.chains:
-            if chain.can_host(mask) is None:
-                continue
-            # fewest tuples wins; rule_count sums tuples, so only ties read it
-            if best is None or chain.tuple_count < best.tuple_count or (
-                    chain.tuple_count == best.tuple_count
-                    and chain.rule_count < best.rule_count):
-                best = chain
-        if best is None:
-            best = Chain()
-            self.chains.append(best)
-        return best
+            if chain.can_host(mask) is not None:
+                return chain
+        chain = Chain()
+        self.chains.append(chain)
+        return chain
 
     # -- reporting ---------------------------------------------------
 

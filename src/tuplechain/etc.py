@@ -6,14 +6,15 @@ rules hashed into.  Each head entry fronts a local chained classifier
 over the rules colliding at that key; a head miss skips the whole group.
 
 Each group keeps a priority ceiling, ``_Group.top``, at least the local
-ceilings behind all its head entries, and ``groups`` runs highest
-ceiling first.  A lookup stops at the first group whose ceiling is
-strictly below the best rule found so far, head probe included, and
+ceilings behind all its head entries.  ``groups`` runs in creation
+order: a build keeps the order ``group_chains`` plans, and an insert
+that opens a group appends it.  A lookup skips any group whose ceiling
+is strictly below the best rule found so far, head probe included, and
 each local search carries that best along, so it cuts its own chains
-the same way (see ``chain.search``).  Probe counts therefore depend on
-rule priorities.  Routing a fresh mask breaks ties between groups by
-creation order, never by list position, so the ceiling order does not
-move routes, and a mask has a route only while it holds rules.
+(see ``chain.search``).  Probe counts therefore depend on rule
+priorities.  Routing a fresh mask breaks ties between groups by list
+position, which is creation order, and a mask has a route only while
+it holds rules.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .chain import search
-from .classifier import (_PTR, _TOP, StructureStats, TupleChainClassifier,
-                         check_rule)
+from .classifier import _PTR, StructureStats, TupleChainClassifier, check_rule
 from .graph import PathCover, build_graph, min_path_cover
 from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule,
                     mask_less_than)
@@ -120,16 +120,14 @@ class _HeadEntry:
 class _Group:
     """A head mask and its entries.  Which masks the group serves is
     recorded only in ``EtcClassifier._mask_to_group``.  ``top`` bounds
-    the priority of every rule behind the head; ``born`` is the
-    group's creation rank, which routing breaks ties by."""
+    the priority of every rule behind the head."""
 
-    __slots__ = ("head_mask", "head", "top", "born")
+    __slots__ = ("head_mask", "head", "top")
 
-    def __init__(self, head_mask: int, born: int):
+    def __init__(self, head_mask: int):
         self.head_mask = head_mask
         self.head: dict[int, _HeadEntry] = {}
         self.top = MISS_PRIORITY
-        self.born = born
 
 
 class EtcClassifier:
@@ -140,12 +138,11 @@ class EtcClassifier:
             raise ValueError("min_head_bits must be >= 0")
         self.schema = schema
         self.min_head_bits = min_head_bits
-        # highest ceiling first; re-sorted when a ceiling rises
+        # creation order, which routing breaks ties by
         self.groups: list[_Group] = []
         # mask -> [group, live rule count], for masks that hold rules
         self._mask_to_group: dict[int, list] = {}
         self.rule_ids: set[int] = set()
-        self._born = 0   # groups created so far
 
     @property
     def group_count(self) -> int:
@@ -158,8 +155,6 @@ class EtcClassifier:
         for r in rules:
             check_rule(schema, r, self.rule_ids)
             self.rule_ids.add(r.rule_id)
-        if not rules:
-            return self
         masks = sorted({r.mask for r in rules})
         pc = min_path_cover(build_graph(masks))
         plans = group_chains(pc, masks, min_head_bits)
@@ -180,12 +175,10 @@ class EtcClassifier:
                 he = grp.head[hkey] = _HeadEntry(
                     TupleChainClassifier.build(schema, bucket))
                 grp.top = max(grp.top, he.chains[0].top)
-        self.groups.sort(key=_TOP, reverse=True)
         return self
 
     def _new_group(self, head_mask: int) -> _Group:
-        grp = _Group(head_mask, self._born)
-        self._born += 1
+        grp = _Group(head_mask)
         self.groups.append(grp)
         return grp
 
@@ -196,7 +189,7 @@ class EtcClassifier:
         probes = 0
         for grp in self.groups:
             if best is not None and grp.top < best.priority:
-                break
+                continue
             probes += 1   # the head probe
             he = grp.head.get(key & grp.head_mask)
             if he is not None:
@@ -220,8 +213,8 @@ class EtcClassifier:
         best = None
         for g in self.groups:
             if g.head_mask == mask or mask_less_than(g.head_mask, mask):
-                if best is None or (g.head_mask.bit_count(), -g.born) > \
-                        (best.head_mask.bit_count(), -best.born):
+                if best is None or \
+                        g.head_mask.bit_count() > best.head_mask.bit_count():
                     best = g
         if best is None:
             best = self._new_group(mask)
@@ -239,9 +232,7 @@ class EtcClassifier:
         he.local._add(r)   # r passed check_rule above
         self._mask_to_group[r.mask][1] += 1
         self.rule_ids.add(r.rule_id)
-        if r.priority > grp.top:
-            grp.top = r.priority
-            self.groups.sort(key=_TOP, reverse=True)
+        grp.top = max(grp.top, r.priority)
 
     def remove(self, r: Rule) -> bool:
         route = self._mask_to_group.get(r.mask)
@@ -282,8 +273,6 @@ class EtcClassifier:
                 out.append(f"mask {m:#x}: route counts {n} of "
                            f"{stored[m]} stored rules")
         for gi, grp in enumerate(self.groups):
-            if gi and self.groups[gi - 1].top < grp.top:
-                out.append(f"group {gi}: out of ceiling order")
             if not grp.head:
                 out.append(f"group {gi}: holds no head entries")
             for hkey, he in grp.head.items():

@@ -2,7 +2,8 @@
 
 Each chain is searched on its own with ``Chain.lookup``, highest
 priority ceiling first, and skipped once its ceiling is strictly below
-the best rule found so far.  Both walks also return what the search
+the best rule found so far.  ETC groups are walked in list (creation)
+order with the same skip.  Both walks also return what the search
 would cost with no cut at all, which pruning may only lower.
 """
 
@@ -27,7 +28,7 @@ def etc_walk(c, key):
     cut, then its local chains behind the head entry the key hits."""
     best = None
     probes = full = 0
-    for g in sorted(c.groups, key=lambda g: g.top, reverse=True):
+    for g in c.groups:
         he = g.head.get(key & g.head_mask)
         chains = he.local.chains if he is not None else []
         full += 1 + sum(ch.lookup(key)[1] for ch in chains)

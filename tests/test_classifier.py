@@ -187,6 +187,20 @@ class TestUpdates:
         assert len(c.chains) == 2   # extends the first chain
         assert c.registry[pk(0xC0, 0xF0)][0] is c.registry[pk(0x80, 0xC0)][0]
 
+    def test_new_mask_placed_on_first_hosting_chain_in_search_order(self):
+        c = TupleChainClassifier(S)
+        c.insert(Rule(pk(0x80, 0x00), pk(0x80, 0x00), 9, 0))
+        c.insert(Rule(pk(0xC0, 0x00), pk(0xC0, 0x00), 9, 1))
+        c.insert(Rule(pk(0x00, 0x01), pk(0x00, 0x0F), 1, 2))  # new chain
+        longer, shorter = c.chains
+        assert (longer.tuple_count, shorter.tuple_count) == (2, 1)
+        # the full mask fits at the tail of either chain
+        full = pk(0xFF, 0xFF)
+        c.insert(Rule(pk(0xC0, 0x01), full, 1, 3))
+        assert c.chains == [longer, shorter]
+        assert c.registry[full][0] is longer
+        assert c.audit() == []
+
 
 def top_bits(k):
     return ((1 << k) - 1) << (16 - k)

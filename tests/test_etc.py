@@ -481,7 +481,7 @@ class TestAudit:
     def test_empty_group_is_flagged(self):
         c = EtcClassifier.build(S, [Rule(0x0100, 0xFF00, 1, 1),
                                     Rule(0x0200, 0xFF00, 1, 2)])
-        grp = _Group(0x00F0, 1)
+        grp = _Group(0x00F0)
         c.groups.append(grp)
         c._mask_to_group[0x00F0] = [grp, 0]
         assert c.probe_bound() == 3
@@ -490,7 +490,7 @@ class TestAudit:
 
     def test_route_to_a_dropped_group_is_flagged(self):
         c = self.two_groups()
-        c._mask_to_group[pk(0x00, 0x0F)] = [_Group(pk(0x00, 0x03), 2), 0]
+        c._mask_to_group[pk(0x00, 0x0F)] = [_Group(pk(0x00, 0x03)), 0]
         assert c.audit() == [f"mask {pk(0x00, 0x0F):#x} routed to a "
                              "dropped group",
                              f"mask {pk(0x00, 0x0F):#x}: route counts 0 of "
