@@ -15,7 +15,7 @@ from operator import itemgetter
 import numpy as np
 
 from .chain import DuplicateRuleError
-from .classifier import StructureStats
+from .classifier import StructureStats, check_new_rule
 from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule, best_rule,
                     matches)
 
@@ -86,8 +86,7 @@ class LinearClassifier:
         return cls(rules)
 
     def insert(self, r: Rule) -> None:
-        if r.rule_id in self.rule_ids:
-            raise DuplicateRuleError(f"rule id {r.rule_id} already present")
+        check_new_rule(r, self.rule_ids)
         if (r.fields, r.mask) in self.rules:
             raise DuplicateRuleError(
                 f"entry {r.fields:#x}/{r.mask:#x} already holds a rule")
@@ -151,8 +150,7 @@ class TssClassifier:
 
     def _add(self, r: Rule) -> bool:
         """Store r; True when the ceiling order needs a re-sort."""
-        if r.rule_id in self.rule_ids:
-            raise DuplicateRuleError(f"rule id {r.rule_id} already present")
+        check_new_rule(r, self.rule_ids)
         rec = self.tables.get(r.mask)
         fresh = rec is None
         if fresh:

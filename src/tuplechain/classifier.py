@@ -44,15 +44,21 @@ class StructureStats:
     group_count: int = 0
 
 
-def check_rule(schema: FieldSchema, r: Rule, rule_ids: set[int]) -> None:
-    """Reject r unless it is a Rule that fits the schema, with an id not
-    in ``rule_ids``; build and insert both check this before any change."""
+def check_new_rule(r: Rule, rule_ids: set[int]) -> None:
+    """Reject r unless it is a Rule with an id not in ``rule_ids``; every
+    classifier checks this before it stores a rule."""
     if not isinstance(r, Rule):
         raise ValueError(f"{r!r} is not a Rule")
-    if r.mask >= (1 << schema.total_width):
-        raise ValueError(f"rule {r.rule_id} does not fit the schema")
     if r.rule_id in rule_ids:
         raise DuplicateRuleError(f"rule id {r.rule_id} already present")
+
+
+def check_rule(schema: FieldSchema, r: Rule, rule_ids: set[int]) -> None:
+    """check_new_rule, and r must fit the schema; build and insert both
+    check this before any change."""
+    check_new_rule(r, rule_ids)
+    if r.mask >= (1 << schema.total_width):
+        raise ValueError(f"rule {r.rule_id} does not fit the schema")
 
 
 class TupleChainClassifier:

@@ -9,10 +9,10 @@ from dataclasses import asdict
 
 from .bench import ALGOS, BenchError, make_classifier, run_bench, run_equiv
 from .model import FieldSchema
-from .workload import (TupleProfile, gen_rules, gen_trace, gen_updates,
-                       parse_classbench, parse_generic, parse_trace,
-                       parse_updates, write_generic, write_trace,
-                       write_updates)
+from .workload import (ParseError, TupleProfile, gen_rules, gen_trace,
+                       gen_updates, parse_classbench, parse_generic,
+                       parse_trace, parse_updates, write_generic,
+                       write_trace, write_updates)
 
 
 def _load_rules(args):
@@ -155,7 +155,12 @@ def main(argv=None) -> int:
         "build": cmd_build, "bench": cmd_bench, "equiv": cmd_equiv,
         "gen": cmd_gen,
     }[args.cmd]
-    return handler(args)
+    # a bad or unreadable file is the user's to fix: one line, no traceback
+    try:
+        return handler(args)
+    except (ParseError, OSError) as exc:
+        print(f"tuplechain: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Rule set / trace / update-stream ingestion and synthetic generation.
 
-File formats (all gzip-transparent by ``.gz`` suffix):
+File formats (all gzip-transparent by ``.gz`` suffix).  In every format
+a ``#`` starts a comment that runs to the end of its line, lines left
+blank are skipped, and an error names the file and line it was found on.
 
 * generic rules: two header lines ``fields: d`` and ``widths: w1 .. wd``,
   then one rule per line as d ``hexvalue/hexmask`` tokens followed by a
   decimal priority.  Rule ids are the line order.
-* traces: one key per line as d hex tokens, optionally followed by a
-  ``# expected=<pri>`` comment.
+* traces: one key per line as d hex tokens.
 * update streams: generic header, then ``i``/``d``, the rule tokens, the
   priority and the rule id.
 * ClassBench filter sets: ``@sip/len dip/len slo : shi dlo : dhi
@@ -20,9 +21,10 @@ File formats (all gzip-transparent by ``.gz`` suffix):
 from __future__ import annotations
 
 import gzip
+import itertools
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import FieldSchema, Rule
 
@@ -44,11 +46,10 @@ class ParseError(ValueError):
 class RuleSetFile:
     schema: FieldSchema
     rules: list[Rule]
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def expansion_factor(self) -> float:
-        return self.provenance.get("expansion_factor", 1.0)
+    # rules per source line once port ranges are expanded
+    expansion_factor: float = 1.0
+    # expanded blocks dropped because an earlier filter holds the same one
+    shadowed_duplicates: int = 0
 
 
 @dataclass
@@ -58,9 +59,11 @@ class UpdateStream:
 
 
 def _open(path, mode="rt"):
+    # an undecodable byte reads as U+FFFD, so the record holding it fails
+    # to convert and is reported at its line
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode)
-    return open(path, mode)
+        return gzip.open(path, mode, errors="replace")
+    return open(path, mode, errors="replace")
 
 
 # -- range expansion ------------------------------------------------
@@ -82,10 +85,11 @@ def range_to_prefixes(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
 
 
 def _ip_to_int(s: str) -> int:
-    parts = [int(p) for p in s.split(".")]
-    if len(parts) != 4 or any(not 0 <= p <= 255 for p in parts):
+    # _CB_LINE admits only four dot-separated digit runs
+    a, b, c, d = map(int, s.split("."))
+    if max(a, b, c, d) > 255:
         raise ValueError(f"bad IPv4 address {s}")
-    return (parts[0] << 24) | (parts[1] << 16) | (parts[2] << 8) | parts[3]
+    return (a << 24) | (b << 16) | (c << 8) | d
 
 
 def _prefix_mask(plen: int, width: int) -> int:
@@ -97,108 +101,108 @@ def _prefix_mask(plen: int, width: int) -> int:
 # -- parsers --------------------------------------------------------
 
 
-def parse_classbench(path) -> RuleSetFile:
-    """Parse a ClassBench filter set into expanded 5-field rules."""
-    schema = CLASSBENCH_SCHEMA
-    raw = []
+def _read_records(path, convert) -> list:
+    """convert(record) for each record of the file, in file order.
+
+    A record is a line with its ``#`` comment cut off and its
+    whitespace stripped; lines left empty are skipped.  A ValueError
+    that convert raises becomes a ParseError at the record's line.
+    """
+    out = []
     with _open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            m = _CB_LINE.match(line)
-            if m is None:
-                raise ParseError(path, lineno, f"malformed filter: {line!r}")
-            raw.append((lineno, m.groups()))
+            line = line.split("#", 1)[0].strip()
+            if line:
+                try:
+                    out.append(convert(line))
+                except ValueError as exc:
+                    raise ParseError(path, lineno, str(exc)) from exc
+    return out
+
+
+def _classbench_blocks(line) -> list[tuple[int, int]]:
+    """The (fields, mask) blocks one ClassBench filter expands into."""
+    m = _CB_LINE.match(line)
+    if m is None:
+        raise ValueError(f"malformed filter: {line!r}")
+    sip, slen, dip, dlen, slo, shi, dlo, dhi, proto, pmask = m.groups()
+    smask, dmask = _prefix_mask(int(slen), 32), _prefix_mask(int(dlen), 32)
+    sip, dip = _ip_to_int(sip) & smask, _ip_to_int(dip) & dmask
+    pmask = int(pmask, 0)
+    proto = int(proto, 0) & pmask
+    pack = CLASSBENCH_SCHEMA.pack
+    return [(pack((sip, dip, sv, dv, proto)),
+             pack((smask, dmask, sm, dm, pmask)))
+            for sv, sm in range_to_prefixes(int(slo), int(shi), 16)
+            for dv, dm in range_to_prefixes(int(dlo), int(dhi), 16)]
+
+
+def parse_classbench(path) -> RuleSetFile:
+    """Parse a ClassBench filter set into expanded 5-field rules."""
+    filters = _read_records(path, _classbench_blocks)
     rules = []
     seen = set()
-    expanded = 0
-    for seq, (lineno, g) in enumerate(raw):
-        try:
-            sip, dip = _ip_to_int(g[0]), _ip_to_int(g[2])
-            smask, dmask = _prefix_mask(int(g[1]), 32), _prefix_mask(int(g[3]), 32)
-            slo, shi, dlo, dhi = int(g[4]), int(g[5]), int(g[6]), int(g[7])
-            proto, pmask = int(g[8], 0), int(g[9], 0)
-            sblocks = range_to_prefixes(slo, shi, 16)
-            dblocks = range_to_prefixes(dlo, dhi, 16)
-        except ValueError as exc:
-            raise ParseError(path, lineno, str(exc)) from exc
-        priority = len(raw) - seq   # earlier lines win
-        expanded += len(sblocks) * len(dblocks)
-        for sv, sm in sblocks:
-            for dv, dm in dblocks:
-                fields = schema.pack((sip & smask, dip & dmask, sv, dv,
-                                      proto & pmask))
-                mask = schema.pack((smask, dmask, sm, dm, pmask))
-                if (fields, mask) not in seen:
-                    seen.add((fields, mask))
-                    rules.append(Rule(fields, mask, priority, len(rules)))
-    return RuleSetFile(schema, rules, {
-        "format": "classbench",
-        "path": str(path),
-        "source_rules": len(raw),
-        "shadowed_duplicates": expanded - len(rules),
-        "expansion_factor": len(rules) / len(raw) if raw else 1.0,
-    })
+    for seq, blocks in enumerate(filters):
+        priority = len(filters) - seq   # earlier lines win
+        for fields, mask in blocks:
+            if (fields, mask) not in seen:
+                seen.add((fields, mask))
+                rules.append(Rule(fields, mask, priority, len(rules)))
+    expanded = sum(map(len, filters))
+    return RuleSetFile(
+        CLASSBENCH_SCHEMA, rules,
+        expansion_factor=len(rules) / len(filters) if filters else 1.0,
+        shadowed_duplicates=expanded - len(rules))
 
 
-def _parse_header(fh, path):
-    lines = []
-    for lineno, line in enumerate(fh, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append((lineno, line))
-        if len(lines) == 2:
-            break
-    if len(lines) < 2 or not lines[0][1].startswith("fields:") \
-            or not lines[1][1].startswith("widths:"):
-        raise ParseError(path, lines[0][0] if lines else 0,
-                         "missing fields/widths header")
-    d = int(lines[0][1].split(":", 1)[1])
-    widths = tuple(int(w) for w in lines[1][1].split(":", 1)[1].split())
-    if len(widths) != d:
-        raise ParseError(path, lines[1][0],
-                         f"expected {d} widths, got {len(widths)}")
-    return FieldSchema(widths)
+def _read_with_header(path, convert):
+    """(schema, records) of a file that opens with the ``fields: d`` and
+    ``widths: w1 .. wd`` header records; convert(schema, record) reads
+    each record after them."""
+    head = []   # the field count, then the schema
+
+    def record(line):
+        if len(head) == 2:
+            return convert(head[1], line)
+        key, _, value = line.partition(":")
+        if key != ("fields", "widths")[len(head)]:
+            raise ValueError("missing fields/widths header")
+        if head:
+            widths = tuple(int(w) for w in value.split())
+            if len(widths) != head[0]:
+                raise ValueError(
+                    f"expected {head[0]} widths, got {len(widths)}")
+            head.append(FieldSchema(widths))
+        else:
+            head.append(int(value))
+
+    records = _read_records(path, record)
+    if len(head) < 2:
+        raise ParseError(path, 0, "missing fields/widths header")
+    return head[1], records[2:]
 
 
-def _parse_rule_tokens(schema, toks, path, lineno):
+def _parse_rule_tokens(schema, toks) -> tuple[int, int]:
+    """Packed (fields, mask) of d ``hexvalue/hexmask`` tokens."""
     values, masks = [], []
-    for tok, w in zip(toks, schema.widths):
-        try:
-            v, m = tok.split("/")
-            v, m = int(v, 16), int(m, 16)
-        except ValueError as exc:
-            raise ParseError(path, lineno, f"bad token {tok!r}") from exc
-        if v >= (1 << w) or m >= (1 << w):
-            raise ParseError(path, lineno, f"token {tok!r} overflows "
-                             f"{w} bits")
-        if v & m != v:
-            raise ParseError(path, lineno,
-                             f"value {v:#x} not canonical under {m:#x}")
-        values.append(v)
-        masks.append(m)
+    for tok in toks:
+        v, slash, m = tok.partition("/")
+        if not slash:
+            raise ValueError(f"bad token {tok!r}")
+        values.append(int(v, 16))
+        masks.append(int(m, 16))
     return schema.pack(values), schema.pack(masks)
 
 
 def parse_generic(path) -> RuleSetFile:
-    with _open(path) as fh:
-        schema = _parse_header(fh, path)
-        rules = []
-        for lineno, line in enumerate(fh, 3):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            if len(toks) != schema.field_count + 1:
-                raise ParseError(path, lineno,
-                                 f"expected {schema.field_count} field "
-                                 f"tokens and a priority")
-            fields, mask = _parse_rule_tokens(schema, toks, path, lineno)
-            rules.append(Rule(fields, mask, int(toks[-1]), len(rules)))
-    return RuleSetFile(schema, rules,
-                       {"format": "generic", "path": str(path)})
+    ids = itertools.count()
+
+    def rule(schema, line):
+        *toks, priority = line.split()
+        fields, mask = _parse_rule_tokens(schema, toks)
+        return Rule(fields, mask, int(priority), next(ids))
+
+    return RuleSetFile(*_read_with_header(path, rule))
 
 
 def _format_rule(schema, r: Rule) -> str:
@@ -208,67 +212,53 @@ def _format_rule(schema, r: Rule) -> str:
     return " ".join(toks) + f" {r.priority}"
 
 
-def write_generic(rules, schema: FieldSchema, path) -> None:
+def _write_with_header(path, schema: FieldSchema, lines) -> None:
     with _open(path, "wt") as fh:
         fh.write(f"fields: {schema.field_count}\n")
         fh.write("widths: " + " ".join(map(str, schema.widths)) + "\n")
-        for r in sorted(rules, key=lambda r: r.rule_id):
-            fh.write(_format_rule(schema, r) + "\n")
-
-
-def parse_trace(path, schema: FieldSchema) -> list[int]:
-    keys = []
-    with _open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            if len(toks) != schema.field_count:
-                raise ParseError(path, lineno,
-                                 f"expected {schema.field_count} tokens")
-            try:
-                keys.append(schema.pack(tuple(int(t, 16) for t in toks)))
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from exc
-    return keys
-
-
-def write_trace(keys, schema: FieldSchema, path, expected=None) -> None:
-    with _open(path, "wt") as fh:
-        for i, k in enumerate(keys):
-            line = " ".join(f"{v:x}" for v in schema.unpack(k))
-            if expected is not None:
-                line += f"  # expected={expected[i]}"
+        for line in lines:
             fh.write(line + "\n")
 
 
+def write_generic(rules, schema: FieldSchema, path) -> None:
+    _write_with_header(path, schema, (
+        _format_rule(schema, r)
+        for r in sorted(rules, key=lambda r: r.rule_id)))
+
+
+def parse_trace(path, schema: FieldSchema) -> list[int]:
+    return _read_records(path, lambda line: schema.pack(
+        [int(t, 16) for t in line.split()]))
+
+
+def write_trace(keys, schema: FieldSchema, path) -> None:
+    with _open(path, "wt") as fh:
+        for k in keys:
+            fh.write(" ".join(f"{v:x}" for v in schema.unpack(k)) + "\n")
+
+
+_UPDATE_OPS = {"i": "insert", "d": "delete"}
+
+
+def _update(schema, line) -> tuple[str, Rule]:
+    toks = line.split()
+    if toks[0] not in _UPDATE_OPS or len(toks) < 3:
+        raise ValueError("malformed update line")
+    fields, mask = _parse_rule_tokens(schema, toks[1:-2])
+    return _UPDATE_OPS[toks[0]], Rule(fields, mask, int(toks[-2]),
+                                      int(toks[-1]))
+
+
 def parse_updates(path) -> UpdateStream:
-    with _open(path) as fh:
-        schema = _parse_header(fh, path)
-        ops = []
-        for lineno, line in enumerate(fh, 3):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            if len(toks) != schema.field_count + 3 or toks[0] not in ("i", "d"):
-                raise ParseError(path, lineno, "malformed update line")
-            fields, mask = _parse_rule_tokens(schema, toks[1:-2],
-                                              path, lineno)
-            r = Rule(fields, mask, int(toks[-2]), int(toks[-1]))
-            ops.append(("insert" if toks[0] == "i" else "delete", r))
-    return UpdateStream(schema, ops)
+    return UpdateStream(*_read_with_header(path, _update))
 
 
 def write_updates(stream: UpdateStream, path) -> None:
     schema = stream.schema
-    with _open(path, "wt") as fh:
-        fh.write(f"fields: {schema.field_count}\n")
-        fh.write("widths: " + " ".join(map(str, schema.widths)) + "\n")
-        for op, r in stream.ops:
-            tag = "i" if op == "insert" else "d"
-            fh.write(f"{tag} {_format_rule(schema, r)} {r.rule_id}\n")
+    # the tag is the op's first letter: i or d
+    _write_with_header(path, schema, (
+        f"{op[0]} {_format_rule(schema, r)} {r.rule_id}"
+        for op, r in stream.ops))
 
 
 # -- synthetic generators -------------------------------------------
@@ -395,9 +385,7 @@ def gen_rules(seed: int, count: int, schema: FieldSchema,
         used.add((mask, fields))
         rules.append(Rule(fields, mask, rng.randrange(1 << 20), rid))
         rid += 1
-    return RuleSetFile(schema, rules, {
-        "format": "synthetic", "seed": seed, "profile": profile,
-    })
+    return RuleSetFile(schema, rules)
 
 
 def gen_trace(rules, seed: int, count: int, hit_ratio: float,

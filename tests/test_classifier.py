@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from tuplechain.baselines import LinearClassifier, linear_lookup
+from tuplechain.baselines import (LinearClassifier, TssClassifier,
+                                  linear_lookup)
 from tuplechain.chain import DuplicateRuleError
 from tuplechain.classifier import TupleChainClassifier
 from tuplechain.etc import EtcClassifier
@@ -120,22 +121,28 @@ class TestUpdates:
         with pytest.raises(DuplicateRuleError):
             c.insert(Rule(1, 0xFF, 2, 7))
 
-    @pytest.mark.parametrize("cls", [TupleChainClassifier, EtcClassifier])
-    @pytest.mark.parametrize("bad", [Rule(1 << 20, 1 << 20, 1, 0),
-                                     (0, 0, 1, 0)])
-    def test_insert_rejects_what_build_rejects(self, cls, bad):
+    # tss and linear hold no schema, so only tc and etc can reject a
+    # rule too wide for it; every class rejects what is not a Rule
+    @pytest.mark.parametrize("bad, cls", [
+        pytest.param(bad, cls, id=f"bad{i}-{cls.__name__}")
+        for i, (bad, classes) in enumerate([
+            (Rule(1 << 20, 1 << 20, 1, 0),
+             [TupleChainClassifier, EtcClassifier]),
+            ((0, 0, 1, 0), [TupleChainClassifier, EtcClassifier,
+                            TssClassifier, LinearClassifier])])
+        for cls in classes])
+    def test_insert_rejects_what_build_rejects(self, bad, cls):
         rules = [Rule(pk(0x80, 0), pk(0xC0, 0), 1, 1),
                  Rule(pk(0x80, 0x40), pk(0xC0, 0xC0), 2, 2)]
         with pytest.raises(ValueError) as built:
             cls.build(S, rules + [bad])
         c = cls.build(S, rules)
-        groups = c.group_count if cls is EtcClassifier else len(c.chains)
+        before = c.stats()
         with pytest.raises(built.type):
             c.insert(bad)
         assert c.audit() == []
-        assert groups == (c.group_count if cls is EtcClassifier
-                          else len(c.chains))
-        assert sorted(r.rule_id for r in c.all_rules()) == [1, 2]
+        assert c.stats() == before
+        assert c.rule_ids == {1, 2}
 
     def test_remove_absent(self):
         c = TupleChainClassifier(S)

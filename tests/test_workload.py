@@ -109,6 +109,19 @@ class TestClassBench(object):
             parse_classbench(p)
         assert ei.value.lineno == 1
 
+    @pytest.mark.parametrize("bad", [
+        "@1.2.3.4/33 0.0.0.0/0 0 : 65535 0 : 65535 0x06/0xFF",
+        "@1.2.3.4/32 0.0.0.0/0 9 : 8 0 : 65535 0x06/0xFF",
+        "@1.2.3.4/32 0.0.0.0/0 0 : 65535 0 : 65535 0x06/0x1FF",
+        "@1.2.3.256/32 0.0.0.0/0 0 : 65535 0 : 65535 0x06/0xFF",
+    ], ids=["prefix", "range", "proto-mask", "address"])
+    def test_bad_value_reports_position(self, tmp_path, bad):
+        p = tmp_path / "bad.rules"
+        p.write_text(self.LINES + "# next\n" + bad + "\n")
+        with pytest.raises(ParseError) as ei:
+            parse_classbench(p)
+        assert ei.value.lineno == 4
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "cb.rules"
         p.write_text("# header\n\n" + self.LINES)
@@ -124,7 +137,7 @@ class TestClassBench(object):
         rsf = parse_classbench(p)
         assert [r.rule_id for r in rsf.rules] == list(range(6))
         assert all(r.priority == 2 for r in rsf.rules)
-        assert rsf.provenance["shadowed_duplicates"] == 1
+        assert rsf.shadowed_duplicates == 1
         assert rsf.expansion_factor == pytest.approx(6 / 2)
         for algo in ALGOS:
             assert main(["build", "--rules", str(p), "--format",
@@ -188,8 +201,56 @@ class TestGenericFormat:
     def test_trace_round_trip(self, tmp_path):
         keys = [S.pack((0xAB, 0xCD)), S.pack((0x00, 0xFF))]
         p = tmp_path / "t.trace"
-        write_trace(keys, S, p, expected=[5, -1])
+        write_trace(keys, S, p)
         assert parse_trace(p, S) == keys
+
+    @pytest.mark.parametrize("parse, body", [
+        (parse_generic, "10/f0 0/0 5\nzz/ff 0/0 3\n"),
+        (parse_updates, "i 10/f0 0/0 5 0\nd zz/ff 0/0 3 1\n"),
+    ], ids=["rules", "updates"])
+    def test_error_names_the_file_line(self, tmp_path, parse, body):
+        # the comment and the blank line count as lines 1 and 2
+        p = tmp_path / "bad.txt"
+        p.write_text("# made by hand\n\nfields: 2\nwidths: 8 8\n" + body)
+        with pytest.raises(ParseError) as ei:
+            parse(p)
+        assert ei.value.lineno == 6
+        assert f"{p}:6:" in str(ei.value) and "zz" in str(ei.value)
+
+    @pytest.mark.parametrize("parse, text, lineno", [
+        (parse_generic, b"fields: 2\nwidths: 8 8\n10/f0 0/0 high\n", 3),
+        (parse_updates, b"fields: 2\nwidths: 8 8\ni 10/f0 0/0 5 -3\n", 3),
+        (parse_generic, b"fields: x\nwidths: 8 8\n", 1),
+        (parse_generic, b"fields: 2\nwidths: 8 0\n", 2),
+        (parse_generic, b"fields: 2\nwidths: 8 8\n10/f0 0/0 9/1 5\n", 3),
+        (parse_generic, b"fields: 2\nwidths: 8 8\n\xff0/f0 0/0 5\n", 3),
+    ], ids=["priority", "update-id", "field-count", "width", "token-count",
+            "undecodable"])
+    def test_bad_value_is_a_parse_error(self, tmp_path, parse, text, lineno):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(text)
+        with pytest.raises(ParseError) as ei:
+            parse(p)
+        assert ei.value.lineno == lineno
+
+    def test_comment_after_header_value(self, tmp_path):
+        p = tmp_path / "r.rules"
+        p.write_text("fields: 2  # two fields\nwidths: 8 8 # bits\n"
+                     "10/f0 0/0 5  # one rule\n")
+        rsf = parse_generic(p)
+        assert rsf.schema.widths == (8, 8)
+        assert rsf.rules == [Rule(S.pack((0x10, 0)), S.pack((0xF0, 0)), 5, 0)]
+
+    def test_cli_reports_a_bad_file_in_one_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.rules"
+        p.write_text("# made by hand\n\nfields: 2\nwidths: 8 8\n"
+                     "10/f0 0/0 5\nzz/ff 0/0 3\n")
+        missing = tmp_path / "missing.rules"
+        for path, where in ((p, f"{p}:6:"), (missing, str(missing))):
+            assert main(["build", "--rules", str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("tuplechain: ")
+            assert err.count("\n") == 1 and where in err
 
     def test_updates_round_trip(self, tmp_path):
         r1 = Rule(S.pack((0x10, 0x00)), S.pack((0xF0, 0x00)), 7, 12)
