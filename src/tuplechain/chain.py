@@ -52,7 +52,7 @@ from collections.abc import Iterable
 
 from .model import MISS_PRIORITY, Rule, best_rule, mask_less_than
 from .tuple_store import (Entry, TouchCounter, TupleTable, delete_marker,
-                          leave_marker, report_hint)
+                          drop_owner, leave_marker, owners_of, report_hint)
 
 
 class ChainError(ValueError):
@@ -178,7 +178,7 @@ class Chain:
         for e in self.tuples[at + 1].table.values():
             old = e.marker
             if old is not None:
-                old.owners.remove(e)
+                drop_owner(old, e)
                 e.marker = None
             leave_marker(e, t, self.touches)
 
@@ -222,7 +222,7 @@ class Chain:
         e = t.table.get(r.fields)
         if e is None or e.rule != r:
             return False
-        if not e.owners:
+        if e.owners is None:
             delete_marker(e, t.prev, self.touches)
             del t.table[e.key]
         else:
@@ -276,6 +276,7 @@ class Chain:
                            f"{self.probe_bound()}")
 
         entry_total = 0
+        owner_links = 0
         for t, nxt in zip(self.tuples, self.tuples[1:] + [None]):
             rc = 0
             for key, e in t.table.items():
@@ -283,7 +284,17 @@ class Chain:
                 if key != e.key or e.key & t.mask != e.key:
                     out.append(f"entry key {e.key:#x} not canonical in "
                                f"tuple {t.mask:#x}")
-                if e.rule is None and not e.owners:
+                owners = owners_of(e)
+                owner_links += len(owners)
+                # one form per owner count: a list holds two or more
+                if owners.__class__ is list:
+                    if len(owners) < 2:
+                        out.append(f"owner list of {e.key:#x} in tuple "
+                                   f"{t.mask:#x} holds {len(owners)}")
+                    if len(set(owners)) < len(owners):
+                        out.append(f"owner list of {e.key:#x} in tuple "
+                                   f"{t.mask:#x} repeats an entry")
+                if e.rule is None and not owners:
                     out.append(f"dead entry {e.key:#x} in tuple {t.mask:#x}")
                 if e.rule is not None:
                     rc += 1
@@ -301,7 +312,7 @@ class Chain:
                             out.append(f"marker key law broken at {e.key:#x}")
                         if t.prev.table.get(k.key) is not k:
                             out.append(f"marker of {e.key:#x} not in prev")
-                        if e not in k.owners:
+                        if e not in owners_of(k):
                             out.append(f"owner symmetry broken at {e.key:#x}")
                 elif e.marker is not None:
                     out.append(f"head entry {e.key:#x} has a marker")
@@ -310,7 +321,7 @@ class Chain:
                 if e.hint != want:
                     out.append(f"hint law broken at {e.key:#x} in tuple "
                                f"{t.mask:#x}")
-                for o in e.owners:
+                for o in owners:
                     if o.marker is not e:
                         out.append(f"owner back-link broken at {e.key:#x}")
                     if nxt is None or nxt.table.get(o.key) is not o:
@@ -323,8 +334,6 @@ class Chain:
                        f"{self.rule_count * len(self.tuples)}")
         if self.rule_count == 0 and entry_total:
             out.append("entries present in a rule-free chain")
-        owner_links = sum(len(e.owners) for t in self.tuples
-                          for e in t.table.values())
         if owner_links > entry_total:
             out.append("owner links exceed entry count")
         return out

@@ -23,7 +23,7 @@ from operator import attrgetter
 from .chain import Chain, DuplicateRuleError, search
 from .graph import PathCover, build_graph, min_path_cover
 from .model import FieldSchema, MatchResult, Rule
-from .tuple_store import TupleTable
+from .tuple_store import TupleTable, owners_of
 
 _PTR = 8  # pointer width of the structural cost model, bytes
 _TOP = attrgetter("top")
@@ -190,7 +190,7 @@ class TupleChainClassifier:
             for t in c.tuples:
                 entry_total += len(t.table)
                 for e in t.table.values():
-                    owner_links += len(e.owners)
+                    owner_links += len(owners_of(e))
                     if e.rule is not None:
                         rule_count += 1
         tuple_count = sum(c.tuple_count for c in self.chains)
@@ -198,6 +198,9 @@ class TupleChainClassifier:
         # entry = key + rule/hint/marker pointers + owner-list head;
         # owner link = two pointers; rule = fields + mask + pri + id;
         # tuple = mask + table/count/prev/fail/succ, plus the hash slots.
+        # It prices every entry as a linked owner list whatever form its
+        # ``owners`` slot takes (None, one Entry, or a list of two or
+        # more), so it does not move when that form saves heap.
         mem = (entry_total * (key_bytes + 4 * _PTR)
                + owner_links * 2 * _PTR
                + rule_count * (2 * key_bytes + 12)

@@ -3,16 +3,29 @@
 Entries are shared mutable nodes: an entry may simultaneously hold a rule
 of its own tuple and act as a marker for entries of the succeeding tuple.
 ``marker`` is a back-link to the entry's own marker in the preceding
-tuple (at most one), ``owners`` lists the entries it is a marker for.
+tuple (at most one), ``owners`` holds the entries it is a marker for.
+
+Most entries have no owner or exactly one, so ``owners`` takes one of
+three forms, one per owner count: ``None`` for none, the owning
+``Entry`` itself for one, and a list only for two or more.  ``add_owner``
+and ``drop_owner`` move between the forms (dropping one of two owners
+leaves the other as the bare ``Entry``), and ``owners_of`` reads any
+form as a sequence.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .model import Rule, best_rule
 
 
 class Entry:
-    """A hash-table entry: key, optional rule, hint, owner links."""
+    """A hash-table entry: key, optional rule, hint, owner links.
+
+    ``owners`` is ``None`` (no owner), the one owning ``Entry``, or a
+    list of two or more distinct owners; see ``owners_of``.
+    """
 
     __slots__ = ("key", "rule", "hint", "owners", "marker")
 
@@ -20,12 +33,46 @@ class Entry:
         self.key = key
         self.rule: Rule | None = None
         self.hint: Rule | None = None
-        self.owners: list[Entry] = []
+        self.owners: Entry | list[Entry] | None = None
         self.marker: Entry | None = None
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"Entry(key={self.key:#x}, rule={self.rule}, "
-                f"hint={self.hint}, owners={len(self.owners)})")
+                f"hint={self.hint}, owners={len(owners_of(self))})")
+
+
+def owners_of(e: Entry) -> Sequence[Entry]:
+    """e's owners as a sequence, whichever form the slot holds."""
+    own = e.owners
+    if own is None:
+        return ()
+    if own.__class__ is Entry:
+        return (own,)
+    return own
+
+
+def add_owner(k: Entry, o: Entry) -> None:
+    """Record o as an owner of k."""
+    own = k.owners
+    if own is None:
+        k.owners = o
+    elif own.__class__ is Entry:
+        k.owners = [own, o]
+    else:
+        own.append(o)
+
+
+def drop_owner(k: Entry, o: Entry) -> None:
+    """Remove o from k's owners; ValueError if it is not one."""
+    own = k.owners
+    if own is o:
+        k.owners = None
+    elif own.__class__ is list:
+        own.remove(o)
+        if len(own) == 1:
+            k.owners = own[0]
+    else:
+        raise ValueError(f"{o!r} does not own {k!r}")
 
 
 class TouchCounter:
@@ -84,13 +131,13 @@ def leave_marker(e: Entry, t: TupleTable | None,
         if k is not None:
             break
         k = t.table[key] = Entry(key)
-        k.owners.append(cur)
+        k.owners = cur   # a fresh marker: cur is its one owner
         cur.marker = k
         cur, t = k, t.prev
         if t is None:
             # the trail reached the head: the new markers keep no hint
             return e.marker
-    k.owners.append(cur)
+    add_owner(k, cur)
     cur.marker = k
     # The markers made above hold no rule, so they inherit k's hint.
     m = e.marker
@@ -107,9 +154,9 @@ def delete_marker(e: Entry, t: TupleTable | None,
     k = e.marker
     while k is not None and t is not None:
         counter.marker += 1
-        k.owners.remove(e)
+        drop_owner(k, e)
         e.marker = None
-        if k.rule is not None or k.owners:
+        if k.rule is not None or k.owners is not None:
             return
         del t.table[k.key]
         e, t = k, t.prev
@@ -121,7 +168,12 @@ def report_hint(e: Entry, counter: TouchCounter) -> None:
     stack = [e]
     while stack:
         cur = stack.pop()
-        for o in cur.owners:
+        own = cur.owners
+        if own is None:
+            continue
+        if own.__class__ is Entry:
+            own = (own,)
+        for o in own:
             counter.hint += 1
             new = best_rule(o.rule, cur.hint)
             if new is not o.hint:

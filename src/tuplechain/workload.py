@@ -24,6 +24,7 @@ import gzip
 import itertools
 import random
 import re
+import zlib
 from dataclasses import dataclass
 
 from .model import FieldSchema, Rule
@@ -101,22 +102,31 @@ def _prefix_mask(plen: int, width: int) -> int:
 # -- parsers --------------------------------------------------------
 
 
-def _read_records(path, convert) -> list:
-    """convert(record) for each record of the file, in file order.
+def _read_records(path, convert, at_end=None) -> list:
+    """convert(record) for each record of the file, in file order, then
+    at_end() if given.
 
     A record is a line with its ``#`` comment cut off and its
     whitespace stripped; lines left empty are skipped.  A ValueError
-    that convert raises becomes a ParseError at the record's line.
+    that convert raises becomes a ParseError at the record's line, one
+    that at_end raises a ParseError at the last line read (line 1 for
+    an empty file).  A compressed file that ends early or holds corrupt
+    data is a ParseError at the line after the last one read.
     """
     out = []
+    lineno = 0
     with _open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if line:
-                try:
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if line:
                     out.append(convert(line))
-                except ValueError as exc:
-                    raise ParseError(path, lineno, str(exc)) from exc
+            if at_end is not None:
+                at_end()
+        except (EOFError, zlib.error) as exc:
+            raise ParseError(path, lineno + 1, str(exc)) from exc
+        except ValueError as exc:
+            raise ParseError(path, max(lineno, 1), str(exc)) from exc
     return out
 
 
@@ -176,9 +186,11 @@ def _read_with_header(path, convert):
         else:
             head.append(int(value))
 
-    records = _read_records(path, record)
-    if len(head) < 2:
-        raise ParseError(path, 0, "missing fields/widths header")
+    def header_read():
+        if len(head) < 2:
+            raise ValueError("missing fields/widths header")
+
+    records = _read_records(path, record, header_read)
     return head[1], records[2:]
 
 

@@ -317,6 +317,45 @@ class TestAudit:
         assert c.audit() == [f"owner {pk(0xC0, 0x70):#x} of "
                              f"{pk(0x80, 0x40):#x} not in the next tuple"]
 
+    @pytest.mark.parametrize("corrupt, violation", [
+        (lambda tail: [], "holds 0"),
+        (lambda tail: [tail], "holds 1"),
+        (lambda tail: [tail, tail], "repeats an entry"),
+    ], ids=["empty", "one", "repeat"])
+    def test_owner_list_form_is_checked(self, corrupt, violation):
+        # head entry owned by one tail entry: its slot holds that entry
+        c = new_chain(T1, T2)
+        insert(c, T1, pk(0x80, 0x40), 1, 0)
+        insert(c, T2, pk(0xC0, 0x70), 2, 1)
+        t1, t2 = c.tuples
+        head, tail = t1.table[pk(0x80, 0x40)], t2.table[pk(0xC0, 0x70)]
+        assert head.owners is tail and c.audit() == []
+        head.owners = corrupt(tail)
+        assert any(violation in v for v in c.audit())
+
+    def test_owner_list_only_for_two_or_more(self):
+        # after a bulk build of a nested chain, each entry's owner slot
+        # takes the one form for its owner count
+        c = random_chain(random.Random(6), 6, rules_per_tuple=30)
+        assert c.audit() == []
+        nxt_of = dict(zip(c.tuples, c.tuples[1:] + [None]))
+        forms = set()
+        for t in c.tuples:
+            for e in t.table.values():
+                nxt = nxt_of[t]
+                owned = [o for o in (nxt.table.values() if nxt else ())
+                         if o.marker is e]
+                if not owned:
+                    assert e.owners is None
+                elif len(owned) == 1:
+                    assert e.owners is owned[0]
+                else:
+                    assert type(e.owners) is list
+                    assert len(e.owners) == len(owned)
+                    assert set(e.owners) == set(owned)
+                forms.add(min(len(owned), 2))
+        assert forms == {0, 1, 2}
+
     def test_self_loop_is_flagged(self):
         c = new_chain(T1, T2, T3)
         c.root.succ = c.root

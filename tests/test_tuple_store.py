@@ -1,9 +1,11 @@
 import random
 
+import pytest
+
 from tuplechain.model import FieldSchema, Rule, best_rule
 from tuplechain.tuple_store import (Entry, TouchCounter, TupleTable,
-                                    delete_marker, leave_marker,
-                                    report_hint)
+                                    add_owner, delete_marker, drop_owner,
+                                    leave_marker, owners_of, report_hint)
 
 S = FieldSchema((8, 8))
 
@@ -58,7 +60,7 @@ def test_leave_marker_recurses_down_the_chain():
     # the marker trail continues into t2 and t1
     assert t2.table[pk(0x00, 0xA0)].key == pk(0x00, 0xA0)
     assert t1.table[pk(0x00, 0x80)].key == pk(0x00, 0x80)
-    assert e1.marker is k and e1 in k.owners
+    assert e1.marker is k and e1 in owners_of(k)
     assert k.marker is t2.table[pk(0x00, 0xA0)]
     assert c.marker == 3  # one entry per preceding tuple
 
@@ -141,7 +143,36 @@ def test_delete_marker_spares_shared_marker():
     kb = leave_marker(eb, t3.prev, TouchCounter())
     assert ka is kb and len(ka.owners) == 2
     delete_marker(ea, t3.prev, TouchCounter())
-    assert ka in t2.table.values() and ka.owners == [eb]
+    assert ka in t2.table.values() and list(owners_of(ka)) == [eb]
+    # one owner left: the slot holds that entry, not a one-item list
+    assert ka.owners is eb
+
+
+def test_owner_slot_takes_one_form_per_count():
+    k, a, b, c = Entry(0), Entry(1), Entry(2), Entry(3)
+    assert k.owners is None and owners_of(k) == ()
+    add_owner(k, a)
+    assert k.owners is a and owners_of(k) == (a,)
+    add_owner(k, b)
+    add_owner(k, c)
+    assert k.owners == [a, b, c]
+    drop_owner(k, b)
+    assert k.owners == [a, c]
+    drop_owner(k, a)
+    assert k.owners is c
+    drop_owner(k, c)
+    assert k.owners is None
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_drop_owner_rejects_a_stranger(count):
+    k, stranger = Entry(0), Entry(3)
+    for o in (Entry(1), Entry(2))[:count]:
+        add_owner(k, o)
+    before = list(owners_of(k))
+    with pytest.raises(ValueError):
+        drop_owner(k, stranger)
+    assert list(owners_of(k)) == before
 
 
 def _full_hint_recompute(tuples):

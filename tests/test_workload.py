@@ -252,6 +252,65 @@ class TestGenericFormat:
             assert out == "" and err.startswith("tuplechain: ")
             assert err.count("\n") == 1 and where in err
 
+    def _gzipped_rules(self, tmp_path, n=300):
+        rng = random.Random(2)
+        rules = [Rule(v, 0xFFFF, rng.randrange(1000), v) for v in range(n)]
+        p = tmp_path / "r.rules.gz"
+        write_generic(rules, S, p)
+        return p.read_bytes()
+
+    def test_truncated_gzip_is_a_parse_error(self, tmp_path, capsys):
+        # the first 20 bytes hold no whole line: line 1 is where it ends
+        p = tmp_path / "t.rules.gz"
+        p.write_bytes(self._gzipped_rules(tmp_path)[:20])
+        with pytest.raises(ParseError) as ei:
+            parse_generic(p)
+        assert ei.value.lineno == 1
+        assert main(["build", "--rules", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"tuplechain: {p}:1: ")
+        assert err.count("\n") == 1
+
+    def test_gzip_cut_midway_names_the_line_after_the_last_read(
+            self, tmp_path):
+        whole = self._gzipped_rules(tmp_path)
+        p = tmp_path / "t.rules.gz"
+        p.write_bytes(whole[:len(whole) // 2])
+        with pytest.raises(ParseError) as ei:
+            parse_generic(p)
+        # the header and some rules were read whole; the last never is
+        lines = []
+        with gzip.open(p, "rt") as fh, pytest.raises(EOFError):
+            lines.extend(fh)
+        assert 2 < len(lines) < 302
+        assert ei.value.lineno == len(lines) + 1
+
+    def test_corrupt_gzip_is_a_parse_error(self, tmp_path):
+        data = bytearray(self._gzipped_rules(tmp_path))
+        for i in range(40, 60):
+            data[i] ^= 0xFF
+        p = tmp_path / "c.rules.gz"
+        p.write_bytes(bytes(data))
+        with pytest.raises(ParseError):
+            parse_generic(p)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("", 1),
+        ("fields: 2\n", 1),
+        ("# made by hand\nfields: 2\n\n# no widths\n", 4),
+    ], ids=["empty", "fields-only", "comments-after"])
+    @pytest.mark.parametrize("parse", [parse_generic, parse_updates],
+                             ids=["rules", "updates"])
+    def test_file_ending_in_its_header_names_the_last_line(
+            self, tmp_path, parse, text, lineno):
+        p = tmp_path / "h.rules"
+        p.write_text(text)
+        with pytest.raises(ParseError) as ei:
+            parse(p)
+        assert ei.value.lineno == lineno
+        assert str(ei.value) == (f"{p}:{lineno}: missing fields/widths "
+                                 "header")
+
     def test_updates_round_trip(self, tmp_path):
         r1 = Rule(S.pack((0x10, 0x00)), S.pack((0xF0, 0x00)), 7, 12)
         stream = UpdateStream(S, [("insert", r1), ("delete", r1)])
