@@ -25,7 +25,11 @@ sets both links on every tuple, and a tuple leaving the chain has them
 cleared, so no link outlives the splice that made it.
 
 Chain order lives in ``Chain.tuples`` alone; a tuple links only back, by
-``TupleTable.prev``, for marker trails.  A splice does no hint work.
+``TupleTable.prev``, for marker trails.  ``insert_tuple`` splices a
+fresh tuple in at the position ``can_host`` found, in one pass over the
+predecessor's entries: each hands its whole owner set over to fresh
+markers in the new tuple, which take its hint.  So a splice walks no
+marker trail, removes no owner from a list and does no hint work.
 
 Each chain keeps a priority ceiling, ``Chain.top``: an upper bound on the
 priority of every rule it holds.  ``insert_rule`` raises it; a delete
@@ -51,8 +55,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .model import MISS_PRIORITY, Rule, best_rule, mask_less_than
-from .tuple_store import (Entry, TouchCounter, TupleTable, delete_marker,
-                          drop_owner, leave_marker, owners_of, report_hint)
+from .tuple_store import (Entry, TouchCounter, TupleTable, add_owner,
+                          delete_marker, leave_marker, owners_of,
+                          report_hint)
 
 
 class ChainError(ValueError):
@@ -82,6 +87,30 @@ def _build_tree(tuples: list[TupleTable], lo: int, hi: int,
     node.fail = _build_tree(tuples, lo, r, h - 1) if lo < r else None
     node.succ = _build_tree(tuples, r + 1, hi, h - 1) if r + 1 < hi else None
     return node
+
+
+def _hand_over(owners: Iterable[Entry], k: Entry | None,
+               t: TupleTable) -> list[Entry]:
+    """Re-anchor ``owners``, successor entries whose marker is k (None
+    when t is the chain head), on markers in t: one fresh marker per key
+    under t's mask, which links on to k and takes k's hint.  Returns the
+    fresh markers."""
+    table, mask = t.table, t.mask
+    hint = k.hint if k is not None else None
+    made = []
+    for e in owners:
+        key = e.key & mask
+        m = table.get(key)
+        if m is None:
+            m = table[key] = Entry(key)
+            m.owners = e   # a fresh marker: e is its one owner
+            m.marker = k
+            m.hint = hint
+            made.append(m)
+        else:
+            add_owner(m, e)
+        e.marker = m
+    return made
 
 
 def search(chains: Iterable[Chain], key: int,
@@ -152,35 +181,69 @@ class Chain:
 
     def can_host(self, mask: int) -> int | None:
         """The unique position keeping the chain strictly ordered, if any."""
-        j = 0
-        n = len(self.tuples)
-        while j < n and mask_less_than(self.tuples[j].mask, mask):
-            j += 1
-        if j < n and not mask_less_than(mask, self.tuples[j].mask):
-            return None
-        return j
+        # mask_less_than inlined: a fresh tuple runs this on every chain
+        # it tries, once per ETC head entry it reaches
+        for j, t in enumerate(self.tuples):
+            m = t.mask
+            if m & mask != m or m == mask:
+                # t is not below mask, so mask must go strictly below t
+                return j if mask & m == mask and mask != m else None
+        return len(self.tuples)
 
-    def insert_tuple(self, t: TupleTable) -> None:
-        """Splice an empty tuple in at the one position that keeps the
-        chain ordered, and re-anchor successor markers."""
+    def insert_tuple(self, t: TupleTable, at: int | None) -> None:
+        """Splice the empty tuple t in at ``at``, the position
+        ``can_host`` gives for its mask, and re-anchor the successor's
+        entries on markers in t.
+
+        The successor's entries all own markers in t's predecessor p
+        (none if t goes in at the head), and those owners are all that
+        p's entries own.  So each entry k of p hands its owners over as
+        a whole: they split by key under t's mask, each part owns one
+        fresh marker in t, and those markers become k's owners.  A fresh
+        marker holds no rule, so it takes k's hint, and no owner's hint
+        changes.  ``touches.marker`` counts one per marker link written:
+        one per successor entry, plus one per fresh marker when p exists.
+        """
         if t.table or t.rule_count:
             raise ChainError("inserted tuple must be empty")
-        at = self.can_host(t.mask)
-        if at is None:
-            raise ChainError(f"mask {t.mask:#x} breaks chain order")
-        self.tuples.insert(at, t)
+        tuples = self.tuples
+        mask = t.mask
+        n = len(tuples)
+        if at is None or not 0 <= at <= n or (
+                at and not mask_less_than(tuples[at - 1].mask, mask)) or (
+                at < n and not mask_less_than(mask, tuples[at].mask)):
+            raise ChainError(f"mask {mask:#x} breaks chain order at {at}")
+        tuples.insert(at, t)
         self._relink()
-        if at + 1 == len(self.tuples):
+        if at + 1 == len(tuples):
             return
-        # The re-left trail re-finds e's old marker by key (old.key ==
-        # e.key & t.prev.mask), so the old marker keeps an owner, and
-        # the new marker in t takes its hint: e's hint does not change.
-        for e in self.tuples[at + 1].table.values():
-            old = e.marker
-            if old is not None:
-                drop_owner(old, e)
-                e.marker = None
-            leave_marker(e, t, self.touches)
+        p = t.prev
+        if p is None:
+            succ = tuples[at + 1].table
+            _hand_over(succ.values(), None, t)
+            self.touches.marker += len(succ)
+            return
+        table = t.table
+        links = 0
+        for k in p.table.values():
+            own = k.owners
+            if own is None:
+                continue
+            if own.__class__ is Entry:
+                # _hand_over inlined for the commonest case, one owner
+                key = own.key & mask
+                m = table[key] = Entry(key)
+                m.owners = own
+                m.marker = k
+                m.hint = k.hint
+                own.marker = m
+                k.owners = m
+                links += 2
+            else:
+                made = _hand_over(own, k, t)
+                k.owners = made[0] if len(made) == 1 else made
+                links += len(own) + len(made)
+        self.touches.marker += links
 
     def remove_tuple(self, t: TupleTable) -> None:
         if t.table or t.rule_count:

@@ -1,17 +1,25 @@
-"""The chained-tuple classifier: registry, chains, lookup and updates.
+"""The chained-tuple classifier: a chain set under a checking front.
+
+``ChainSet`` is the structure: ``chains``, ``registry`` and the
+operations that keep them, on rules the caller has already checked.
+``TupleChainClassifier`` is a chain set with a schema and the set of
+stored rule ids, and checks every rule against both before it stores
+it.  ETC head entries hold bare chain sets: their ``EtcClassifier``
+checks each rule once and keeps the only id set.
 
 Construction paths:
-  * ``build`` computes a minimum path cover over the masks and lays the
-    chains out optimally, inserting rules head-tuple-first so hint
-    reporting is amortized.
-  * incremental ``insert`` places a brand-new tuple in the first chain,
-    in search order, that can host its mask.
+  * ``fill`` (behind ``build``) computes a minimum path cover over the
+    masks and lays the chains out optimally, inserting rules
+    head-tuple-first so hint reporting is amortized.
+  * incremental ``add`` places a brand-new tuple in the first chain, in
+    search order, that can host its mask, at the position
+    ``Chain.can_host`` found there.
 
 ``chains`` itself is the search order: it runs highest priority
 ceiling (``Chain.top``) first, so lookup passes it to ``chain.search``
 as it stands, which stops once no remaining chain can beat the best
-rule found.  ``build`` sorts it, and an insert that raises a ceiling
-moves that chain up; nothing else needs repair.
+rule found.  ``fill`` sorts it, and an add that raises a ceiling moves
+that chain up; nothing else needs repair.
 """
 
 from __future__ import annotations
@@ -61,26 +69,24 @@ def check_rule(schema: FieldSchema, r: Rule, rule_ids: set[int]) -> None:
         raise ValueError(f"rule {r.rule_id} does not fit the schema")
 
 
-class TupleChainClassifier:
-    def __init__(self, schema: FieldSchema):
-        self.schema = schema
+class ChainSet:
+    """Chains and the mask registry, over rules checked by the caller."""
+
+    __slots__ = ("chains", "registry")
+
+    def __init__(self):
         # highest ceiling first: the order lookup searches them in
         self.chains: list[Chain] = []
         # mask -> (chain, tuple); at most one live tuple per mask
         self.registry: dict[int, tuple[Chain, TupleTable]] = {}
-        self.rule_ids: set[int] = set()
 
     # -- construction ------------------------------------------------
 
-    @classmethod
-    def build(cls, schema: FieldSchema, rules: list[Rule],
-              cover: PathCover | None = None) -> "TupleChainClassifier":
-        self = cls(schema)
-        by_mask: dict[int, list[Rule]] = {}
-        for r in rules:
-            check_rule(schema, r, self.rule_ids)
-            self.rule_ids.add(r.rule_id)
-            by_mask.setdefault(r.mask, []).append(r)
+    def fill(self, by_mask: dict[int, list[Rule]],
+             cover: PathCover | None = None) -> None:
+        """Lay out an empty set over ``by_mask`` (mask -> its rules),
+        along ``cover`` if given, else a minimum path cover of the
+        masks in ``by_mask``'s order."""
         masks = list(by_mask)
         if cover is None:
             cover = min_path_cover(build_graph(masks))
@@ -103,17 +109,12 @@ class TupleChainClassifier:
                     chain.insert_rule(t, r)
         # stable: chains with equal ceilings keep cover order
         self.chains.sort(key=_TOP, reverse=True)
-        return self
 
     def all_rules(self) -> list[Rule]:
         return [e.rule for c in self.chains for t in c.tuples
                 for e in t.table.values() if e.rule is not None]
 
-    # -- lookup ------------------------------------------------------
-
-    def lookup(self, key: int) -> MatchResult:
-        best, probes = search(self.chains, key)
-        return MatchResult(best, probes)
+    # -- lookup bounds -----------------------------------------------
 
     def probe_bound(self) -> int:
         """Per-lookup probe ceiling: sum of binary-search bounds."""
@@ -126,63 +127,63 @@ class TupleChainClassifier:
 
     # -- updates -----------------------------------------------------
 
-    def insert(self, r: Rule) -> None:
-        check_rule(self.schema, r, self.rule_ids)
-        self._add(r)
-
-    def _add(self, r: Rule) -> None:
-        """Insert r, which the caller has checked with ``check_rule``."""
+    def add(self, r: Rule) -> None:
+        """Store r, which the caller has checked with ``check_rule``."""
         hit = self.registry.get(r.mask)
         if hit is None:
             t = TupleTable(r.mask)
-            chain = self._pick_chain(t.mask)
-            chain.insert_tuple(t)
+            chain, at = self._pick_chain(t.mask)
+            chain.insert_tuple(t, at)
             self.registry[r.mask] = (chain, t)
         else:
             chain, t = hit
         top = chain.top
         chain.insert_rule(t, r)
-        self.rule_ids.add(r.rule_id)
         if chain.top > top:
             # Only this chain is out of place, so the stable sort just
             # moves it up past lower ceilings.  A new chain rises here
             # too, from the end of the list where _pick_chain put it.
             self.chains.sort(key=_TOP, reverse=True)
 
-    def remove(self, r: Rule) -> bool:
+    def discard(self, r: Rule) -> bool:
+        """Remove r if it is stored; True on removal."""
         hit = self.registry.get(r.mask)
         if hit is None:
             return False
         chain, t = hit
         if not chain.delete_rule(t, r):
             return False
-        self.rule_ids.discard(r.rule_id)
-        # Marker teardown can empty predecessor tuples too; an empty
-        # tuple never carries markers for a live successor, so dropping
-        # every emptied tuple is safe.
-        emptied = [x for x in chain.tuples if not x.table]
-        for tup in emptied:
-            chain.remove_tuple(tup)
-            del self.registry[tup.mask]
-        if not chain.tuples:
-            self.chains.remove(chain)
+        if r.fields not in t.table:
+            # Only an erased entry tears down markers, and that teardown
+            # can empty predecessor tuples too; an empty tuple never
+            # carries markers for a live successor, so dropping every
+            # emptied tuple is safe.
+            emptied = [x for x in chain.tuples if not x.table]
+            for tup in emptied:
+                chain.remove_tuple(tup)
+                del self.registry[tup.mask]
+            if not chain.tuples:
+                self.chains.remove(chain)
         return True
 
-    def _pick_chain(self, mask: int) -> Chain:
-        """The chain a fresh tuple of ``mask`` goes into: the first in
-        search order that can host it, else a new, empty chain at the
-        end of the list."""
+    def _pick_chain(self, mask: int) -> tuple[Chain, int]:
+        """Where a fresh tuple of ``mask`` goes: the first chain in
+        search order that can host it, with the position it takes
+        there, else a new, empty chain at the end of the list."""
         for chain in self.chains:
-            if chain.can_host(mask) is not None:
-                return chain
+            at = chain.can_host(mask)
+            if at is not None:
+                return chain, at
         chain = Chain()
         self.chains.append(chain)
-        return chain
+        return chain, 0
 
     # -- reporting ---------------------------------------------------
 
-    def stats(self) -> StructureStats:
-        key_bytes = (self.schema.total_width + 7) // 8
+    def stats(self, key_width: int) -> StructureStats:
+        """The set's counts, and its cost model at ``key_width`` bits
+        per key."""
+        key_bytes = (key_width + 7) // 8
         entry_total = 0
         owner_links = 0
         rule_count = 0
@@ -231,8 +232,53 @@ class TupleChainClassifier:
         live = {t.mask for c in self.chains for t in c.tuples}
         for mask in live - self.registry.keys():
             out.append(f"tuple {mask:#x} not registered")
-        ids = {e.rule.rule_id for c in self.chains for t in c.tuples
-               for e in t.table.values() if e.rule is not None}
-        if ids != self.rule_ids:
+        return out
+
+
+class TupleChainClassifier(ChainSet):
+    """A chain set that checks every rule against its schema and its
+    own set of stored rule ids."""
+
+    __slots__ = ("schema", "rule_ids")
+
+    def __init__(self, schema: FieldSchema):
+        super().__init__()
+        self.schema = schema
+        self.rule_ids: set[int] = set()
+
+    @classmethod
+    def build(cls, schema: FieldSchema, rules: list[Rule],
+              cover: PathCover | None = None) -> "TupleChainClassifier":
+        self = cls(schema)
+        by_mask: dict[int, list[Rule]] = {}
+        for r in rules:
+            check_rule(schema, r, self.rule_ids)
+            self.rule_ids.add(r.rule_id)
+            by_mask.setdefault(r.mask, []).append(r)
+        self.fill(by_mask, cover)
+        return self
+
+    def lookup(self, key: int) -> MatchResult:
+        best, probes = search(self.chains, key)
+        return MatchResult(best, probes)
+
+    def insert(self, r: Rule) -> None:
+        check_rule(self.schema, r, self.rule_ids)
+        self.add(r)
+        self.rule_ids.add(r.rule_id)
+
+    def remove(self, r: Rule) -> bool:
+        if not self.discard(r):
+            return False
+        self.rule_ids.discard(r.rule_id)
+        return True
+
+    def stats(self) -> StructureStats:
+        """``ChainSet.stats`` at the schema's key width."""
+        return super().stats(self.schema.total_width)
+
+    def audit(self) -> list[str]:
+        out = super().audit()
+        if {r.rule_id for r in self.all_rules()} != self.rule_ids:
             out.append("rule id set out of sync")
         return out

@@ -2,8 +2,10 @@
 
 A group's head mask is the bitwise AND of all member masks, so a packet
 that matches any rule of the group necessarily hits the head entry its
-rules hashed into.  Each head entry fronts a local chained classifier
-over the rules colliding at that key; a head miss skips the whole group.
+rules hashed into.  Each head entry fronts a bare ``ChainSet`` over the
+rules colliding at that key; a head miss skips the whole group.  The
+chain sets keep no rule ids and check nothing: ``EtcClassifier`` checks
+each rule once, against its schema and its own id set, the only one.
 
 Each group keeps a priority ceiling, ``_Group.top``, at least the local
 ceilings behind all its head entries.  ``groups`` runs in creation
@@ -23,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .chain import search
-from .classifier import _PTR, StructureStats, TupleChainClassifier, check_rule
+from .classifier import _PTR, ChainSet, StructureStats, check_rule
 from .graph import PathCover, build_graph, min_path_cover
 from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule,
                     mask_less_than)
@@ -106,13 +108,13 @@ def group_chains(pc: PathCover, masks: list[int],
 
 class _HeadEntry:
     """One head-tuple entry, kept only under its key in ``_Group.head``.
-    ``chains`` is ``local.chains`` itself, the local classifier's chain
-    list in its search order, which that classifier reorders in place;
-    a lookup passes it to ``chain.search`` directly."""
+    ``chains`` is ``local.chains`` itself, the local chain set's chain
+    list in its search order, which that set reorders in place; a
+    lookup passes it to ``chain.search`` directly."""
 
     __slots__ = ("local", "chains")
 
-    def __init__(self, local: TupleChainClassifier):
+    def __init__(self, local: ChainSet):
         self.local = local
         self.chains = local.chains
 
@@ -158,7 +160,7 @@ class EtcClassifier:
         masks = sorted({r.mask for r in rules})
         pc = min_path_cover(build_graph(masks))
         plans = group_chains(pc, masks, min_head_bits)
-        # rules per group, in input order so each local build sees its
+        # rules per group, in input order so each local fill sees its
         # masks in first-appearance order
         slot = {m: i for i, plan in enumerate(plans)
                 for m in plan.member_masks}
@@ -167,13 +169,16 @@ class EtcClassifier:
             by_group[slot[r.mask]].append(r)
         for plan, members in zip(plans, by_group):
             grp = self._new_group(plan.head_mask)
-            buckets: dict[int, list[Rule]] = {}
+            # head key -> mask -> rules
+            buckets: dict[int, dict[int, list[Rule]]] = {}
             for r in members:
                 self._mask_to_group.setdefault(r.mask, [grp, 0])[1] += 1
-                buckets.setdefault(r.fields & grp.head_mask, []).append(r)
-            for hkey, bucket in buckets.items():
-                he = grp.head[hkey] = _HeadEntry(
-                    TupleChainClassifier.build(schema, bucket))
+                by_mask = buckets.setdefault(r.fields & grp.head_mask, {})
+                by_mask.setdefault(r.mask, []).append(r)
+            for hkey, by_mask in buckets.items():
+                local = ChainSet()
+                local.fill(by_mask)
+                he = grp.head[hkey] = _HeadEntry(local)
                 grp.top = max(grp.top, he.chains[0].top)
         return self
 
@@ -227,9 +232,8 @@ class EtcClassifier:
         hkey = r.fields & grp.head_mask
         he = grp.head.get(hkey)
         if he is None:
-            he = grp.head[hkey] = _HeadEntry(
-                TupleChainClassifier(self.schema))
-        he.local._add(r)   # r passed check_rule above
+            he = grp.head[hkey] = _HeadEntry(ChainSet())
+        he.local.add(r)   # r passed check_rule above
         self._mask_to_group[r.mask][1] += 1
         self.rule_ids.add(r.rule_id)
         grp.top = max(grp.top, r.priority)
@@ -241,7 +245,7 @@ class EtcClassifier:
         grp = route[0]
         hkey = r.fields & grp.head_mask
         he = grp.head.get(hkey)
-        if he is None or not he.local.remove(r):
+        if he is None or not he.local.discard(r):
             return False
         self.rule_ids.discard(r.rule_id)
         route[1] -= 1
@@ -281,7 +285,7 @@ class EtcClassifier:
                                "not canonical")
                 if he.chains is not he.local.chains:
                     out.append(f"group {gi}, head {hkey:#x}: chains are "
-                               "not the local classifier's")
+                               "not the local chain set's")
                 if he.chains and he.chains[0].top > grp.top:
                     out.append(f"group {gi}, head {hkey:#x}: local "
                                f"ceiling above the group's {grp.top}")
@@ -310,8 +314,9 @@ class EtcClassifier:
 
     def stats(self) -> StructureStats:
         """Head tuples and entries plus the sums of the local stats."""
-        key_bytes = (self.schema.total_width + 7) // 8
-        local = [he.local.stats() for grp in self.groups
+        width = self.schema.total_width
+        key_bytes = (width + 7) // 8
+        local = [he.local.stats(width) for grp in self.groups
                  for he in grp.head.values()]
         return StructureStats(
             rule_count=sum(st.rule_count for st in local),

@@ -234,14 +234,14 @@ class TestTupleOps:
         before = [c.lookup(k)[0] for k in keys]
         assert c.can_host(T2) == 1
         t = TupleTable(T2)
-        c.insert_tuple(t)
+        c.insert_tuple(t, 1)
         assert c.tuples[1] is t and c.audit() == []
         assert [c.lookup(k)[0] for k in keys] == before
 
     def test_insert_tuple_at_tail_no_marker_work(self):
         c = new_chain(T1, T2)
         insert(c, T2, pk(0x40, 0xA0), 5, 0)
-        c.insert_tuple(TupleTable(T3))
+        c.insert_tuple(TupleTable(T3), 2)
         assert c.audit() == []
         assert not c.tuples[2].table
 
@@ -250,14 +250,22 @@ class TestTupleOps:
         t = TupleTable(T2)
         t.table[0] = object()
         with pytest.raises(ChainError):
-            c.insert_tuple(t)
+            c.insert_tuple(t, 1)
 
     @pytest.mark.parametrize("mask", [T2, pk(0x40, 0x00)])
     def test_insert_unorderable_tuple_rejected(self, mask):
         # T2 is already in the chain; 0x4000 and T1 are incomparable
         c = new_chain(T1, T2)
         with pytest.raises(ChainError):
-            c.insert_tuple(TupleTable(mask))
+            c.insert_tuple(TupleTable(mask), c.can_host(mask))
+        assert c.tuple_count == 2 and c.audit() == []
+
+    @pytest.mark.parametrize("at", [0, 1, 3, -1])
+    def test_insert_at_a_wrong_position_rejected(self, at):
+        # T3 belongs at 2, after T1 and T2
+        c = new_chain(T1, T2)
+        with pytest.raises(ChainError):
+            c.insert_tuple(TupleTable(T3), at)
         assert c.tuple_count == 2 and c.audit() == []
 
     @pytest.mark.parametrize("victim", [0, 1, 2])
@@ -384,7 +392,7 @@ class TestAudit:
             c = new_chain(masks[0])
             insert(c, masks[0], rng.getrandbits(16), 5, 0)
             for m in rng.sample(masks[1:], 9):
-                c.insert_tuple(TupleTable(m))
+                c.insert_tuple(TupleTable(m), c.can_host(m))
                 assert c.audit() == []
             for t in rng.sample(c.tuples[1:], 9):
                 c.remove_tuple(t)

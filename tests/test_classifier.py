@@ -9,6 +9,7 @@ from tuplechain.classifier import TupleChainClassifier
 from tuplechain.etc import EtcClassifier
 from tuplechain.graph import PathCover, build_graph
 from tuplechain.model import FieldSchema, Rule
+from tuplechain.tuple_store import Entry, TupleTable, owners_of
 
 from pruned import ceiling_walk
 
@@ -267,6 +268,65 @@ class TestSharedSearch:
             assert c.remove(r)
         del live[:len(live) // 2]
         self.check(c, live, rng)
+
+
+# One nested chain by nibbles.  Without 0xFF00, the head 0xF000's
+# entries own nothing (0x1000), one entry (0x2000, 0x5000, 0x6000) or a
+# list (0x3000, 0x4000) in 0xFFF0; splicing 0xFF00 between them turns
+# 0x3000's list into one marker and keeps 0x4000's a list of two.
+SPLICE_FIELDS = {
+    0xF000: [0x1000, 0x2000, 0x3000, 0x4000],
+    0xFF00: [0x3100, 0x4200, 0x7700],
+    0xFFF0: [0x2110, 0x3110, 0x3120, 0x4110, 0x4210, 0x4220, 0x5110],
+    0xFFFF: [0x2111, 0x6123],
+}
+SPLICE_PRI = [5, 40, 12, 33, 21, 8, 50, 17, 29, 3, 44, 26, 14, 37, 9, 48]
+
+
+def shape(chain):
+    """Per tuple, its mask and each entry's rule, hint, marker key and
+    owner keys, by entry key."""
+    return [(t.mask, {k: (e.rule, e.hint,
+                          e.marker.key if e.marker is not None else None,
+                          frozenset(o.key for o in owners_of(e)))
+                      for k, e in t.table.items()})
+            for t in chain.tuples]
+
+
+class TestSplice:
+    @pytest.mark.parametrize("at", [0, 1, 3], ids=["head", "middle", "tail"])
+    def test_splice_leaves_what_a_build_leaves(self, at):
+        cells = [(f, m) for m, fs in SPLICE_FIELDS.items() for f in fs]
+        rules = [Rule(f, m, p, i)
+                 for i, ((f, m), p) in enumerate(zip(cells, SPLICE_PRI))]
+        fresh = list(SPLICE_FIELDS)[at]
+        c = TupleChainClassifier.build(
+            S, [r for r in rules if r.mask != fresh])
+        (chain,) = c.chains
+        if at == 1:
+            forms = {e.owners.__class__
+                     for e in chain.tuples[0].table.values()}
+            assert forms == {type(None), Entry, list}
+        succ = len(chain.tuples[at].table) if at < 3 else 0
+        before = chain.touches.marker
+        t = TupleTable(fresh)
+        assert chain.can_host(fresh) == at
+        chain.insert_tuple(t, at)
+        # One touch per marker link the splice writes: each successor
+        # entry re-anchored on a marker in t, and each fresh marker in t
+        # linked on to the predecessor, which the head has not.
+        assert chain.touches.marker - before == \
+            succ + (len(t.table) if at else 0)
+        c.registry[fresh] = (chain, t)
+        for r in rules:
+            if r.mask == fresh:
+                c.insert(r)
+        bulk = TupleChainClassifier.build(S, rules)
+        assert shape(chain) == shape(bulk.chains[0])
+        assert c.stats() == bulk.stats()
+        assert c.audit() == []
+        for key in range(0, 1 << 16, 7):
+            assert c.lookup(key).rule is linear_lookup(rules, key).rule
 
 
 class TestOrderAudit:

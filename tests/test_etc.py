@@ -9,7 +9,7 @@ import pytest
 from tuplechain import classifier, etc
 from tuplechain.baselines import linear_lookup
 from tuplechain.chain import DuplicateRuleError
-from tuplechain.classifier import TupleChainClassifier, check_rule
+from tuplechain.classifier import ChainSet, TupleChainClassifier, check_rule
 from tuplechain.etc import (EtcClassifier, GroupPlan, _Group, _HeadEntry,
                             group_chains)
 from tuplechain.graph import build_graph, min_path_cover
@@ -333,6 +333,11 @@ class TestUpdates:
         for mod in (classifier, etc):
             monkeypatch.setattr(mod, "check_rule", counting)
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
+        # a build checks each rule once too, and only the classifier
+        # keeps rule ids: its head entries hold bare chain sets
+        assert calls == WALK_RULES
+        assert not any(hasattr(he.local, "rule_ids")
+                       for g in c.groups for he in g.head.values())
         calls.clear()
         new = [Rule(pk(0x84, 0xA0), pk(0xFC, 0xE0), 70, 9),  # fresh mask
                Rule(pk(0x00, 0x03), pk(0x00, 0x03), 5, 10),  # new group
@@ -498,7 +503,7 @@ class TestAudit:
 
     def test_empty_head_entry_is_flagged(self):
         c = self.two_groups()
-        c.groups[1].head[pk(0x00, 0x02)] = _HeadEntry(TupleChainClassifier(S))
+        c.groups[1].head[pk(0x00, 0x02)] = _HeadEntry(ChainSet())
         assert c.audit() == [f"group 1, head {pk(0x00, 0x02):#x}: holds "
                              "no rules"]
 
@@ -519,7 +524,7 @@ class TestAudit:
         he = c.groups[0].head[pk(0x00, 0x80)]
         he.chains = list(he.chains)
         assert c.audit() == [f"group 0, head {pk(0x00, 0x80):#x}: chains "
-                             "are not the local classifier's"]
+                             "are not the local chain set's"]
 
 
 class TestReporting:
@@ -532,7 +537,8 @@ class TestReporting:
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
         for i in range(extra):   # a second group
             c.insert(Rule(pk(0x00, i), pk(0x00, 0x03), 5, 9 + i))
-        local = [he.local.stats() for g in c.groups for he in g.head.values()]
+        local = [he.local.stats(S.total_width)
+                 for g in c.groups for he in g.head.values()]
         heads = sum(len(g.head) for g in c.groups)
         key_bytes = (S.total_width + 7) // 8
         st = c.stats()
