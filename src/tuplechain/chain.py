@@ -37,17 +37,20 @@ leaves it alone, which only makes the bound looser, and a fresh build
 makes it exact.  ``Chain`` has slots, so the ``top`` and ``root`` that
 search reads off every chain it visits cost no more than a pair unpack.
 
-``search(chains, key, best)`` is the one lookup loop.  It takes chains,
-highest ceiling first, walks each one's tree inline from ``Chain.root``,
-keeps the deepest hit's entry and merges that entry's hint into the
-running best once per chain.  It stops at the first chain whose ceiling
-is strictly below the best priority found so far: no rule there can
-win.  The cut is strict because ``best_rule`` breaks priority ties by
-rule id, so a chain whose ceiling equals the best priority may still
-hold the winner.  Probe counts therefore depend on the rule priorities,
-not only on the masks.  The tc classifier passes its chain list, which
-it keeps in ceiling order, ETC the chain list behind each head entry a
-key hits, and ``Chain.lookup`` the chain alone.
+``search(chains, key)`` is tc's lookup loop.  It takes chains, highest
+ceiling first, walks each one's tree inline from ``Chain.root``, keeps
+the deepest hit's entry and merges that entry's hint into the running
+best once per chain.  It stops at the first chain whose ceiling is
+strictly below the best priority found so far: no rule there can win.
+The cut is strict because ``best_rule`` breaks priority ties by rule
+id, so a chain whose ceiling equals the best priority may still hold
+the winner.  Probe counts therefore depend on the rule priorities, not
+only on the masks.  The tc classifier passes its chain list, which it
+keeps in ceiling order, and ``Chain.lookup`` the chain alone.
+``EtcClassifier.lookup`` walks the chain list behind each head entry a
+key hits with a copy of this loop, over one running best for all its
+groups: a call per hit head entry cost it about an eighth of its
+lookup time on acl-wide.
 """
 
 from __future__ import annotations
@@ -113,11 +116,11 @@ def _hand_over(owners: Iterable[Entry], k: Entry | None,
     return made
 
 
-def search(chains: Iterable[Chain], key: int,
-           best: Rule | None = None) -> tuple[Rule | None, int]:
-    """Best rule for ``key`` over ``best`` and ``chains``, which run
-    highest ceiling first, and the probes spent."""
-    floor = MISS_PRIORITY if best is None else best.priority
+def search(chains: Iterable[Chain], key: int) -> tuple[Rule | None, int]:
+    """Best rule for ``key`` over ``chains``, which run highest ceiling
+    first, and the probes spent."""
+    best = None
+    floor = MISS_PRIORITY
     probes = 0
     for c in chains:
         if c.top < floor:
@@ -283,7 +286,9 @@ class Chain:
         """Remove r if present; True on deletion.  The caller is
         responsible for dropping the tuple when its table empties."""
         e = t.table.get(r.fields)
-        if e is None or e.rule != r:
+        # the stored rule is almost always r itself: skip the field-wise
+        # dataclass compare then
+        if e is None or (e.rule is not r and e.rule != r):
             return False
         if e.owners is None:
             delete_marker(e, t.prev, self.touches)

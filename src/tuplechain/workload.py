@@ -27,7 +27,7 @@ import re
 import zlib
 from dataclasses import dataclass
 
-from .model import FieldSchema, Rule
+from .model import FieldSchema, Rule, SchemaError
 
 CLASSBENCH_SCHEMA = FieldSchema((32, 32, 16, 16, 8))
 
@@ -195,15 +195,26 @@ def _read_with_header(path, convert):
 
 
 def _parse_rule_tokens(schema, toks) -> tuple[int, int]:
-    """Packed (fields, mask) of d ``hexvalue/hexmask`` tokens."""
-    values, masks = [], []
-    for tok in toks:
+    """Packed (fields, mask) of d ``hexvalue/hexmask`` tokens, in one
+    pass with ``FieldSchema.pack``'s checks."""
+    widths = schema.widths
+    if len(toks) != len(widths):
+        raise SchemaError(f"expected {len(widths)} fields, got {len(toks)}")
+    fields = mask = 0
+    for tok, w in zip(toks, widths):
         v, slash, m = tok.partition("/")
         if not slash:
             raise ValueError(f"bad token {tok!r}")
-        values.append(int(v, 16))
-        masks.append(int(m, 16))
-    return schema.pack(values), schema.pack(masks)
+        v = int(v, 16)
+        m = int(m, 16)
+        top = 1 << w
+        if not 0 <= v < top:
+            raise SchemaError(f"value {v:#x} does not fit {w} bits")
+        if not 0 <= m < top:
+            raise SchemaError(f"value {m:#x} does not fit {w} bits")
+        fields = (fields << w) | v
+        mask = (mask << w) | m
+    return fields, mask
 
 
 def parse_generic(path) -> RuleSetFile:

@@ -163,9 +163,19 @@ class TestTies:
             chains.append(chain)
         best, probes = search(chains, self.KEY)
         assert (best.rule_id, probes) == (1, 2)
-        # a running best that outranks both ceilings cuts every chain
-        first = Rule(0, 0, 6, 9)
-        assert search(chains, self.KEY, first) == (first, 0)
+
+    def test_earlier_group_cuts_both_equal_ceilings(self):
+        # a rule of the first group outranks the equal ceilings of both
+        # later groups, so their head probes are skipped
+        c = EtcClassifier(S, min_head_bits=4)
+        C = pk(0xF0, 0xF0)   # incomparable to A and B: a group of its own
+        first = Rule(self.KEY & C, C, 6, 9)
+        for r in [first] + self.rules(2, 1):
+            c.insert(r)
+        assert c.group_count == 3 and c.audit() == []
+        res = c.lookup(self.KEY)
+        assert (res.rule, res.probes) == (first, 2)
+        assert etc_walk(c, self.KEY)[:2] == (first, 2)
 
 
 def test_marker_hit_without_hint_does_not_move_the_floor():

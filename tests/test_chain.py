@@ -147,6 +147,22 @@ class TestRuleUpdates:
         c = new_chain(T1)
         assert not c.delete_rule(c.tuples[0], Rule(0, T1, 0, 9))
 
+    def test_delete_takes_an_equal_but_distinct_rule(self):
+        c = new_chain(T1, T2)
+        r = insert(c, T2, pk(0x40, 0xA0), 5, 0)
+        twin = Rule(r.fields, r.mask, r.priority, r.rule_id)
+        assert twin is not r
+        assert c.delete_rule(c.tuples[1], twin)
+        assert all(not t.table for t in c.tuples) and c.audit() == []
+
+    def test_delete_with_another_priority_removes_nothing(self):
+        c = new_chain(T1, T2)
+        r = insert(c, T2, pk(0x40, 0xA0), 5, 0)
+        other = Rule(r.fields, r.mask, 6, r.rule_id)
+        assert not c.delete_rule(c.tuples[1], other)
+        assert c.tuples[1].table[r.fields].rule is r
+        assert c.tuples[1].rule_count == 1 and c.audit() == []
+
     def test_delete_leaf_rule_removes_entry_and_trail(self):
         c = new_chain(T1, T2, T3)
         r = insert(c, T3, pk(0x40, 0xA8), 5, 0)

@@ -519,6 +519,18 @@ class TestAudit:
         assert c.audit() == [f"mask {pk(0xFC, 0xE0):#x}: route counts 0 of "
                              "0 stored rules"]
 
+    def test_kept_probe_bounds_are_checked(self):
+        c = self.two_groups()
+        grp = c.groups[0]
+        hkey, he = next(iter(grp.head.items()))
+        top, local = grp.bound, he.bound
+        grp.bound += 1
+        he.bound += 1
+        assert c.audit() == [
+            f"group 0: kept probe bound {top + 1}, computed {top}",
+            f"group 0, head {hkey:#x}: kept probe bound {local + 1}, "
+            f"computed {local}"]
+
     def test_stale_head_entry_chains_are_flagged(self):
         c = self.two_groups()
         he = c.groups[0].head[pk(0x00, 0x80)]

@@ -1,6 +1,8 @@
 """Stateful differential test: tc, etc and tss driven next to the linear
 oracle through random builds, inserts, removals, mask drains, lookups
 and fresh tc builds, with every classifier audited after every step.
+Every lookup also pins tc's and ETC's rule and probe count to the
+reference walks in ``pruned`` and ETC's kept probe bound to a fresh sum.
 
 The mask pool is nested (each mask contains the one before it), so a
 mask inserted while others of the pool are live splices into the middle
@@ -18,6 +20,8 @@ from tuplechain.chain import DuplicateRuleError
 from tuplechain.classifier import TupleChainClassifier
 from tuplechain.etc import EtcClassifier
 from tuplechain.model import FieldSchema, Rule
+
+from pruned import ceiling_walk, etc_walk
 
 S = FieldSchema((8, 8))
 
@@ -101,6 +105,16 @@ class Differential(RuleBasedStateMachine):
             res = c.lookup(key)
             assert res.rule == want, (name, key)
             assert res.probes <= c.probe_bound(), (name, key)
+        # tc's search and ETC's inlined walk against the reference walks,
+        # probe counts included, and ETC's kept bound against a fresh sum
+        tc, etc = self.clfs["tc"], self.clfs["etc"]
+        res = tc.lookup(key)
+        assert (res.rule, res.probes) == ceiling_walk(tc.chains, key)[:2], key
+        res = etc.lookup(key)
+        assert (res.rule, res.probes) == etc_walk(etc, key)[:2], key
+        assert etc.probe_bound() == sum(
+            1 + max(he.local.probe_bound() for he in g.head.values())
+            for g in etc.groups)
 
     @rule(key=KEYS)
     def lookup(self, key):

@@ -14,6 +14,7 @@ from tuplechain.workload import (CLASSBENCH_SCHEMA, ParseError, TupleProfile,
                                  parse_trace, parse_updates,
                                  range_to_prefixes, write_generic,
                                  write_trace, write_updates)
+from tuplechain.workload import _parse_rule_tokens
 
 S = FieldSchema((8, 8))
 
@@ -224,14 +225,38 @@ class TestGenericFormat:
         (parse_generic, b"fields: 2\nwidths: 8 0\n", 2),
         (parse_generic, b"fields: 2\nwidths: 8 8\n10/f0 0/0 9/1 5\n", 3),
         (parse_generic, b"fields: 2\nwidths: 8 8\n\xff0/f0 0/0 5\n", 3),
+        (parse_generic, b"fields: 2\nwidths: 8 8\n10/f0 100/0 5\n", 3),
+        (parse_updates, b"fields: 2\nwidths: 8 8\ni 10/f0 0/1ff 5 0\n", 3),
     ], ids=["priority", "update-id", "field-count", "width", "token-count",
-            "undecodable"])
+            "undecodable", "value-too-wide", "mask-too-wide"])
     def test_bad_value_is_a_parse_error(self, tmp_path, parse, text, lineno):
         p = tmp_path / "bad.txt"
         p.write_bytes(text)
         with pytest.raises(ParseError) as ei:
             parse(p)
         assert ei.value.lineno == lineno
+
+    @given(st.lists(st.tuples(st.integers(1, 12), st.integers(-2, 1 << 13),
+                              st.integers(-2, 1 << 13)), min_size=1,
+                    max_size=4),
+           st.integers(-1, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_tokens_pack_as_schema_pack_does(self, fields, extra):
+        # one pass over the tokens must give what two FieldSchema.pack
+        # calls give, and raise where either of them raises; ``extra``
+        # drops the last token or adds one
+        schema = FieldSchema(tuple(w for w, _, _ in fields))
+        toks = [f"{v:x}/{m:x}" for _, v, m in fields]
+        toks = toks[:-1] if extra < 0 else toks + ["0/0"] * extra
+        values = [int(t.partition("/")[0], 16) for t in toks]
+        masks = [int(t.partition("/")[2], 16) for t in toks]
+        try:
+            want = schema.pack(values), schema.pack(masks)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _parse_rule_tokens(schema, toks)
+        else:
+            assert _parse_rule_tokens(schema, toks) == want
 
     def test_comment_after_header_value(self, tmp_path):
         p = tmp_path / "r.rules"
