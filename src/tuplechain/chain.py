@@ -30,6 +30,9 @@ fresh tuple in at the position ``can_host`` found, in one pass over the
 predecessor's entries: each hands its whole owner set over to fresh
 markers in the new tuple, which take its hint.  So a splice walks no
 marker trail, removes no owner from a list and does no hint work.
+A fresh build stores its rules with ``fill``, head tuple first, where no
+entry has owners yet; it is ``insert_rule``'s step written out without
+the hint reporting, one call per chain in place of several per rule.
 
 Each chain keeps a priority ceiling, ``Chain.top``: an upper bound on the
 priority of every rule it holds.  ``insert_rule`` raises it; a delete
@@ -281,6 +284,80 @@ class Chain:
         e.hint = best_rule(r, k.hint if k is not None else None)
         report_hint(e, self.touches)
         t.rule_count += 1
+
+    def fill(self, by_mask: dict[int, list[Rule]]) -> None:
+        """Store ``by_mask[t.mask]`` in each tuple t, head tuple first;
+        every tuple must be empty.  Each rule's end state is what
+        ``insert_rule`` gives in the same order.
+
+        This is ``insert_rule``'s step written out for that order.
+        While a tuple fills, its successors are still empty, so no entry
+        of it is a marker: a rule's key is new unless a rule holds it,
+        and its fresh entry has no owners to report its hint to.  Each
+        rule makes its entry, then walks its marker trail as
+        ``leave_marker`` does (one ``touches.marker`` per probe), and
+        takes the hint of the first entry the trail found.
+        """
+        if any(t.table for t in self.tuples):
+            raise ChainError("fill needs empty tuples")
+        touched = 0
+        top = self.top
+        for t in self.tuples:
+            table = t.table
+            rules = by_mask[t.mask]
+            for r in rules:
+                if r.mask != t.mask:
+                    raise ChainError("rule mask does not match tuple mask")
+                key = r.fields
+                if key in table:
+                    raise DuplicateRuleError(
+                        f"entry {key:#x} already holds rule "
+                        f"{table[key].rule.rule_id}")
+                e = table[key] = Entry(key)
+                e.rule = r
+                if r.priority > top:
+                    top = r.priority
+                # leave_marker's trail: fresh markers down to the first
+                # existing entry k, or to the head
+                cur = e
+                p = t.prev
+                below = None
+                while p is not None:
+                    mkey = cur.key & p.mask
+                    k = p.table.get(mkey)
+                    touched += 1
+                    if k is None:
+                        k = p.table[mkey] = Entry(mkey)
+                        k.owners = cur
+                        cur.marker = k
+                        cur, p = k, p.prev
+                        continue
+                    own = k.owners
+                    if own is None:
+                        k.owners = cur
+                    elif own.__class__ is Entry:
+                        k.owners = [own, cur]
+                    else:
+                        own.append(cur)
+                    cur.marker = k
+                    below = k.hint
+                    if below is not None:
+                        # the fresh markers hold no rule: they take k's
+                        m = e.marker
+                        while m is not k:
+                            m.hint = below
+                            m = m.marker
+                    break
+                # best_rule(r, below), inlined
+                if below is None or r.priority > below.priority or (
+                        r.priority == below.priority
+                        and r.rule_id <= below.rule_id):
+                    e.hint = r
+                else:
+                    e.hint = below
+            t.rule_count += len(rules)
+        self.top = top
+        self.touches.marker += touched
 
     def delete_rule(self, t: TupleTable, r: Rule) -> bool:
         """Remove r if present; True on deletion.  The caller is

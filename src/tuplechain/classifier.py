@@ -9,8 +9,9 @@ checks each rule once and keeps the only id set.
 
 Construction paths:
   * ``fill`` (behind ``build``) computes a minimum path cover over the
-    masks and lays the chains out optimally, inserting rules
-    head-tuple-first so hint reporting is amortized.
+    masks, lays the chains out optimally and fills each with
+    ``Chain.fill``, head tuple first, so no stored rule has owners yet
+    to report its hint to.
   * incremental ``add`` places a brand-new tuple in the first chain, in
     search order, that can host its mask, at the position
     ``Chain.can_host`` found there.
@@ -101,12 +102,8 @@ class ChainSet:
             self.chains.append(chain)
             for t in chain.tuples:
                 self.registry[t.mask] = (chain, t)
-        # Head-first insertion keeps hint reporting cheap: a rule landing
-        # in a tuple propagates only to owners inserted later.
         for chain in self.chains:
-            for t in chain.tuples:
-                for r in by_mask[t.mask]:
-                    chain.insert_rule(t, r)
+            chain.fill(by_mask)
         # stable: chains with equal ceilings keep cover order
         self.chains.sort(key=_TOP, reverse=True)
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .model import mask_less_than
-
 
 class GraphError(ValueError):
     pass
@@ -46,10 +44,11 @@ class PathCover:
 def build_graph(masks: list[int]) -> TupleGraph:
     if len(set(masks)) != len(masks):
         raise GraphError("duplicate masks")
+    # mask_less_than(a, b), inlined: it runs once per pair of masks, and
+    # the masks are distinct, so a != b leaves out the pair (a, a)
     adj = tuple(
-        tuple(j for j, b in enumerate(masks)
-              if i != j and mask_less_than(a, b))
-        for i, a in enumerate(masks))
+        tuple([j for j, b in enumerate(masks) if a & b == a and a != b])
+        for a in masks)
     return TupleGraph(tuple(masks), adj)
 
 

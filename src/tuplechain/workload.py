@@ -140,11 +140,22 @@ def _classbench_blocks(line) -> list[tuple[int, int]]:
     sip, dip = _ip_to_int(sip) & smask, _ip_to_int(dip) & dmask
     pmask = int(pmask, 0)
     proto = int(proto, 0) & pmask
-    pack = CLASSBENCH_SCHEMA.pack
-    return [(pack((sip, dip, sv, dv, proto)),
-             pack((smask, dmask, sm, dm, pmask)))
-            for sv, sm in range_to_prefixes(int(slo), int(shi), 16)
-            for dv, dm in range_to_prefixes(int(dlo), int(dhi), 16)]
+    sports = range_to_prefixes(int(slo), int(shi), 16)
+    dports = [(v << 8, m << 8)
+              for v, m in range_to_prefixes(int(dlo), int(dhi), 16)]
+    # Packed as CLASSBENCH_SCHEMA.pack would, with the one check of its
+    # that can fail here: every other field is range-checked above.
+    for v in (proto, pmask):
+        if v >= 1 << 8:
+            raise SchemaError(f"value {v:#x} does not fit 8 bits")
+    # source 32 | destination 32 | source port 16 | dest port 16 | proto 8
+    fields = (sip << 72) | (dip << 40) | proto
+    mask = (smask << 72) | (dmask << 40) | pmask
+    out = []
+    for sv, sm in sports:
+        f, m = fields | (sv << 24), mask | (sm << 24)
+        out += [(f | dv, m | dm) for dv, dm in dports]
+    return out
 
 
 def parse_classbench(path) -> RuleSetFile:

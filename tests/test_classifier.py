@@ -4,12 +4,13 @@ import pytest
 
 from tuplechain.baselines import (LinearClassifier, TssClassifier,
                                   linear_lookup)
-from tuplechain.chain import DuplicateRuleError
-from tuplechain.classifier import TupleChainClassifier
+from tuplechain.chain import Chain, ChainError, DuplicateRuleError
+from tuplechain.classifier import ChainSet, TupleChainClassifier
 from tuplechain.etc import EtcClassifier
-from tuplechain.graph import PathCover, build_graph
+from tuplechain.graph import PathCover, build_graph, min_path_cover
 from tuplechain.model import FieldSchema, Rule
 from tuplechain.tuple_store import Entry, TupleTable, owners_of
+from tuplechain.workload import TupleProfile, gen_rules
 
 from pruned import ceiling_walk
 
@@ -121,6 +122,19 @@ class TestUpdates:
         c.insert(Rule(0, 0, 1, 7))
         with pytest.raises(DuplicateRuleError):
             c.insert(Rule(1, 0xFF, 2, 7))
+
+    # two rules with the same fields and mask under different ids, at
+    # the head tuple or behind it, where the second one's key is taken
+    @pytest.mark.parametrize("cls", [TupleChainClassifier, EtcClassifier])
+    @pytest.mark.parametrize("mask", [MASKS[0], MASKS[2]],
+                             ids=["head", "behind"])
+    def test_build_rejects_a_duplicate_entry(self, cls, mask):
+        rules = [Rule(pk(0x80, 0x40), MASKS[0], 1, 0),
+                 Rule(pk(0x40, 0xA0), MASKS[1], 2, 1),
+                 Rule(pk(0x00, 0x14), MASKS[2], 3, 2)]
+        dup = next(r for r in rules if r.mask == mask)
+        with pytest.raises(DuplicateRuleError):
+            cls.build(S, rules + [Rule(dup.fields, mask, 9, 3)])
 
     # tss and linear hold no schema, so only tc and etc can reject a
     # rule too wide for it; every class rejects what is not a Rule
@@ -327,6 +341,69 @@ class TestSplice:
         assert c.audit() == []
         for key in range(0, 1 << 16, 7):
             assert c.lookup(key).rule is linear_lookup(rules, key).rule
+
+
+class TestFill:
+    """``ChainSet.fill`` writes ``Chain.insert_rule``'s step out for a
+    head-first fill; along the same cover it must build what calling
+    ``insert_rule`` per rule builds, touch counts included."""
+
+    @staticmethod
+    def state(chain):
+        return (chain.top, chain.touches.marker, chain.touches.hint,
+                shape(chain),
+                [(t.rule_count, list(t.table)) for t in chain.tuples])
+
+    def check(self, schema, rules):
+        by_mask = {}
+        for r in rules:
+            by_mask.setdefault(r.mask, []).append(r)
+        cover = min_path_cover(build_graph(list(by_mask)))
+        filled = ChainSet()
+        filled.fill(by_mask, cover)
+        got = {c.tuples[0].mask: self.state(c) for c in filled.chains}
+        want = {}
+        for path in cover.mask_paths():
+            c = Chain()
+            c.tuples = [TupleTable(m) for m in path]
+            c._relink()
+            for t in c.tuples:
+                for r in by_mask[t.mask]:
+                    c.insert_rule(t, r)
+            want[path[0]] = self.state(c)
+        assert got == want
+        c = TupleChainClassifier.build(schema, rules, cover)
+        assert c.audit() == []
+        return filled
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_rule_inserts(self, seed):
+        rng = random.Random(seed)
+        self.check(S, random_rules(rng, rng.randint(1, 200)))
+        self.check(S, random_rules(rng, 120, MASKS))
+        self.check(S, gen_rules(seed, 400, S, TupleProfile(
+            num_masks=24, num_chains=4, loose_masks=4)).rules)
+
+    def test_matches_per_rule_inserts_on_a_64_mask_chain(self):
+        # nested masks of the low 1..64 bits: a fresh key leaves a trail
+        # of markers that stops at the first existing entry, whose hint
+        # the markers take
+        schema = FieldSchema((64,))
+        rng = random.Random(7)
+        rules = []
+        for i in range(64):
+            m = (1 << (i + 1)) - 1
+            for f in {rng.getrandbits(64) & m for _ in range(12)}:
+                rules.append(Rule(f, m, rng.randrange(100), len(rules)))
+        filled = self.check(schema, rules)
+        (chain,) = filled.chains
+        assert chain.tuple_count == 64
+        assert chain.touches.marker > len(rules)
+        assert any(e.rule is None and e.hint is not None
+                   for t in chain.tuples for e in t.table.values())
+        # a second fill would find entries already there
+        with pytest.raises(ChainError):
+            chain.fill({t.mask: [] for t in chain.tuples})
 
 
 class TestOrderAudit:

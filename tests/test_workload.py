@@ -14,9 +14,31 @@ from tuplechain.workload import (CLASSBENCH_SCHEMA, ParseError, TupleProfile,
                                  parse_trace, parse_updates,
                                  range_to_prefixes, write_generic,
                                  write_trace, write_updates)
-from tuplechain.workload import _parse_rule_tokens
+from tuplechain.workload import (_CB_LINE, _classbench_blocks, _ip_to_int,
+                                 _parse_rule_tokens, _prefix_mask)
 
 S = FieldSchema((8, 8))
+
+
+def _dotted(ip):
+    return ".".join(str(ip >> s & 0xFF) for s in (24, 16, 8, 0))
+
+
+def _two_pack_blocks(line):
+    """A ClassBench filter's blocks, each packed by two
+    ``CLASSBENCH_SCHEMA.pack`` calls: the reference the one-pass packing
+    is checked against."""
+    sip, slen, dip, dlen, slo, shi, dlo, dhi, proto, pmask = \
+        _CB_LINE.match(line).groups()
+    smask, dmask = _prefix_mask(int(slen), 32), _prefix_mask(int(dlen), 32)
+    sip, dip = _ip_to_int(sip) & smask, _ip_to_int(dip) & dmask
+    pmask = int(pmask, 0)
+    proto = int(proto, 0) & pmask
+    pack = CLASSBENCH_SCHEMA.pack
+    return [(pack((sip, dip, sv, dv, proto)),
+             pack((smask, dmask, sm, dm, pmask)))
+            for sv, sm in range_to_prefixes(int(slo), int(shi), 16)
+            for dv, dm in range_to_prefixes(int(dlo), int(dhi), 16)]
 
 
 class TestRangeExpansion:
@@ -257,6 +279,30 @@ class TestGenericFormat:
                 _parse_rule_tokens(schema, toks)
         else:
             assert _parse_rule_tokens(schema, toks) == want
+
+    @given(st.lists(st.integers(0, (1 << 32) - 1), min_size=2, max_size=2),
+           st.lists(st.integers(0, 33), min_size=2, max_size=2),
+           st.lists(st.integers(0, (1 << 16) - 1), min_size=4, max_size=4),
+           st.integers(0, 0x3FF), st.integers(0, 0x3FF))
+    @settings(max_examples=300, deadline=None)
+    def test_classbench_blocks_pack_as_schema_pack_does(
+            self, ips, plens, ports, proto, pmask):
+        # one packing pass over each filter must give the blocks that two
+        # CLASSBENCH_SCHEMA.pack calls per block give, and raise the same
+        # error where they raise; prefix length 33, a reversed port range
+        # and a protocol or mask past 8 bits are bad values
+        sip, dip = ips
+        slo, shi, dlo, dhi = ports
+        line = (f"@{_dotted(sip)}/{plens[0]} {_dotted(dip)}/{plens[1]} "
+                f"{slo} : {shi} {dlo} : {dhi} {proto:#x}/{pmask:#x}")
+        try:
+            want = _two_pack_blocks(line)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _classbench_blocks(line)
+            assert str(got.value) == str(exc)
+        else:
+            assert _classbench_blocks(line) == want
 
     def test_comment_after_header_value(self, tmp_path):
         p = tmp_path / "r.rules"
