@@ -1,7 +1,9 @@
 """The chained-tuple classifier: a chain set under a checking front.
 
-``ChainSet`` is the structure: ``chains``, ``registry`` and the
-operations that keep them, on rules the caller has already checked.
+``ChainSet`` is the structure: ``chains``, ``registry``, ``bound`` (the
+sum of the chains' ``probe_bound()``, kept by the updates that add or
+drop a tuple) and the operations that keep them, on rules the caller
+has already checked.
 ``TupleChainClassifier`` is a chain set with a schema and the set of
 stored rule ids, and checks every rule against both before it stores
 it.  ETC head entries hold bare chain sets: their ``EtcClassifier``
@@ -73,13 +75,14 @@ def check_rule(schema: FieldSchema, r: Rule, rule_ids: set[int]) -> None:
 class ChainSet:
     """Chains and the mask registry, over rules checked by the caller."""
 
-    __slots__ = ("chains", "registry")
+    __slots__ = ("chains", "registry", "bound")
 
     def __init__(self):
         # highest ceiling first: the order lookup searches them in
         self.chains: list[Chain] = []
         # mask -> (chain, tuple); at most one live tuple per mask
         self.registry: dict[int, tuple[Chain, TupleTable]] = {}
+        self.bound = 0
 
     # -- construction ------------------------------------------------
 
@@ -104,6 +107,7 @@ class ChainSet:
                 self.registry[t.mask] = (chain, t)
         for chain in self.chains:
             chain.fill(by_mask)
+        self.bound = sum(c.probe_bound() for c in self.chains)
         # stable: chains with equal ceilings keep cover order
         self.chains.sort(key=_TOP, reverse=True)
 
@@ -115,7 +119,7 @@ class ChainSet:
 
     def probe_bound(self) -> int:
         """Per-lookup probe ceiling: sum of binary-search bounds."""
-        return sum(c.probe_bound() for c in self.chains)
+        return self.bound
 
     def probe_bound_closed_form(self) -> float:
         m = sum(c.tuple_count for c in self.chains)
@@ -130,7 +134,9 @@ class ChainSet:
         if hit is None:
             t = TupleTable(r.mask)
             chain, at = self._pick_chain(t.mask)
+            height = chain.probe_bound()
             chain.insert_tuple(t, at)
+            self.bound += chain.probe_bound() - height
             self.registry[r.mask] = (chain, t)
         else:
             chain, t = hit
@@ -156,9 +162,11 @@ class ChainSet:
             # carries markers for a live successor, so dropping every
             # emptied tuple is safe.
             emptied = [x for x in chain.tuples if not x.table]
+            height = chain.probe_bound()
             for tup in emptied:
                 chain.remove_tuple(tup)
                 del self.registry[tup.mask]
+            self.bound -= height - chain.probe_bound()
             if not chain.tuples:
                 self.chains.remove(chain)
         return True
@@ -229,6 +237,9 @@ class ChainSet:
         live = {t.mask for c in self.chains for t in c.tuples}
         for mask in live - self.registry.keys():
             out.append(f"tuple {mask:#x} not registered")
+        want = sum(c.probe_bound() for c in self.chains)
+        if self.bound != want:
+            out.append(f"kept probe bound {self.bound}, computed {want}")
         return out
 
 

@@ -101,9 +101,18 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    schema = FieldSchema(tuple(args.widths))
-    profile = TupleProfile(num_masks=args.masks, num_chains=args.chains,
-                           loose_masks=args.loose_masks)
+    # check every option before writing; the try holds only the checks
+    try:
+        schema = FieldSchema(tuple(args.widths))   # SchemaError: ValueError
+        profile = TupleProfile(num_masks=args.masks, num_chains=args.chains,
+                               loose_masks=args.loose_masks)
+        for flag, share in (("--hit-ratio", args.hit_ratio),
+                            ("--insert-ratio", args.insert_ratio)):
+            if not 0.0 <= share <= 1.0:
+                raise ValueError(f"{flag} {share} is not in [0, 1]")
+    except ValueError as exc:
+        print(f"tuplechain: gen: {exc}", file=sys.stderr)
+        return 2
     rs = gen_rules(args.seed, args.count, schema, profile)
     write_generic(rs.rules, schema, args.rules)
     if args.trace:

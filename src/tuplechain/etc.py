@@ -22,9 +22,9 @@ Probe counts depend on rule priorities.  Routing a fresh mask breaks
 ties between groups by list position, which is creation order, and a
 mask has a route only while it holds rules.
 
-``probe_bound`` reads kept values: each head entry keeps its local
-bound and each group the largest of them, so ``bench`` can check every
-update's probes against the bound without walking every chain.
+``probe_bound`` reads kept values, each head entry's ``local.bound`` and
+each group's largest, so ``bench`` can check every update's probes
+against the bound without walking every chain.
 """
 
 from __future__ import annotations
@@ -117,22 +117,20 @@ class _HeadEntry:
     """One head-tuple entry, kept only under its key in ``_Group.head``.
     ``chains`` is ``local.chains`` itself, the local chain set's chain
     list in its search order, which that set reorders in place; a
-    lookup walks it directly.  ``bound`` is ``local.probe_bound()``,
-    kept by the updates that add or drop a tuple."""
+    lookup walks it directly.  The entry's probe bound is ``local.bound``."""
 
-    __slots__ = ("local", "chains", "bound")
+    __slots__ = ("local", "chains")
 
     def __init__(self, local: ChainSet):
         self.local = local
         self.chains = local.chains
-        self.bound = local.probe_bound()
 
 
 class _Group:
     """A head mask and its entries.  Which masks the group serves is
     recorded only in ``EtcClassifier._mask_to_group``.  ``top`` bounds
     the priority of every rule behind the head, and ``bound`` is the
-    largest local bound of its head entries."""
+    largest ``local.bound`` of its head entries."""
 
     __slots__ = ("head_mask", "head", "top", "bound")
 
@@ -191,7 +189,7 @@ class EtcClassifier:
                 local.fill(by_mask)
                 he = grp.head[hkey] = _HeadEntry(local)
                 grp.top = max(grp.top, he.chains[0].top)
-                grp.bound = max(grp.bound, he.bound)
+                grp.bound = max(grp.bound, local.bound)
         return self
 
     def _new_group(self, head_mask: int) -> _Group:
@@ -266,17 +264,8 @@ class EtcClassifier:
         if he is None:
             he = grp.head[hkey] = _HeadEntry(ChainSet())
         local = he.local
-        fresh = r.mask not in local.registry
         local.add(r)   # r passed check_rule above
-        if fresh:
-            # only the new tuple's chain grew, perhaps from nothing; its
-            # bound, n.bit_length() for n tuples, rises when n reaches a
-            # power of two
-            n = local.registry[r.mask][0].tuple_count
-            if not n & (n - 1):
-                he.bound += 1
-                if he.bound > grp.bound:
-                    grp.bound = he.bound
+        grp.bound = max(grp.bound, local.bound)
         self._mask_to_group[r.mask][1] += 1
         self.rule_ids.add(r.rule_id)
         grp.top = max(grp.top, r.priority)
@@ -291,30 +280,22 @@ class EtcClassifier:
         if he is None:
             return False
         local = he.local
-        hit = local.registry.get(r.mask)
-        if hit is None:
-            return False
-        # discard drops tuples from r's chain alone, and the chain once
-        # it empties, so that chain's bound is all that can fall
-        chain = hit[0]
-        height = chain.probe_bound()
+        height = local.bound
         if not local.discard(r):
             return False
         self.rule_ids.discard(r.rule_id)
         route[1] -= 1
         if not route[1]:
             del self._mask_to_group[r.mask]
-        lost = height - chain.probe_bound()
-        if lost:
-            he.bound -= lost
+        if local.bound < height:
             if not local.chains:
                 del grp.head[hkey]
             if not grp.head:
                 # every mask of the group has lost its route already
                 self.groups.remove(grp)
-            elif he.bound + lost == grp.bound:
+            elif height == grp.bound:
                 # this entry held the group's bound; another may too
-                grp.bound = max(h.bound for h in grp.head.values())
+                grp.bound = max(h.local.bound for h in grp.head.values())
         return True
 
     # -- auditing ----------------------------------------------------
@@ -338,11 +319,11 @@ class EtcClassifier:
         for gi, grp in enumerate(self.groups):
             if not grp.head:
                 out.append(f"group {gi}: holds no head entries")
-            want = max((he.local.probe_bound() for he in grp.head.values()),
+            want = max((he.local.bound for he in grp.head.values()),
                        default=0)
             if grp.bound != want:
                 out.append(f"group {gi}: kept probe bound {grp.bound}, "
-                           f"computed {want}")
+                           f"largest local {want}")
             for hkey, he in grp.head.items():
                 if hkey & grp.head_mask != hkey:
                     out.append(f"group {gi}: head key {hkey:#x} "
@@ -350,10 +331,6 @@ class EtcClassifier:
                 if he.chains is not he.local.chains:
                     out.append(f"group {gi}, head {hkey:#x}: chains are "
                                "not the local chain set's")
-                want = he.local.probe_bound()
-                if he.bound != want:
-                    out.append(f"group {gi}, head {hkey:#x}: kept probe "
-                               f"bound {he.bound}, computed {want}")
                 if he.chains and he.chains[0].top > grp.top:
                     out.append(f"group {gi}, head {hkey:#x}: local "
                                f"ceiling above the group's {grp.top}")

@@ -317,7 +317,8 @@ class TupleProfile:
     def __post_init__(self):
         chained = self.num_masks - self.loose_masks
         if chained < self.num_chains or self.num_chains < 1:
-            raise ValueError("profile needs at least one mask per chain")
+            raise ValueError(f"{chained} chained masks make 1 to {chained} "
+                             f"chains, not {self.num_chains}")
 
     def chain_sizes(self) -> list[int]:
         chained = self.num_masks - self.loose_masks

@@ -289,6 +289,22 @@ class TestCli:
         assert (d["groups"] > 0) == (algo == "etc")
         assert (d["chains"] > 0) == (algo in ("tc", "etc"))
 
+    @pytest.mark.parametrize("opts,why", [
+        (["--masks", "2", "--chains", "8"], "1 to 2 chains, not 8"),
+        (["--widths", "0"], "field width 0 out of range"),
+        (["--hit-ratio", "2"], "--hit-ratio 2.0 is not in [0, 1]")],
+        ids=["profile", "widths", "hit-ratio"])
+    def test_gen_rejects_bad_options_before_writing(self, tmp_path, capsys,
+                                                    opts, why):
+        out = [tmp_path / n for n in ("r.rules", "t.trace", "u.updates")]
+        rc = main(["gen", "--rules", str(out[0]), "--trace", str(out[1]),
+                   "--updates", str(out[2]), *opts])
+        assert rc != 0
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith("tuplechain: gen: ") and why in err
+        assert not any(p.exists() for p in out)
+
     def test_missing_trace_fails(self, files):
         rules, _, _ = files
         with pytest.raises(SystemExit):

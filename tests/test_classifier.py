@@ -325,6 +325,7 @@ class TestSplice:
         before = chain.touches.marker
         t = TupleTable(fresh)
         assert chain.can_host(fresh) == at
+        height = chain.probe_bound()
         chain.insert_tuple(t, at)
         # One touch per marker link the splice writes: each successor
         # entry re-anchored on a marker in t, and each fresh marker in t
@@ -332,6 +333,7 @@ class TestSplice:
         assert chain.touches.marker - before == \
             succ + (len(t.table) if at else 0)
         c.registry[fresh] = (chain, t)
+        c.bound += chain.probe_bound() - height
         for r in rules:
             if r.mask == fresh:
                 c.insert(r)
@@ -414,6 +416,14 @@ class TestOrderAudit:
         assert c.chains[0].top > c.chains[1].top
         c.chains.reverse()
         assert c.audit() == ["chains out of ceiling order"]
+
+    def test_kept_probe_bound_is_checked(self):
+        c = TupleChainClassifier.build(S, random_rules(random.Random(3),
+                                                       60, MASKS))
+        want = sum(ch.probe_bound() for ch in c.chains)
+        assert c.probe_bound() == want
+        c.bound += 1
+        assert c.audit() == [f"kept probe bound {want + 1}, computed {want}"]
 
 
 class TestStats:

@@ -271,7 +271,8 @@ class TestLookup:
     def test_probe_bound_sums_worst_local_bound_per_group(self):
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
         assert c.probe_bound() == sum(
-            1 + max(he.local.probe_bound() for he in g.head.values())
+            1 + max(sum(ch.probe_bound() for ch in he.local.chains)
+                    for he in g.head.values())
             for g in c.groups)
         rng = random.Random(51)
         pool = [rng.getrandbits(16) | 0x8000 for _ in range(10)]
@@ -374,6 +375,48 @@ class TestUpdates:
         for _ in range(300):
             key = rng.getrandbits(16)
             assert c.lookup(key).rule is linear_lookup(live, key).rule
+
+    @pytest.mark.parametrize("neighbour", [False, True])
+    def test_one_remove_empties_a_whole_chain(self, neighbour):
+        # three nested masks, none comparable with ``off``; the last
+        # rule's marker trail runs through the first two rules' entries,
+        # so once those rules go, removing it empties all three tuples
+        a, b, c3, off = pk(0xF0, 0), pk(0xFF, 0), pk(0xFF, 0xF0), pk(0, 0x0F)
+        base = [Rule(pk(0, 0x05), off, 5, 1)]
+        trail = [Rule(pk(0xA0, 0), a, 1, 10), Rule(pk(0xAB, 0), b, 2, 11),
+                 Rule(pk(0xAB, 0x50), c3, 3, 12)]
+        tc = TupleChainClassifier.build(S, base)
+        e = EtcClassifier.build(S, base)
+        # a second head entry in the trail's group, under another key
+        extra = [Rule(pk(0x50, 0), a, 4, 2)] if neighbour else []
+        for r in extra:
+            e.insert(r)
+        for r in trail:
+            tc.insert(r)
+            e.insert(r)
+        for r in trail[:2]:
+            assert tc.remove(r) and e.remove(r)
+        (chain,) = [ch for ch in tc.chains if ch.tuples[0].mask == a]
+        assert [t.rule_count for t in chain.tuples] == [0, 0, 1]
+        grp = e._mask_to_group[c3][0]
+        he = grp.head[pk(0xA0, 0)]
+        assert [t.rule_count for t in he.chains[0].tuples] == [0, 0, 1]
+        assert tc.probe_bound() == 1 + 2 and grp.bound == he.local.bound == 2
+        assert tc.remove(trail[2]) and e.remove(trail[2])
+        assert chain not in tc.chains and set(tc.registry) == {off}
+        assert pk(0xA0, 0) not in grp.head
+        assert (grp in e.groups) == neighbour
+        for clf, live in ((tc, base), (e, base + extra)):
+            assert clf.audit() == []
+            assert clf.probe_bound() == \
+                type(clf).build(S, live).probe_bound()
+        assert tc.probe_bound() == sum(ch.probe_bound() for ch in tc.chains)
+        assert e.probe_bound() == sum(
+            1 + max(sum(ch.probe_bound() for ch in h.local.chains)
+                    for h in g.head.values())
+            for g in e.groups)
+        if neighbour:
+            assert grp.bound == 1
 
     def test_route_lives_as_long_as_its_mask_holds_rules(self):
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
@@ -522,14 +565,18 @@ class TestAudit:
     def test_kept_probe_bounds_are_checked(self):
         c = self.two_groups()
         grp = c.groups[0]
-        hkey, he = next(iter(grp.head.items()))
-        top, local = grp.bound, he.bound
+        (hkey, he), = grp.head.items()
+        top = grp.bound
+        group = f"group 0: kept probe bound {top}, largest local {top + 1}"
+        entry = (f"group 0, head {hkey:#x}: kept probe bound {top + 1}, "
+                 f"computed {top}")
+        he.local.bound += 1
+        assert c.audit() == [group, entry]
         grp.bound += 1
-        he.bound += 1
-        assert c.audit() == [
-            f"group 0: kept probe bound {top + 1}, computed {top}",
-            f"group 0, head {hkey:#x}: kept probe bound {local + 1}, "
-            f"computed {local}"]
+        assert c.audit() == [entry]
+        he.local.bound -= 1
+        assert c.audit() == [f"group 0: kept probe bound {top + 1}, "
+                             f"largest local {top}"]
 
     def test_stale_head_entry_chains_are_flagged(self):
         c = self.two_groups()

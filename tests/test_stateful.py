@@ -106,14 +106,17 @@ class Differential(RuleBasedStateMachine):
             assert res.rule == want, (name, key)
             assert res.probes <= c.probe_bound(), (name, key)
         # tc's search and ETC's inlined walk against the reference walks,
-        # probe counts included, and ETC's kept bound against a fresh sum
+        # probe counts included, and both kept bounds against sums taken
+        # from the chains
         tc, etc = self.clfs["tc"], self.clfs["etc"]
         res = tc.lookup(key)
         assert (res.rule, res.probes) == ceiling_walk(tc.chains, key)[:2], key
         res = etc.lookup(key)
         assert (res.rule, res.probes) == etc_walk(etc, key)[:2], key
+        assert tc.probe_bound() == sum(ch.probe_bound() for ch in tc.chains)
         assert etc.probe_bound() == sum(
-            1 + max(he.local.probe_bound() for he in g.head.values())
+            1 + max(sum(ch.probe_bound() for ch in he.local.chains)
+                    for he in g.head.values())
             for g in etc.groups)
 
     @rule(key=KEYS)
