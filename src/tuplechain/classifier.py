@@ -72,6 +72,15 @@ def check_rule(schema: FieldSchema, r: Rule, rule_ids: set[int]) -> None:
         raise ValueError(f"rule {r.rule_id} does not fit the schema")
 
 
+def cover_bound(masks) -> int:
+    """The ``bound`` that ``ChainSet.fill`` keeps over these distinct
+    masks, in this order, with nothing laid out: the sum, over the
+    paths of their minimum path cover, of ``Chain.probe_bound()`` for a
+    chain that long (``1 + floor(log2 m)`` for m tuples)."""
+    cover = min_path_cover(build_graph(list(masks)))
+    return sum(len(p).bit_length() for p in cover.paths)
+
+
 class ChainSet:
     """Chains and the mask registry, over rules checked by the caller."""
 

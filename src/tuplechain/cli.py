@@ -102,6 +102,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_gen(args) -> int:
     # check every option before writing; the try holds only the checks
+    # and the rule draw, which refuses masks the widths cannot hold
     try:
         schema = FieldSchema(tuple(args.widths))   # SchemaError: ValueError
         profile = TupleProfile(num_masks=args.masks, num_chains=args.chains,
@@ -110,10 +111,10 @@ def cmd_gen(args) -> int:
                             ("--insert-ratio", args.insert_ratio)):
             if not 0.0 <= share <= 1.0:
                 raise ValueError(f"{flag} {share} is not in [0, 1]")
+        rs = gen_rules(args.seed, args.count, schema, profile)
     except ValueError as exc:
         print(f"tuplechain: gen: {exc}", file=sys.stderr)
         return 2
-    rs = gen_rules(args.seed, args.count, schema, profile)
     write_generic(rs.rules, schema, args.rules)
     if args.trace:
         keys = gen_trace(rs.rules, args.seed + 1, args.trace_count,

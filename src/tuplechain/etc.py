@@ -7,6 +7,15 @@ rules colliding at that key; a head miss skips the whole group.  The
 chain sets keep no rule ids and check nothing: ``EtcClassifier`` checks
 each rule once, against its schema and its own id set, the only one.
 
+A head that cannot miss, whose rules hold every key its mask can form,
+filters nothing and only splits its group into copies of one chain
+layout.  A build folds every such group into one group with head mask
+0 and a single chain set, unless a cover over the group's own masks
+would have a higher probe bound than its head probe plus its largest
+local bound (see ``_plan_and_fill``).  Head mask 0 is contained in
+every mask, so while that group lives a fresh mask that contains no
+wider head joins its chain set and opens no group.
+
 Each group keeps a priority ceiling, ``_Group.top``, at least the local
 ceilings behind all its head entries.  ``groups`` runs in creation
 order: a build keeps the order ``group_chains`` plans, and an insert
@@ -32,7 +41,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .classifier import _PTR, ChainSet, StructureStats, check_rule
+from .classifier import (_PTR, ChainSet, StructureStats, check_rule,
+                         cover_bound)
 from .graph import PathCover, build_graph, min_path_cover
 from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule,
                     mask_less_than)
@@ -166,9 +176,22 @@ class EtcClassifier:
         for r in rules:
             check_rule(schema, r, self.rule_ids)
             self.rule_ids.add(r.rule_id)
+        self._plan_and_fill(rules)
+        return self
+
+    def _plan_and_fill(self, rules: list[Rule]) -> None:
+        """Plan groups over ``rules`` with ``group_chains``, append them
+        to ``groups`` in plan order and fill them.  The rules are
+        checked, in input order, and hold no route yet.
+
+        A planned group whose head cannot miss, one entry for every key
+        its head mask can form, filters nothing.  It joins the one
+        head-mask-0 group, placed where the first such plan was, unless
+        a single cover over its own masks would have a larger probe
+        bound than its head probe plus its largest local bound."""
         masks = sorted({r.mask for r in rules})
-        pc = min_path_cover(build_graph(masks))
-        plans = group_chains(pc, masks, min_head_bits)
+        plans = group_chains(min_path_cover(build_graph(masks)), masks,
+                             self.min_head_bits)
         # rules per group, in input order so each local fill sees its
         # masks in first-appearance order
         slot = {m: i for i, plan in enumerate(plans)
@@ -176,21 +199,37 @@ class EtcClassifier:
         by_group: list[list[Rule]] = [[] for _ in plans]
         for r in rules:
             by_group[slot[r.mask]].append(r)
+        # (head mask, head key -> mask -> rules) per group to make
+        layouts = []
+        folded: set[int] = set()
+        flat: dict[int, list[Rule]] = {}   # the head-mask-0 group's
         for plan, members in zip(plans, by_group):
-            grp = self._new_group(plan.head_mask)
-            # head key -> mask -> rules
             buckets: dict[int, dict[int, list[Rule]]] = {}
             for r in members:
-                self._mask_to_group.setdefault(r.mask, [grp, 0])[1] += 1
-                by_mask = buckets.setdefault(r.fields & grp.head_mask, {})
+                by_mask = buckets.setdefault(r.fields & plan.head_mask, {})
                 by_mask.setdefault(r.mask, []).append(r)
+            if len(buckets) == 1 << plan.head_mask.bit_count() and \
+                    cover_bound(dict.fromkeys(r.mask for r in members)) \
+                    <= 1 + max(map(cover_bound, buckets.values())):
+                if not folded:
+                    layouts.append((0, {0: flat}))
+                folded |= plan.member_masks
+            else:
+                layouts.append((plan.head_mask, buckets))
+        if folded:
+            for r in rules:
+                if r.mask in folded:
+                    flat.setdefault(r.mask, []).append(r)
+        for head_mask, buckets in layouts:
+            grp = self._new_group(head_mask)
             for hkey, by_mask in buckets.items():
+                for m, rs in by_mask.items():
+                    self._mask_to_group.setdefault(m, [grp, 0])[1] += len(rs)
                 local = ChainSet()
                 local.fill(by_mask)
                 he = grp.head[hkey] = _HeadEntry(local)
                 grp.top = max(grp.top, he.chains[0].top)
                 grp.bound = max(grp.bound, local.bound)
-        return self
 
     def _new_group(self, head_mask: int) -> _Group:
         grp = _Group(head_mask)

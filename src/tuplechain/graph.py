@@ -41,6 +41,12 @@ class PathCover:
         return [[self.graph.vertices[i] for i in p] for p in self.paths]
 
 
+@dataclass(frozen=True, slots=True)
+class _ContainmentGraph(TupleGraph):
+    """A graph ``build_graph`` made.  Its edges are strict containment,
+    a strict order, so it holds no cycle and needs no check for one."""
+
+
 def build_graph(masks: list[int]) -> TupleGraph:
     if len(set(masks)) != len(masks):
         raise GraphError("duplicate masks")
@@ -49,7 +55,7 @@ def build_graph(masks: list[int]) -> TupleGraph:
     adj = tuple(
         tuple([j for j, b in enumerate(masks) if a & b == a and a != b])
         for a in masks)
-    return TupleGraph(tuple(masks), adj)
+    return _ContainmentGraph(tuple(masks), adj)
 
 
 def _check_acyclic(g: TupleGraph) -> None:
@@ -141,7 +147,8 @@ def _hopcroft_karp(n: int, adj) -> list[int]:
 
 def min_path_cover(g: TupleGraph) -> PathCover:
     """Fewest vertex-disjoint paths covering all vertices of the DAG."""
-    _check_acyclic(g)
+    if not isinstance(g, _ContainmentGraph):
+        _check_acyclic(g)
     n = len(g.vertices)
     match_l = _hopcroft_karp(n, g.adj)
     has_pred = set(v for v in match_l if v != -1)

@@ -31,8 +31,11 @@ from .model import FieldSchema, Rule, SchemaError
 
 CLASSBENCH_SCHEMA = FieldSchema((32, 32, 16, 16, 8))
 
+# Each address is captured as its four octets, so it is read with the
+# line's other decimal fields.
 _CB_LINE = re.compile(
-    r"^@?(\d+\.\d+\.\d+\.\d+)/(\d+)\s+(\d+\.\d+\.\d+\.\d+)/(\d+)\s+"
+    r"^@?(\d+)\.(\d+)\.(\d+)\.(\d+)/(\d+)\s+"
+    r"(\d+)\.(\d+)\.(\d+)\.(\d+)/(\d+)\s+"
     r"(\d+)\s*:\s*(\d+)\s+(\d+)\s*:\s*(\d+)\s+"
     r"(0[xX][0-9a-fA-F]+|\d+)/(0[xX][0-9a-fA-F]+|\d+)")
 
@@ -85,14 +88,6 @@ def range_to_prefixes(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
     return out
 
 
-def _ip_to_int(s: str) -> int:
-    # _CB_LINE admits only four dot-separated digit runs
-    a, b, c, d = map(int, s.split("."))
-    if max(a, b, c, d) > 255:
-        raise ValueError(f"bad IPv4 address {s}")
-    return (a << 24) | (b << 16) | (c << 8) | d
-
-
 def _prefix_mask(plen: int, width: int) -> int:
     if not 0 <= plen <= width:
         raise ValueError(f"bad prefix length {plen}")
@@ -135,14 +130,20 @@ def _classbench_blocks(line) -> list[tuple[int, int]]:
     m = _CB_LINE.match(line)
     if m is None:
         raise ValueError(f"malformed filter: {line!r}")
-    sip, slen, dip, dlen, slo, shi, dlo, dhi, proto, pmask = m.groups()
-    smask, dmask = _prefix_mask(int(slen), 32), _prefix_mask(int(dlen), 32)
-    sip, dip = _ip_to_int(sip) & smask, _ip_to_int(dip) & dmask
+    *decimal, proto, pmask = m.groups()
+    s1, s2, s3, s4, slen, d1, d2, d3, d4, dlen, slo, shi, dlo, dhi = \
+        map(int, decimal)
+    smask, dmask = _prefix_mask(slen, 32), _prefix_mask(dlen, 32)
+    if s1 > 255 or s2 > 255 or s3 > 255 or s4 > 255:
+        raise ValueError(f"bad IPv4 address {line[m.start(1):m.end(4)]}")
+    if d1 > 255 or d2 > 255 or d3 > 255 or d4 > 255:
+        raise ValueError(f"bad IPv4 address {line[m.start(6):m.end(9)]}")
+    sip = ((s1 << 24) | (s2 << 16) | (s3 << 8) | s4) & smask
+    dip = ((d1 << 24) | (d2 << 16) | (d3 << 8) | d4) & dmask
     pmask = int(pmask, 0)
     proto = int(proto, 0) & pmask
-    sports = range_to_prefixes(int(slo), int(shi), 16)
-    dports = [(v << 8, m << 8)
-              for v, m in range_to_prefixes(int(dlo), int(dhi), 16)]
+    sports = range_to_prefixes(slo, shi, 16)
+    dports = [(v << 8, m << 8) for v, m in range_to_prefixes(dlo, dhi, 16)]
     # Packed as CLASSBENCH_SCHEMA.pack would, with the one check of its
     # that can fail here: every other field is range-checked above.
     for v in (proto, pmask):
@@ -315,6 +316,9 @@ class TupleProfile:
     mask_bit_prob: float = 0.35
 
     def __post_init__(self):
+        if self.loose_masks < 0:
+            raise ValueError(f"loose_masks must be >= 0, not "
+                             f"{self.loose_masks}")
         chained = self.num_masks - self.loose_masks
         if chained < self.num_chains or self.num_chains < 1:
             raise ValueError(f"{chained} chained masks make 1 to {chained} "
@@ -325,14 +329,6 @@ class TupleProfile:
         base, extra = divmod(chained, self.num_chains)
         return [base + (1 if i < extra else 0)
                 for i in range(self.num_chains)]
-
-    def expected_density(self) -> float:
-        """Containment-pair density implied by the chain layout."""
-        v = self.num_masks
-        if v < 2:
-            return 0.0
-        pairs = sum(s * (s - 1) // 2 for s in self.chain_sizes())
-        return pairs / (v * (v - 1) / 2)
 
 
 def _random_mask(rng, schema, bit_prob, min_bits=1, max_bits=None):
@@ -350,9 +346,18 @@ def _random_mask(rng, schema, bit_prob, min_bits=1, max_bits=None):
 
 def _gen_masks(rng, schema: FieldSchema, profile: TupleProfile) -> list[int]:
     w = schema.total_width
+    sizes = profile.chain_sizes()
+    # Masks are distinct and not 0, and each one in a chain holds at
+    # least one bit more than the one before it.
+    if max(sizes) > w:
+        raise ValueError(f"a chain of {max(sizes)} masks needs at least "
+                         f"{max(sizes)} key bits, not {w}")
+    if profile.num_masks >= 1 << w:
+        raise ValueError(f"{profile.num_masks} distinct masks do not fit "
+                         f"{w} key bits")
     masks: set[int] = set()
     out = []
-    for size in profile.chain_sizes():
+    for size in sizes:
         for _ in range(1000):
             # keep room for `size - 1` strict extensions
             base = _random_mask(rng, schema, profile.mask_bit_prob,
@@ -360,17 +365,20 @@ def _gen_masks(rng, schema: FieldSchema, profile: TupleProfile) -> list[int]:
             chain = [base]
             while len(chain) < size:
                 free = [b for b in range(w) if not chain[-1] >> b & 1]
+                if not free:
+                    break   # grown too fast: draw the chain again
                 grow = rng.sample(free, rng.randint(1, max(1, len(free) // 4)))
                 nxt = chain[-1]
                 for b in grow:
                     nxt |= 1 << b
                 chain.append(nxt)
-            if masks.isdisjoint(chain):
+            if len(chain) == size and masks.isdisjoint(chain):
                 masks.update(chain)
                 out.extend(chain)
                 break
         else:
-            raise RuntimeError("could not generate distinct mask chain")
+            raise ValueError(f"could not draw {size} distinct nested masks "
+                             f"in {w} key bits")
     for _ in range(profile.loose_masks):
         while True:
             m = _random_mask(rng, schema, profile.mask_bit_prob)
@@ -387,6 +395,10 @@ def gen_rules(seed: int, count: int, schema: FieldSchema,
     profile = profile or TupleProfile()
     rng = random.Random(seed)
     mask_list = _gen_masks(rng, schema, profile)
+    room = sum(1 << m.bit_count() for m in mask_list)
+    if count > room:
+        raise ValueError(f"{len(mask_list)} masks hold at most {room} "
+                         f"distinct rules, not {count}")
     weights = [1.0 / (i + 1) ** profile.rule_skew
                for i in range(len(mask_list))]
     total_w = sum(weights)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from tuplechain.model import FieldSchema, MatchResult, Rule
 from tuplechain.workload import (RuleSetFile, TupleProfile, UpdateStream,
                                  gen_rules, gen_trace, gen_updates)
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 S = FieldSchema((16, 16))
 PROFILE = TupleProfile(num_masks=12, num_chains=4)
 
@@ -292,17 +297,29 @@ class TestCli:
     @pytest.mark.parametrize("opts,why", [
         (["--masks", "2", "--chains", "8"], "1 to 2 chains, not 8"),
         (["--widths", "0"], "field width 0 out of range"),
-        (["--hit-ratio", "2"], "--hit-ratio 2.0 is not in [0, 1]")],
-        ids=["profile", "widths", "hit-ratio"])
-    def test_gen_rejects_bad_options_before_writing(self, tmp_path, capsys,
-                                                    opts, why):
+        (["--hit-ratio", "2"], "--hit-ratio 2.0 is not in [0, 1]"),
+        (["--widths", "1"], "a chain of 4 masks needs at least 4 key bits"),
+        (["--widths", "2", "--masks", "8", "--chains", "8"],
+         "8 distinct masks do not fit 2 key bits"),
+        (["--loose-masks", "-3"], "loose_masks must be >= 0, not -3")],
+        ids=["profile", "widths", "hit-ratio", "one-bit", "two-bits",
+             "loose"])
+    def test_gen_rejects_bad_options_before_writing(self, tmp_path, opts,
+                                                    why):
+        # in a child process under a timeout: a profile the widths
+        # cannot hold once made gen loop forever
         out = [tmp_path / n for n in ("r.rules", "t.trace", "u.updates")]
-        rc = main(["gen", "--rules", str(out[0]), "--trace", str(out[1]),
-                   "--updates", str(out[2]), *opts])
-        assert rc != 0
-        stdout, err = capsys.readouterr()
-        assert stdout == "" and err.count("\n") == 1
-        assert err.startswith("tuplechain: gen: ") and why in err
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tuplechain.cli", "gen", "--rules",
+             str(out[0]), "--trace", str(out[1]), "--updates", str(out[2]),
+             *opts], env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("tuplechain: gen: ")
+        assert why in proc.stderr
         assert not any(p.exists() for p in out)
 
     def test_missing_trace_fails(self, files):

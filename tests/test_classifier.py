@@ -5,7 +5,8 @@ import pytest
 from tuplechain.baselines import (LinearClassifier, TssClassifier,
                                   linear_lookup)
 from tuplechain.chain import Chain, ChainError, DuplicateRuleError
-from tuplechain.classifier import ChainSet, TupleChainClassifier
+from tuplechain.classifier import (ChainSet, TupleChainClassifier,
+                                   cover_bound)
 from tuplechain.etc import EtcClassifier
 from tuplechain.graph import PathCover, build_graph, min_path_cover
 from tuplechain.model import FieldSchema, Rule
@@ -363,6 +364,7 @@ class TestFill:
         cover = min_path_cover(build_graph(list(by_mask)))
         filled = ChainSet()
         filled.fill(by_mask, cover)
+        assert filled.bound == cover_bound(by_mask)
         got = {c.tuples[0].mask: self.state(c) for c in filled.chains}
         want = {}
         for path in cover.mask_paths():

@@ -9,7 +9,8 @@ import pytest
 from tuplechain import classifier, etc
 from tuplechain.baselines import linear_lookup
 from tuplechain.chain import DuplicateRuleError
-from tuplechain.classifier import ChainSet, TupleChainClassifier, check_rule
+from tuplechain.classifier import (ChainSet, TupleChainClassifier, check_rule,
+                                   cover_bound)
 from tuplechain.etc import (EtcClassifier, GroupPlan, _Group, _HeadEntry,
                             group_chains)
 from tuplechain.graph import build_graph, min_path_cover
@@ -251,11 +252,14 @@ class TestLookup:
         rules, seen = [], set()
         while len(rules) < 200:
             m = rng.choice(pool if len(rules) < 150 else pool + fresh)
-            f = rng.getrandbits(16) & m
+            # the top bit is set wherever the mask holds it, so no head
+            # can see every key its mask forms
+            f = (rng.getrandbits(16) | 0x8000) & m
             if (m, f) not in seen:
                 seen.add((m, f))
                 rules.append(Rule(f, m, rng.randrange(99), len(rules)))
         c = EtcClassifier.build(S, rules[:150], min_head_bits=3)
+        assert all(g.head_mask for g in c.groups)   # no head-mask-0 group
         bulk_groups = c.group_count
         for r in rules[150:]:
             c.insert(r)
@@ -491,6 +495,105 @@ class TestUpdates:
                     key = rng.getrandbits(16)
                     assert c.lookup(key).rule is \
                         linear_lookup(live, key).rule
+
+
+# A full head and one that can miss: FULL_MASKS nest under head 0x0300,
+# whose four keys all occur, and SPARSE_MASKS under head 0x00F0, whose
+# rules all set bit 0x0080.  With min_head_bits=3 the two chains do not
+# merge (their heads share no bit).
+FULL_MASKS = [pk(0x03, 0), pk(0x0F, 0), pk(0x3F, 0), pk(0xFF, 0)]
+SPARSE_MASKS = [pk(0, 0xF0), pk(0, 0xFC), pk(0, 0xFF)]
+
+
+def folding_rules(rng, masks, n, live):
+    taken = {(r.mask, r.fields) for r in live}
+    out = []
+    while len(out) < n:
+        m = rng.choice(masks)
+        f = (rng.getrandbits(16) | 0x0080) & m
+        if (m, f) not in taken:
+            taken.add((m, f))
+            out.append(Rule(f, m, rng.randrange(99), len(live) + len(out)))
+    return out
+
+
+class TestHeadMaskZeroGroup:
+    """Groups whose head cannot miss fold into one head-mask-0 group."""
+
+    @staticmethod
+    def build(seed):
+        rng = random.Random(seed)
+        rules = folding_rules(rng, FULL_MASKS + SPARSE_MASKS, 120, [])
+        c = EtcClassifier.build(S, rules, min_head_bits=3)
+        masks = sorted({r.mask for r in rules})
+        plans = group_chains(min_path_cover(build_graph(masks)), masks, 3)
+        assert sorted(p.head_mask for p in plans) == [pk(0, 0xF0),
+                                                       pk(0x03, 0)]
+        # the full plan's place now holds the head-mask-0 group
+        assert [g.head_mask for g in c.groups] == [
+            0 if p.head_mask == pk(0x03, 0) else p.head_mask for p in plans]
+        return rng, rules, c
+
+    @staticmethod
+    def check(c, live, rng):
+        assert c.audit() == []
+        for i in range(40):
+            key = rng.getrandbits(16)
+            if live and i % 2:
+                r = rng.choice(live)
+                key = r.fields | key & ~r.mask
+            res = c.lookup(key)
+            best, probes, _ = etc_walk(c, key)
+            assert res.rule is best is linear_lookup(live, key).rule
+            assert res.probes == probes <= c.probe_bound()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_build_inserts_and_removes_match_the_oracle(self, seed):
+        rng, live, c = self.build(seed)
+        self.check(c, live, rng)
+        zero = next(g for g in c.groups if not g.head_mask)
+        assert set(zero.head[0].local.registry) == set(FULL_MASKS)
+        # fresh masks: one holds the sparse head and joins its group,
+        # the others hold no filtering head and join the head-mask-0 group
+        fresh = [pk(0x03, 0xF0), pk(0x0C, 0x03), pk(0, 0x0F)]
+        for r in folding_rules(rng, FULL_MASKS + SPARSE_MASKS + fresh,
+                               60, live):
+            c.insert(r)
+            live.append(r)
+            self.check(c, live, rng)
+        assert c.group_count == 2
+        assert c._mask_to_group[pk(0x03, 0xF0)][0].head_mask == pk(0, 0xF0)
+        rng.shuffle(live)
+        while live:
+            assert c.remove(live.pop())
+            self.check(c, live, rng)
+        assert c.groups == [] and c._mask_to_group == {}
+
+    def test_fresh_mask_without_a_filtering_head_joins_it(self):
+        _, _, c = self.build(0)
+        zero = next(g for g in c.groups if not g.head_mask)
+        groups = list(c.groups)
+        m = pk(0x0C, 0x03)
+        c.insert(Rule(pk(0x04, 0x01), m, 50, 999))
+        assert c.groups == groups
+        assert c._mask_to_group[m] == [zero, 1]
+        assert m in zero.head[0].local.registry
+        assert c.audit() == []
+
+    def test_full_head_over_one_mask_per_entry_keeps_its_head(self):
+        # one chain of four masks under head 0xC000, whose four keys
+        # each hold one mask's rule: a single cover would need 3 probes
+        # where the head and a one-tuple local need 2
+        masks = [pk(0xC0, 0), pk(0xF0, 0), pk(0xFC, 0), pk(0xFF, 0)]
+        rules = [Rule(pk(k << 6, 0), m, 10 + k, k)
+                 for k, m in enumerate(masks)]
+        c = EtcClassifier.build(S, rules, min_head_bits=0)
+        assert [g.head_mask for g in c.groups] == [pk(0xC0, 0)]
+        assert len(c.groups[0].head) == 4   # every key: the head is full
+        assert cover_bound(masks) == 3 > c.probe_bound() == 2
+        assert c.audit() == []
+        for key in range(0, 1 << 16, 97):
+            assert c.lookup(key).rule is linear_lookup(rules, key).rule
 
 
 class TestAudit:

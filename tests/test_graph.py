@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tuplechain import graph
 from tuplechain.graph import (GraphError, TupleGraph, _hopcroft_karp,
                               build_graph, min_path_cover)
 from tuplechain.model import FieldSchema, mask_less_than
@@ -114,6 +115,17 @@ class TestMinPathCover:
         g = TupleGraph((0, 1), ((1,), (0,)))
         with pytest.raises(GraphError):
             min_path_cover(g)
+
+    def test_cycle_check_only_for_graphs_not_built_from_masks(self,
+                                                             monkeypatch):
+        checked = []
+        monkeypatch.setattr(graph, "_check_acyclic", checked.append)
+        built = build_graph(FIG_MASKS)
+        min_path_cover(built)
+        assert checked == []
+        given = TupleGraph(built.vertices, built.adj)
+        assert min_path_cover(given).paths == min_path_cover(built).paths
+        assert checked == [given]
 
     def test_paths_disjoint_and_covering(self):
         rng = random.Random(17)

@@ -1,4 +1,5 @@
 import gzip
+import ipaddress
 import random
 
 import pytest
@@ -14,8 +15,8 @@ from tuplechain.workload import (CLASSBENCH_SCHEMA, ParseError, TupleProfile,
                                  parse_trace, parse_updates,
                                  range_to_prefixes, write_generic,
                                  write_trace, write_updates)
-from tuplechain.workload import (_CB_LINE, _classbench_blocks, _ip_to_int,
-                                 _parse_rule_tokens, _prefix_mask)
+from tuplechain.workload import (_classbench_blocks, _parse_rule_tokens,
+                                 _prefix_mask)
 
 S = FieldSchema((8, 8))
 
@@ -27,11 +28,14 @@ def _dotted(ip):
 def _two_pack_blocks(line):
     """A ClassBench filter's blocks, each packed by two
     ``CLASSBENCH_SCHEMA.pack`` calls: the reference the one-pass packing
-    is checked against."""
-    sip, slen, dip, dlen, slo, shi, dlo, dhi, proto, pmask = \
-        _CB_LINE.match(line).groups()
+    is checked against.  ``line`` is spaced as the test below writes it,
+    with valid addresses."""
+    src, dst, slo, _, shi, dlo, _, dhi, proto = line[1:].split()
+    (sip, slen), (dip, dlen) = src.split("/"), dst.split("/")
+    proto, pmask = proto.split("/")
     smask, dmask = _prefix_mask(int(slen), 32), _prefix_mask(int(dlen), 32)
-    sip, dip = _ip_to_int(sip) & smask, _ip_to_int(dip) & dmask
+    sip = int(ipaddress.IPv4Address(sip)) & smask
+    dip = int(ipaddress.IPv4Address(dip)) & dmask
     pmask = int(pmask, 0)
     proto = int(proto, 0) & pmask
     pack = CLASSBENCH_SCHEMA.pack
@@ -144,6 +148,17 @@ class TestClassBench(object):
         with pytest.raises(ParseError) as ei:
             parse_classbench(p)
         assert ei.value.lineno == 4
+
+    @pytest.mark.parametrize("line, address", [
+        ("@1.2.3.256/32 0.0.0.0/0 0 : 65535 0 : 65535 0x06/0xFF",
+         "1.2.3.256"),
+        ("@1.2.3.4/32 10.300.0.01/8 0 : 65535 0 : 65535 0x06/0xFF",
+         "10.300.0.01"),
+    ], ids=["source", "destination"])
+    def test_bad_address_is_named_as_written(self, line, address):
+        with pytest.raises(ValueError) as ei:
+            _classbench_blocks(line)
+        assert str(ei.value) == f"bad IPv4 address {address}"
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "cb.rules"
@@ -420,28 +435,33 @@ class TestGenerators:
             TupleProfile(num_masks=4, num_chains=5)
         with pytest.raises(ValueError):
             TupleProfile(num_masks=8, num_chains=2, loose_masks=7)
+        with pytest.raises(ValueError, match="loose_masks must be >= 0"):
+            TupleProfile(loose_masks=-3)
 
-    def test_expected_density_formula(self):
-        prof = TupleProfile(num_masks=8, num_chains=2, loose_masks=0)
-        # two chains of 4: 2 * C(4,2) = 12 ordered-containment pairs
-        assert prof.expected_density() == pytest.approx(12 / 28)
+    @pytest.mark.parametrize("widths, profile, count, why", [
+        ((1,), TupleProfile(), 10, "a chain of 4 masks needs at least 4 "
+         "key bits, not 1"),
+        ((2,), TupleProfile(num_masks=8, num_chains=8), 10,
+         "8 distinct masks do not fit 2 key bits"),
+        ((4,), TupleProfile(num_masks=4, num_chains=1), 31,
+         "4 masks hold at most 30 distinct rules, not 31"),
+    ], ids=["chain-too-long", "too-many-masks", "too-many-rules"])
+    def test_profile_the_widths_cannot_hold_is_refused(self, widths,
+                                                       profile, count, why):
+        # each of these once looped forever or ended in another error;
+        # the refusal comes before any mask is drawn
+        with pytest.raises(ValueError) as ei:
+            gen_rules(0, count, FieldSchema(widths), profile)
+        assert str(ei.value) == why
 
-    def test_observed_density_tracks_expectation(self):
-        prof = TupleProfile(num_masks=16, num_chains=4, loose_masks=0,
-                            mask_bit_prob=0.2)
-        S16 = FieldSchema((16, 16))
-        from tuplechain.graph import build_graph
-        from tuplechain.model import mask_less_than
-        diffs = []
-        for seed in range(20):
-            rsf = gen_rules(seed, 64, S16, prof)
-            masks = sorted({r.mask for r in rsf.rules})
-            v = len(masks)
-            pairs = sum(1 for a in masks for b in masks
-                        if mask_less_than(a, b))
-            diffs.append(pairs / (v * (v - 1) / 2))
-        mean = sum(diffs) / len(diffs)
-        assert abs(mean - prof.expected_density()) <= 0.1
+    def test_long_chain_that_outgrows_its_bits_is_drawn_again(self):
+        # one chain of 20 masks in 32 bits: a draw that runs out of
+        # free bits before its last mask is dropped and drawn again
+        prof = TupleProfile(num_masks=20, num_chains=1)
+        rsf = gen_rules(0, 500, FieldSchema((32,)), prof)
+        masks = sorted({r.mask for r in rsf.rules}, key=int.bit_count)
+        assert len(masks) == 20
+        assert all(a & b == a != b for a, b in zip(masks, masks[1:]))
 
     def test_trace_hit_ratio(self):
         S16 = FieldSchema((16, 16))
