@@ -15,7 +15,7 @@ from operator import itemgetter
 import numpy as np
 
 from .chain import DuplicateRuleError
-from .classifier import StructureStats, check_new_rule
+from .classifier import StructureStats, check_new_rule, check_rules
 from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule, best_rule,
                     matches)
 
@@ -83,6 +83,10 @@ class LinearClassifier:
 
     @classmethod
     def build(cls, schema: FieldSchema, rules) -> "LinearClassifier":
+        """The classifier over ``rules``, each checked against the schema
+        as tc and etc check it; the constructor checks no schema."""
+        rules = list(rules)
+        check_rules(schema, rules)
         return cls(rules)
 
     def insert(self, r: Rule) -> None:
@@ -138,6 +142,10 @@ class TssClassifier:
 
     @classmethod
     def build(cls, schema: FieldSchema, rules) -> "TssClassifier":
+        """The classifier over ``rules``, each checked against the schema
+        as tc and etc check it; the constructor checks no schema."""
+        rules = list(rules)
+        check_rules(schema, rules)
         return cls(rules)
 
     @property

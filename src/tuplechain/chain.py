@@ -83,15 +83,27 @@ def _build_tree(tuples: list[TupleTable], lo: int, hi: int,
     height ``h - 1``; the fail side then holds fewer than ``2**(h-1)``
     tuples and fits too.  Every tuple in the range has both links set.
     """
-    # Plain compares, and no calls on empty ranges: a fresh mask
-    # rebuilds one small tree per ETC head entry it reaches, so this
-    # runs on ETC's update path.
+    # Plain compares, and no calls on empty ranges or on leaves: every
+    # tuple that arrives or leaves rebuilds its chain's tree, and ETC's
+    # local chains are mostly a few tuples long.
     r = hi - (1 << (h - 1))
     if r < lo:
         r = lo
     node = tuples[r]
-    node.fail = _build_tree(tuples, lo, r, h - 1) if lo < r else None
-    node.succ = _build_tree(tuples, r + 1, hi, h - 1) if r + 1 < hi else None
+    if r - lo > 1:
+        node.fail = _build_tree(tuples, lo, r, h - 1)
+    elif lo < r:
+        leaf = node.fail = tuples[lo]
+        leaf.fail = leaf.succ = None
+    else:
+        node.fail = None
+    if hi - r > 2:
+        node.succ = _build_tree(tuples, r + 1, hi, h - 1)
+    elif r + 1 < hi:
+        leaf = node.succ = tuples[r + 1]
+        leaf.fail = leaf.succ = None
+    else:
+        node.succ = None
     return node
 
 
@@ -187,8 +199,7 @@ class Chain:
 
     def can_host(self, mask: int) -> int | None:
         """The unique position keeping the chain strictly ordered, if any."""
-        # mask_less_than inlined: a fresh tuple runs this on every chain
-        # it tries, once per ETC head entry it reaches
+        # mask_less_than inlined
         for j, t in enumerate(self.tuples):
             m = t.mask
             if m & mask != m or m == mask:
@@ -215,15 +226,20 @@ class Chain:
         tuples = self.tuples
         mask = t.mask
         n = len(tuples)
+        # mask_less_than inlined, both sides
         if at is None or not 0 <= at <= n or (
-                at and not mask_less_than(tuples[at - 1].mask, mask)) or (
-                at < n and not mask_less_than(mask, tuples[at].mask)):
+                at and ((lo := tuples[at - 1].mask) & mask != lo
+                        or lo == mask)) or (
+                at < n and ((hi := tuples[at].mask) & mask != mask
+                            or hi == mask)):
             raise ChainError(f"mask {mask:#x} breaks chain order at {at}")
         tuples.insert(at, t)
-        self._relink()
-        if at + 1 == len(tuples):
+        # only t and its successor change predecessor
+        p = t.prev = tuples[at - 1] if at else None
+        self.root = _build_tree(tuples, 0, n + 1, (n + 1).bit_length())
+        if at == n:
             return
-        p = t.prev
+        tuples[at + 1].prev = t
         if p is None:
             succ = tuples[at + 1].table
             _hand_over(succ.values(), None, t)
@@ -258,6 +274,26 @@ class Chain:
         t.prev = t.fail = t.succ = None
         self._relink()
 
+    def drop_empty_tail(self) -> list[TupleTable]:
+        """Drop the run of empty tuples at the tail, and return them.
+
+        Only the tail can empty: every entry of a successor keeps a
+        marker in its predecessor.  So a rule removal that empties
+        tuples empties the tail and a run of tuples below it, whose
+        marker trail it tore down; the rest keep their ``prev`` links,
+        and the tree is rebuilt once.
+        """
+        tuples = self.tuples
+        j = len(tuples)
+        while j and not tuples[j - 1].table:
+            j -= 1
+        gone = tuples[j:]
+        del tuples[j:]
+        for t in gone:
+            t.prev = t.fail = t.succ = None
+        self.root = _build_tree(tuples, 0, j, j.bit_length()) if j else None
+        return gone
+
     # -- lookup ------------------------------------------------------
 
     def lookup(self, key: int) -> tuple[Rule | None, int]:
@@ -269,20 +305,28 @@ class Chain:
     def insert_rule(self, t: TupleTable, r: Rule) -> None:
         if r.mask != t.mask:
             raise ChainError("rule mask does not match tuple mask")
-        e = t.table.get(r.fields)
+        key = r.fields
+        e = t.table.get(key)
         if e is None:
-            e = Entry(r.fields)
-            t.table[r.fields] = e
-            leave_marker(e, t.prev, self.touches)
+            # a fresh entry: its marker holds the hint of the entry
+            # leave_marker returns, and it has no owners to report to
+            e = t.table[key] = Entry(key)
+            k = leave_marker(e, t.prev, self.touches)
         elif e.rule is not None:
             raise DuplicateRuleError(
-                f"entry {r.fields:#x} already holds rule {e.rule.rule_id}")
+                f"entry {key:#x} already holds rule {e.rule.rule_id}")
+        else:
+            k = e.marker
         e.rule = r
-        if r.priority > self.top:
-            self.top = r.priority
-        k = e.marker
-        e.hint = best_rule(r, k.hint if k is not None else None)
-        report_hint(e, self.touches)
+        p = r.priority
+        if p > self.top:
+            self.top = p
+        # best_rule(r, below), inlined
+        below = k.hint if k is not None else None
+        e.hint = r if below is None or p > below.priority or (
+            p == below.priority and r.rule_id <= below.rule_id) else below
+        if e.owners is not None:
+            report_hint(e, self.touches)
         t.rule_count += 1
 
     def fill(self, by_mask: dict[int, list[Rule]]) -> None:

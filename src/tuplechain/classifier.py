@@ -16,7 +16,7 @@ Construction paths:
     to report its hint to.
   * incremental ``add`` places a brand-new tuple in the first chain, in
     search order, that can host its mask, at the position
-    ``Chain.can_host`` found there.
+    ``Chain.can_host`` gives there.
 
 ``chains`` itself is the search order: it runs highest priority
 ceiling (``Chain.top``) first, so lookup passes it to ``chain.search``
@@ -65,11 +65,26 @@ def check_new_rule(r: Rule, rule_ids: set[int]) -> None:
 
 
 def check_rule(schema: FieldSchema, r: Rule, rule_ids: set[int]) -> None:
-    """check_new_rule, and r must fit the schema; build and insert both
-    check this before any change."""
-    check_new_rule(r, rule_ids)
-    if r.mask >= (1 << schema.total_width):
+    """check_new_rule, and r must fit the schema; every build checks
+    this, and tc and etc check it on insert, before any change."""
+    # check_new_rule, inlined: tc and etc run this on every insert
+    if not isinstance(r, Rule):
+        raise ValueError(f"{r!r} is not a Rule")
+    if r.rule_id in rule_ids:
+        raise DuplicateRuleError(f"rule id {r.rule_id} already present")
+    # a Rule's mask is non-negative, so this is mask >= 2**total_width
+    if r.mask >> schema.total_width:
         raise ValueError(f"rule {r.rule_id} does not fit the schema")
+
+
+def check_rules(schema: FieldSchema, rules) -> set[int]:
+    """check_rule on each of ``rules`` in turn, each against the ids of
+    those before it; returns their ids."""
+    ids: set[int] = set()
+    for r in rules:
+        check_rule(schema, r, ids)
+        ids.add(r.rule_id)
+    return ids
 
 
 def cover_bound(masks) -> int:
@@ -142,20 +157,32 @@ class ChainSet:
         hit = self.registry.get(r.mask)
         if hit is None:
             t = TupleTable(r.mask)
-            chain, at = self._pick_chain(t.mask)
-            height = chain.probe_bound()
+            chain, at = self._pick_chain(r.mask)
+            n = len(chain.tuples)
             chain.insert_tuple(t, at)
-            self.bound += chain.probe_bound() - height
+            # Chain.probe_bound() of n + 1 tuples against n
+            self.bound += (n + 1).bit_length() - n.bit_length()
             self.registry[r.mask] = (chain, t)
         else:
             chain, t = hit
         top = chain.top
         chain.insert_rule(t, r)
         if chain.top > top:
-            # Only this chain is out of place, so the stable sort just
-            # moves it up past lower ceilings.  A new chain rises here
-            # too, from the end of the list where _pick_chain put it.
-            self.chains.sort(key=_TOP, reverse=True)
+            self._rise(chain)
+
+    def _rise(self, chain: Chain) -> None:
+        """Move chain, whose ceiling just rose, up past every chain with
+        a lower ceiling: what a stable sort by ceiling would do, since
+        only this chain is out of place.  A new chain rises here too,
+        from the end of the list where ``_pick_chain`` put it."""
+        chains = self.chains
+        i = j = chains.index(chain)
+        top = chain.top
+        while j and chains[j - 1].top < top:
+            j -= 1
+        if j < i:
+            del chains[i]
+            chains.insert(j, chain)
 
     def discard(self, r: Rule) -> bool:
         """Remove r if it is stored; True on removal."""
@@ -165,18 +192,16 @@ class ChainSet:
         chain, t = hit
         if not chain.delete_rule(t, r):
             return False
-        if r.fields not in t.table:
-            # Only an erased entry tears down markers, and that teardown
-            # can empty predecessor tuples too; an empty tuple never
-            # carries markers for a live successor, so dropping every
-            # emptied tuple is safe.
-            emptied = [x for x in chain.tuples if not x.table]
-            height = chain.probe_bound()
-            for tup in emptied:
-                chain.remove_tuple(tup)
-                del self.registry[tup.mask]
-            self.bound -= height - chain.probe_bound()
-            if not chain.tuples:
+        if not t.table:
+            # t is the tail, and the marker teardown may have emptied
+            # tuples below it too (see Chain.drop_empty_tail); a tuple
+            # that keeps an entry keeps every tuple below it
+            n = len(chain.tuples)
+            for x in chain.drop_empty_tail():
+                del self.registry[x.mask]
+            m = len(chain.tuples)
+            self.bound -= n.bit_length() - m.bit_length()
+            if not m:
                 self.chains.remove(chain)
         return True
 
@@ -185,9 +210,18 @@ class ChainSet:
         search order that can host it, with the position it takes
         there, else a new, empty chain at the end of the list."""
         for chain in self.chains:
-            at = chain.can_host(mask)
-            if at is not None:
-                return chain, at
+            # mask is not registered, so it is not the tail's.  A chain
+            # can host it only if it is comparable with the tail, and if
+            # the tail is below it, so is every tuple: most chains are
+            # settled here, without Chain.can_host's scan
+            tuples = chain.tuples
+            m = tuples[-1].mask
+            if m & mask == m:
+                return chain, len(tuples)
+            if mask & m == mask:
+                at = chain.can_host(mask)
+                if at is not None:
+                    return chain, at
         chain = Chain()
         self.chains.append(chain)
         return chain, 0
@@ -246,6 +280,9 @@ class ChainSet:
         live = {t.mask for c in self.chains for t in c.tuples}
         for mask in live - self.registry.keys():
             out.append(f"tuple {mask:#x} not registered")
+        for c in self.chains:
+            out.extend(f"tuple {t.mask:#x} holds no entries"
+                       for t in c.tuples if not t.table)
         want = sum(c.probe_bound() for c in self.chains)
         if self.bound != want:
             out.append(f"kept probe bound {self.bound}, computed {want}")

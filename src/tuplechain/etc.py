@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .classifier import (_PTR, ChainSet, StructureStats, check_rule,
-                         cover_bound)
+                         check_rules, cover_bound)
 from .graph import PathCover, build_graph, min_path_cover
 from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule,
                     mask_less_than)
@@ -173,9 +173,7 @@ class EtcClassifier:
     def build(cls, schema: FieldSchema, rules: list[Rule],
               min_head_bits: int = 4) -> "EtcClassifier":
         self = cls(schema, min_head_bits)
-        for r in rules:
-            check_rule(schema, r, self.rule_ids)
-            self.rule_ids.add(r.rule_id)
+        self.rule_ids = check_rules(schema, rules)
         self._plan_and_fill(rules)
         return self
 
@@ -279,11 +277,10 @@ class EtcClassifier:
 
     # -- updates -----------------------------------------------------
 
-    def _route(self, mask: int) -> _Group:
-        route = self._mask_to_group.get(mask)
-        if route is not None:
-            return route[0]
-        # the widest contained head; ties go to the oldest group
+    def _route(self, mask: int) -> list:
+        """A route, [group, 0 rules], for a mask that has none: to the
+        group with the widest head contained in the mask, ties to the
+        oldest, else to a new group with the mask as its head."""
         best = None
         for g in self.groups:
             if g.head_mask == mask or mask_less_than(g.head_mask, mask):
@@ -292,22 +289,25 @@ class EtcClassifier:
                     best = g
         if best is None:
             best = self._new_group(mask)
-        self._mask_to_group[mask] = [best, 0]
-        return best
+        route = self._mask_to_group[mask] = [best, 0]
+        return route
 
     def insert(self, r: Rule) -> None:
         check_rule(self.schema, r, self.rule_ids)
-        grp = self._route(r.mask)
+        route = self._mask_to_group.get(r.mask) or self._route(r.mask)
+        grp = route[0]
         hkey = r.fields & grp.head_mask
         he = grp.head.get(hkey)
         if he is None:
             he = grp.head[hkey] = _HeadEntry(ChainSet())
         local = he.local
         local.add(r)   # r passed check_rule above
-        grp.bound = max(grp.bound, local.bound)
-        self._mask_to_group[r.mask][1] += 1
+        if local.bound > grp.bound:
+            grp.bound = local.bound
+        route[1] += 1
         self.rule_ids.add(r.rule_id)
-        grp.top = max(grp.top, r.priority)
+        if r.priority > grp.top:
+            grp.top = r.priority
 
     def remove(self, r: Rule) -> bool:
         route = self._mask_to_group.get(r.mask)
@@ -333,8 +333,16 @@ class EtcClassifier:
                 # every mask of the group has lost its route already
                 self.groups.remove(grp)
             elif height == grp.bound:
-                # this entry held the group's bound; another may too
-                grp.bound = max(h.local.bound for h in grp.head.values())
+                # This entry held the group's bound, and no entry holds
+                # more, so the scan stops at the first that holds as
+                # much: on churn-fresh a few dozen of ~440 entries do.
+                best = 0
+                for h in grp.head.values():
+                    if h.local.bound > best:
+                        best = h.local.bound
+                        if best == height:
+                            break
+                grp.bound = best
         return True
 
     # -- auditing ----------------------------------------------------

@@ -76,6 +76,8 @@ class Rule:
     rule_id: int
 
     def __post_init__(self):
+        if self.mask < 0:
+            raise ValueError(f"rule mask {self.mask:#x} is negative")
         if self.fields & self.mask != self.fields:
             raise ValueError(
                 f"rule fields {self.fields:#x} not canonical under mask "

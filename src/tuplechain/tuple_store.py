@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .model import Rule, best_rule
+from .model import Rule
 
 
 class Entry:
@@ -118,7 +118,9 @@ def leave_marker(e: Entry, t: TupleTable | None,
 
     A freshly created marker leaves its own marker further down, and so
     on until an existing entry or the chain head ends the trail.  e is
-    recorded as an owner either way.  Iterative, so chain length is not
+    recorded as an owner either way.  Returns an entry whose hint e's
+    marker now holds: the existing entry that ended the trail, else e's
+    marker (None if t is None).  Iterative, so chain length is not
     bounded by the interpreter's recursion limit.
     """
     if t is None:
@@ -154,7 +156,10 @@ def delete_marker(e: Entry, t: TupleTable | None,
     k = e.marker
     while k is not None and t is not None:
         counter.marker += 1
-        drop_owner(k, e)
+        if k.owners is e:   # drop_owner's commonest case, inlined
+            k.owners = None
+        else:
+            drop_owner(k, e)
         e.marker = None
         if k.rule is not None or k.owners is not None:
             return
@@ -164,18 +169,27 @@ def delete_marker(e: Entry, t: TupleTable | None,
 
 
 def report_hint(e: Entry, counter: TouchCounter) -> None:
-    """Propagate e's hint to its owners, recursing only on change."""
+    """Propagate e's hint to its owners, and on from each owner whose
+    hint changes.  One ``counter.hint`` per owner visited."""
+    if e.owners is None:
+        return
+    touched = 0
     stack = [e]
     while stack:
         cur = stack.pop()
+        h = cur.hint
         own = cur.owners
-        if own is None:
-            continue
-        if own.__class__ is Entry:
-            own = (own,)
-        for o in own:
-            counter.hint += 1
-            new = best_rule(o.rule, cur.hint)
+        for o in (own,) if own.__class__ is Entry else own:
+            touched += 1
+            # best_rule(o.rule, h), inlined
+            r = o.rule
+            if r is not None and (h is None or r.priority > h.priority or (
+                    r.priority == h.priority and r.rule_id <= h.rule_id)):
+                new = r
+            else:
+                new = h
             if new is not o.hint:
                 o.hint = new
-                stack.append(o)
+                if o.owners is not None:
+                    stack.append(o)
+    counter.hint += touched

@@ -137,8 +137,9 @@ class TestUpdates:
         with pytest.raises(DuplicateRuleError):
             cls.build(S, rules + [Rule(dup.fields, mask, 9, 3)])
 
-    # tss and linear hold no schema, so only tc and etc can reject a
-    # rule too wide for it; every class rejects what is not a Rule
+    # tss and linear hold no schema after a build, so only tc and etc
+    # can reject a rule too wide for it on insert; every class rejects
+    # what is not a Rule
     @pytest.mark.parametrize("bad, cls", [
         pytest.param(bad, cls, id=f"bad{i}-{cls.__name__}")
         for i, (bad, classes) in enumerate([
@@ -159,6 +160,19 @@ class TestUpdates:
         assert c.audit() == []
         assert c.stats() == before
         assert c.rule_ids == {1, 2}
+
+    # every build checks its rules through check_rule, so all four
+    # classes refuse the same rule with the same error
+    @pytest.mark.parametrize("cls", [TupleChainClassifier, EtcClassifier,
+                                     TssClassifier, LinearClassifier])
+    def test_build_rejects_a_rule_too_wide_for_the_schema(self, cls):
+        schema = FieldSchema((4, 4))
+        fits = Rule(0x10, 0xF0, 2, 1)
+        with pytest.raises(ValueError,
+                           match="^rule 0 does not fit the schema$"):
+            cls.build(schema, [fits, Rule(0x100, 0x100, 1, 0)])
+        c = cls.build(schema, [fits])
+        assert c.audit() == [] and c.rule_ids == {1}
 
     def test_remove_absent(self):
         c = TupleChainClassifier(S)
@@ -426,6 +440,18 @@ class TestOrderAudit:
         assert c.probe_bound() == want
         c.bound += 1
         assert c.audit() == [f"kept probe bound {want + 1}, computed {want}"]
+
+    def test_empty_tuple_is_flagged(self):
+        # a removal drops every tuple it empties, so one left in a chain
+        # is a fault; every lookup would still probe it
+        c = TupleChainClassifier.build(S, [Rule(pk(0x80, 0), pk(0xC0, 0),
+                                                1, 1)])
+        (chain,) = c.chains
+        t = TupleTable(pk(0xF0, 0))
+        chain.insert_tuple(t, 1)
+        c.registry[t.mask] = (chain, t)
+        c.bound = chain.probe_bound()
+        assert c.audit() == [f"tuple {t.mask:#x} holds no entries"]
 
 
 class TestStats:

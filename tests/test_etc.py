@@ -380,11 +380,15 @@ class TestUpdates:
             key = rng.getrandbits(16)
             assert c.lookup(key).rule is linear_lookup(live, key).rule
 
-    @pytest.mark.parametrize("neighbour", [False, True])
-    def test_one_remove_empties_a_whole_chain(self, neighbour):
+    @pytest.mark.parametrize("neighbour, head_keeps", [
+        (False, False), (True, False), (False, True), (True, True)],
+        ids=["False", "True", "False-head-keeps", "True-head-keeps"])
+    def test_one_remove_empties_a_whole_chain(self, neighbour, head_keeps):
         # three nested masks, none comparable with ``off``; the last
         # rule's marker trail runs through the first two rules' entries,
-        # so once those rules go, removing it empties all three tuples
+        # so once those rules go, removing it empties all three tuples.
+        # If the head tuple keeps its rule, the same remove empties only
+        # the two tail tuples, and the chain and head entry stay
         a, b, c3, off = pk(0xF0, 0), pk(0xFF, 0), pk(0xFF, 0xF0), pk(0, 0x0F)
         base = [Rule(pk(0, 0x05), off, 5, 1)]
         trail = [Rule(pk(0xA0, 0), a, 1, 10), Rule(pk(0xAB, 0), b, 2, 11),
@@ -398,19 +402,29 @@ class TestUpdates:
         for r in trail:
             tc.insert(r)
             e.insert(r)
-        for r in trail[:2]:
+        kept = trail[:1] if head_keeps else []
+        for r in trail[len(kept):2]:
             assert tc.remove(r) and e.remove(r)
         (chain,) = [ch for ch in tc.chains if ch.tuples[0].mask == a]
-        assert [t.rule_count for t in chain.tuples] == [0, 0, 1]
+        counts = [len(kept), 0, 1]
+        assert [t.rule_count for t in chain.tuples] == counts
         grp = e._mask_to_group[c3][0]
         he = grp.head[pk(0xA0, 0)]
-        assert [t.rule_count for t in he.chains[0].tuples] == [0, 0, 1]
+        assert [t.rule_count for t in he.chains[0].tuples] == counts
         assert tc.probe_bound() == 1 + 2 and grp.bound == he.local.bound == 2
         assert tc.remove(trail[2]) and e.remove(trail[2])
-        assert chain not in tc.chains and set(tc.registry) == {off}
-        assert pk(0xA0, 0) not in grp.head
-        assert (grp in e.groups) == neighbour
-        for clf, live in ((tc, base), (e, base + extra)):
+        if head_keeps:
+            assert chain in tc.chains and set(tc.registry) == {off, a}
+            assert [t.mask for t in chain.tuples] == [a]
+            assert grp.head[pk(0xA0, 0)] is he and grp in e.groups
+            assert [t.mask for t in he.chains[0].tuples] == [a]
+            assert he.local.bound == grp.bound == 1
+            assert set(he.local.registry) == {a}
+        else:
+            assert chain not in tc.chains and set(tc.registry) == {off}
+            assert pk(0xA0, 0) not in grp.head
+            assert (grp in e.groups) == neighbour
+        for clf, live in ((tc, base + kept), (e, base + extra + kept)):
             assert clf.audit() == []
             assert clf.probe_bound() == \
                 type(clf).build(S, live).probe_bound()

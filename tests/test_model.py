@@ -72,6 +72,14 @@ class TestMatches:
         with pytest.raises(ValueError):
             Rule(fields=0xFF, mask=0x0F, priority=0, rule_id=1)
 
+    def test_negative_mask_rejected(self):
+        # fields 0 are canonical under any mask, and a schema check of
+        # the form mask >= 2**width lets a negative mask through
+        with pytest.raises(ValueError, match="negative"):
+            Rule(0, -1, 9, 0)
+        with pytest.raises(ValueError, match="negative"):
+            Rule(0, -(1 << 70), 9, 0)
+
 
 class TestMaskOrder:
     def test_known_nested_pair(self):

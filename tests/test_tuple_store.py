@@ -115,6 +115,41 @@ def test_hint_reporting_keeps_higher_priority_rule():
     assert e1.hint is r6
 
 
+def test_report_hint_touches_each_owner_reached():
+    # k in t2 owns three entries of t3, one of which owns two of t5
+    t2, t3, t5 = make_chain_tuples(T2, T3, T5)
+    entries = {}
+    for t, key in ((t5, pk(0x48, 0xA4)), (t5, pk(0x50, 0xA4)),
+                   (t3, pk(0x40, 0xA0)), (t3, pk(0x40, 0xA8))):
+        e = entries[key] = t.table[key] = Entry(key)
+        leave_marker(e, t.prev, TouchCounter())
+    k = t2.table[pk(0x40, 0xA0)]
+    assert len(owners_of(k)) == 3 and len(t2.table) == 1
+    r = Rule(pk(0x40, 0xA0), T2, priority=5, rule_id=1)
+    k.rule = k.hint = r
+    c = TouchCounter()
+    report_hint(k, c)
+    # every owner takes r, so the report goes on to the t5 entries
+    assert (c.marker, c.hint) == (0, 3 + 2)
+    assert all(e.hint is r for t in (t3, t5) for e in t.table.values())
+    # reported again, no owner's hint changes: only k's owners are touched
+    c = TouchCounter()
+    report_hint(k, c)
+    assert (c.marker, c.hint) == (0, 3)
+    # a better rule in t3 stops what k reports at its owner
+    own = t3.table[pk(0x40, 0xA4)]
+    r2 = Rule(own.key, T3, priority=9, rule_id=2)
+    own.rule = own.hint = r2
+    c = TouchCounter()
+    report_hint(own, c)
+    assert c.hint == 2 and entries[pk(0x48, 0xA4)].hint is r2
+    k.hint = None
+    c = TouchCounter()
+    report_hint(k, c)
+    assert c.hint == 3 and own.hint is r2
+    assert entries[pk(0x40, 0xA0)].hint is None
+
+
 def test_report_hint_no_owners_is_noop():
     e = Entry(0)
     e.hint = Rule(0, 0, 1, 0)
@@ -128,9 +163,12 @@ def test_delete_marker_tears_down_sole_trail():
     e = Entry(pk(0x40, 0xA8))
     t3.table[e.key] = e
     leave_marker(e, t3.prev, TouchCounter())
-    delete_marker(e, t3.prev, TouchCounter())
+    c = TouchCounter()
+    delete_marker(e, t3.prev, c)
     del t3.table[e.key]
     assert not t1.table and not t2.table and not t3.table
+    # one touch per marker dropped, in t2 and t1; no hint work
+    assert (c.marker, c.hint) == (2, 0)
 
 
 def test_delete_marker_spares_shared_marker():
@@ -142,8 +180,11 @@ def test_delete_marker_spares_shared_marker():
     ka = leave_marker(ea, t3.prev, TouchCounter())
     kb = leave_marker(eb, t3.prev, TouchCounter())
     assert ka is kb and len(ka.owners) == 2
-    delete_marker(ea, t3.prev, TouchCounter())
+    c = TouchCounter()
+    delete_marker(ea, t3.prev, c)
     assert ka in t2.table.values() and list(owners_of(ka)) == [eb]
+    # the spared marker is the only one touched
+    assert (c.marker, c.hint) == (1, 0)
     # one owner left: the slot holds that entry, not a one-item list
     assert ka.owners is eb
 
