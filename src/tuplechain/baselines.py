@@ -15,7 +15,7 @@ from operator import itemgetter
 import numpy as np
 
 from .chain import DuplicateRuleError
-from .classifier import StructureStats, check_new_rule, check_rules
+from .classifier import StructureStats, check_new_rule, check_rule
 from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule, best_rule,
                     matches)
 
@@ -66,15 +66,27 @@ def linear_lookup_batch(rules, keys) -> list[tuple[int, int | None]]:
     return out
 
 
+def _check(schema: FieldSchema | None, r: Rule, rule_ids: set[int]) -> None:
+    """``check_rule`` against ``schema``, or only ``check_new_rule`` for
+    a classifier made without one."""
+    if schema is None:
+        check_new_rule(r, rule_ids)
+    else:
+        check_rule(schema, r, rule_ids)
+
+
 def _key_bytes(masks) -> int:
     """Bytes per packed key, from the widest mask stored."""
     return (max((m.bit_length() for m in masks), default=0) + 7) // 8
 
 
 class LinearClassifier:
-    """Exhaustive scan over every stored rule."""
+    """Exhaustive scan over every stored rule.  Made with a schema, it
+    checks every rule against it, as tc and etc do; made without one,
+    it checks no width."""
 
-    def __init__(self, rules=()):
+    def __init__(self, rules=(), schema: FieldSchema | None = None):
+        self.schema = schema
         # (fields, mask) -> the one rule stored there
         self.rules: dict[tuple[int, int], Rule] = {}
         self.rule_ids: set[int] = set()
@@ -83,14 +95,10 @@ class LinearClassifier:
 
     @classmethod
     def build(cls, schema: FieldSchema, rules) -> "LinearClassifier":
-        """The classifier over ``rules``, each checked against the schema
-        as tc and etc check it; the constructor checks no schema."""
-        rules = list(rules)
-        check_rules(schema, rules)
-        return cls(rules)
+        return cls(rules, schema)
 
     def insert(self, r: Rule) -> None:
-        check_new_rule(r, self.rule_ids)
+        _check(self.schema, r, self.rule_ids)
         if (r.fields, r.mask) in self.rules:
             raise DuplicateRuleError(
                 f"entry {r.fields:#x}/{r.mask:#x} already holds a rule")
@@ -125,9 +133,12 @@ class LinearClassifier:
 
 class TssClassifier:
     """Tuple space search: one hash table per mask, probed highest
-    priority ceiling first until no remaining tuple can win."""
+    priority ceiling first until no remaining tuple can win.  Made with
+    a schema, it checks every rule against it, as tc and etc do; made
+    without one, it checks no width."""
 
-    def __init__(self, rules=()):
+    def __init__(self, rules=(), schema: FieldSchema | None = None):
+        self.schema = schema
         # mask -> [top, mask, table], one record per tuple.  top is the
         # priority ceiling: no rule of the tuple ranks above it.  Raised
         # on insert, never lowered on remove.
@@ -142,11 +153,7 @@ class TssClassifier:
 
     @classmethod
     def build(cls, schema: FieldSchema, rules) -> "TssClassifier":
-        """The classifier over ``rules``, each checked against the schema
-        as tc and etc check it; the constructor checks no schema."""
-        rules = list(rules)
-        check_rules(schema, rules)
-        return cls(rules)
+        return cls(rules, schema)
 
     @property
     def tuple_count(self) -> int:
@@ -158,7 +165,7 @@ class TssClassifier:
 
     def _add(self, r: Rule) -> bool:
         """Store r; True when the ceiling order needs a re-sort."""
-        check_new_rule(r, self.rule_ids)
+        _check(self.schema, r, self.rule_ids)
         rec = self.tables.get(r.mask)
         fresh = rec is None
         if fresh:

@@ -267,13 +267,6 @@ class Chain:
                 links += len(own) + len(made)
         self.touches.marker += links
 
-    def remove_tuple(self, t: TupleTable) -> None:
-        if t.table or t.rule_count:
-            raise ChainError("cannot remove a non-empty tuple")
-        self.tuples.remove(t)
-        t.prev = t.fail = t.succ = None
-        self._relink()
-
     def drop_empty_tail(self) -> list[TupleTable]:
         """Drop the run of empty tuples at the tail, and return them.
 

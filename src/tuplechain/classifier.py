@@ -1,9 +1,9 @@
 """The chained-tuple classifier: a chain set under a checking front.
 
-``ChainSet`` is the structure: ``chains``, ``registry``, ``bound`` (the
-sum of the chains' ``probe_bound()``, kept by the updates that add or
-drop a tuple) and the operations that keep them, on rules the caller
-has already checked.
+``ChainSet`` is the structure: ``chains``, ``registry`` and the
+operations that keep them, on rules the caller has already checked.
+Its ``probe_bound()`` sums the chains' tree heights when it is asked:
+nothing on the update path keeps a bound.
 ``TupleChainClassifier`` is a chain set with a schema and the set of
 stored rule ids, and checks every rule against both before it stores
 it.  ETC head entries hold bare chain sets: their ``EtcClassifier``
@@ -88,7 +88,7 @@ def check_rules(schema: FieldSchema, rules) -> set[int]:
 
 
 def cover_bound(masks) -> int:
-    """The ``bound`` that ``ChainSet.fill`` keeps over these distinct
+    """The ``probe_bound()`` of a ``ChainSet`` filled over these distinct
     masks, in this order, with nothing laid out: the sum, over the
     paths of their minimum path cover, of ``Chain.probe_bound()`` for a
     chain that long (``1 + floor(log2 m)`` for m tuples)."""
@@ -99,14 +99,13 @@ def cover_bound(masks) -> int:
 class ChainSet:
     """Chains and the mask registry, over rules checked by the caller."""
 
-    __slots__ = ("chains", "registry", "bound")
+    __slots__ = ("chains", "registry")
 
     def __init__(self):
         # highest ceiling first: the order lookup searches them in
         self.chains: list[Chain] = []
         # mask -> (chain, tuple); at most one live tuple per mask
         self.registry: dict[int, tuple[Chain, TupleTable]] = {}
-        self.bound = 0
 
     # -- construction ------------------------------------------------
 
@@ -131,7 +130,6 @@ class ChainSet:
                 self.registry[t.mask] = (chain, t)
         for chain in self.chains:
             chain.fill(by_mask)
-        self.bound = sum(c.probe_bound() for c in self.chains)
         # stable: chains with equal ceilings keep cover order
         self.chains.sort(key=_TOP, reverse=True)
 
@@ -143,7 +141,7 @@ class ChainSet:
 
     def probe_bound(self) -> int:
         """Per-lookup probe ceiling: sum of binary-search bounds."""
-        return self.bound
+        return sum(len(c.tuples).bit_length() for c in self.chains)
 
     def probe_bound_closed_form(self) -> float:
         m = sum(c.tuple_count for c in self.chains)
@@ -158,10 +156,7 @@ class ChainSet:
         if hit is None:
             t = TupleTable(r.mask)
             chain, at = self._pick_chain(r.mask)
-            n = len(chain.tuples)
             chain.insert_tuple(t, at)
-            # Chain.probe_bound() of n + 1 tuples against n
-            self.bound += (n + 1).bit_length() - n.bit_length()
             self.registry[r.mask] = (chain, t)
         else:
             chain, t = hit
@@ -196,12 +191,9 @@ class ChainSet:
             # t is the tail, and the marker teardown may have emptied
             # tuples below it too (see Chain.drop_empty_tail); a tuple
             # that keeps an entry keeps every tuple below it
-            n = len(chain.tuples)
             for x in chain.drop_empty_tail():
                 del self.registry[x.mask]
-            m = len(chain.tuples)
-            self.bound -= n.bit_length() - m.bit_length()
-            if not m:
+            if not chain.tuples:
                 self.chains.remove(chain)
         return True
 
@@ -283,9 +275,6 @@ class ChainSet:
         for c in self.chains:
             out.extend(f"tuple {t.mask:#x} holds no entries"
                        for t in c.tuples if not t.table)
-        want = sum(c.probe_bound() for c in self.chains)
-        if self.bound != want:
-            out.append(f"kept probe bound {self.bound}, computed {want}")
         return out
 
 

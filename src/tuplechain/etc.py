@@ -31,9 +31,10 @@ Probe counts depend on rule priorities.  Routing a fresh mask breaks
 ties between groups by list position, which is creation order, and a
 mask has a route only while it holds rules.
 
-``probe_bound`` reads kept values, each head entry's ``local.bound`` and
-each group's largest, so ``bench`` can check every update's probes
-against the bound without walking every chain.
+``probe_bound`` computes the bound from the chains when it is asked:
+one head probe per group plus the largest ``local.probe_bound()`` behind
+it.  No insert or remove keeps a bound; only ``bench`` and the tests
+ask for it.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class _HeadEntry:
     """One head-tuple entry, kept only under its key in ``_Group.head``.
     ``chains`` is ``local.chains`` itself, the local chain set's chain
     list in its search order, which that set reorders in place; a
-    lookup walks it directly.  The entry's probe bound is ``local.bound``."""
+    lookup walks it directly."""
 
     __slots__ = ("local", "chains")
 
@@ -139,16 +140,14 @@ class _HeadEntry:
 class _Group:
     """A head mask and its entries.  Which masks the group serves is
     recorded only in ``EtcClassifier._mask_to_group``.  ``top`` bounds
-    the priority of every rule behind the head, and ``bound`` is the
-    largest ``local.bound`` of its head entries."""
+    the priority of every rule behind the head."""
 
-    __slots__ = ("head_mask", "head", "top", "bound")
+    __slots__ = ("head_mask", "head", "top")
 
     def __init__(self, head_mask: int):
         self.head_mask = head_mask
         self.head: dict[int, _HeadEntry] = {}
         self.top = MISS_PRIORITY
-        self.bound = 0
 
 
 class EtcClassifier:
@@ -227,7 +226,6 @@ class EtcClassifier:
                 local.fill(by_mask)
                 he = grp.head[hkey] = _HeadEntry(local)
                 grp.top = max(grp.top, he.chains[0].top)
-                grp.bound = max(grp.bound, local.bound)
 
     def _new_group(self, head_mask: int) -> _Group:
         grp = _Group(head_mask)
@@ -273,7 +271,9 @@ class EtcClassifier:
 
     def probe_bound(self) -> int:
         """One head probe per group plus the worst local bound behind it."""
-        return sum(1 + grp.bound for grp in self.groups)
+        return sum(1 + max((he.local.probe_bound()
+                            for he in grp.head.values()), default=0)
+                   for grp in self.groups)
 
     # -- updates -----------------------------------------------------
 
@@ -300,10 +300,7 @@ class EtcClassifier:
         he = grp.head.get(hkey)
         if he is None:
             he = grp.head[hkey] = _HeadEntry(ChainSet())
-        local = he.local
-        local.add(r)   # r passed check_rule above
-        if local.bound > grp.bound:
-            grp.bound = local.bound
+        he.local.add(r)   # r passed check_rule above
         route[1] += 1
         self.rule_ids.add(r.rule_id)
         if r.priority > grp.top:
@@ -319,30 +316,17 @@ class EtcClassifier:
         if he is None:
             return False
         local = he.local
-        height = local.bound
         if not local.discard(r):
             return False
         self.rule_ids.discard(r.rule_id)
         route[1] -= 1
         if not route[1]:
             del self._mask_to_group[r.mask]
-        if local.bound < height:
-            if not local.chains:
-                del grp.head[hkey]
+        if not local.chains:
+            del grp.head[hkey]
             if not grp.head:
                 # every mask of the group has lost its route already
                 self.groups.remove(grp)
-            elif height == grp.bound:
-                # This entry held the group's bound, and no entry holds
-                # more, so the scan stops at the first that holds as
-                # much: on churn-fresh a few dozen of ~440 entries do.
-                best = 0
-                for h in grp.head.values():
-                    if h.local.bound > best:
-                        best = h.local.bound
-                        if best == height:
-                            break
-                grp.bound = best
         return True
 
     # -- auditing ----------------------------------------------------
@@ -366,11 +350,6 @@ class EtcClassifier:
         for gi, grp in enumerate(self.groups):
             if not grp.head:
                 out.append(f"group {gi}: holds no head entries")
-            want = max((he.local.bound for he in grp.head.values()),
-                       default=0)
-            if grp.bound != want:
-                out.append(f"group {gi}: kept probe bound {grp.bound}, "
-                           f"largest local {want}")
             for hkey, he in grp.head.items():
                 if hkey & grp.head_mask != hkey:
                     out.append(f"group {gi}: head key {hkey:#x} "

@@ -284,19 +284,6 @@ class TestTupleOps:
             c.insert_tuple(TupleTable(T3), at)
         assert c.tuple_count == 2 and c.audit() == []
 
-    @pytest.mark.parametrize("victim", [0, 1, 2])
-    def test_remove_tuple_relinks(self, victim):
-        c = new_chain(T1, T2, T3)
-        c.remove_tuple(c.tuples[victim])
-        assert c.audit() == []
-        assert len(c.tuples) == 2
-
-    def test_remove_nonempty_tuple_rejected(self):
-        c = new_chain(T1, T2)
-        insert(c, T1, pk(0x80, 0x40), 5, 0)
-        with pytest.raises(ChainError):
-            c.remove_tuple(c.tuples[0])
-
 
 class TestAudit:
     def test_fresh_build_is_clean(self):
@@ -410,11 +397,14 @@ class TestAudit:
             for m in rng.sample(masks[1:], 9):
                 c.insert_tuple(TupleTable(m), c.can_host(m))
                 assert c.audit() == []
-            for t in rng.sample(c.tuples[1:], 9):
-                c.remove_tuple(t)
-                assert c.audit() == []
+            # every spliced mask contains the head's, so the spliced
+            # tuples form an empty run behind the head, dropped at once
+            spliced = c.tuples[1:]
+            assert c.drop_empty_tail() == spliced
+            assert c.audit() == []
+            for t in spliced:
                 assert t.prev is None and t.fail is None and t.succ is None
-            assert c.root is c.tuples[0]
+            assert c.tuples == [c.root]
             assert c.root.fail is None and c.root.succ is None
 
 

@@ -411,19 +411,26 @@ class TestUpdates:
         grp = e._mask_to_group[c3][0]
         he = grp.head[pk(0xA0, 0)]
         assert [t.rule_count for t in he.chains[0].tuples] == counts
-        assert tc.probe_bound() == 1 + 2 and grp.bound == he.local.bound == 2
+        # base's group: a head probe and one tuple; the trail's group: a
+        # head probe and the three-tuple chain, height 2
+        assert tc.probe_bound() == 1 + 2 and he.local.probe_bound() == 2
+        assert e.probe_bound() == (1 + 1) + (1 + 2)
         assert tc.remove(trail[2]) and e.remove(trail[2])
         if head_keeps:
             assert chain in tc.chains and set(tc.registry) == {off, a}
             assert [t.mask for t in chain.tuples] == [a]
             assert grp.head[pk(0xA0, 0)] is he and grp in e.groups
             assert [t.mask for t in he.chains[0].tuples] == [a]
-            assert he.local.bound == grp.bound == 1
+            assert he.local.probe_bound() == 1
             assert set(he.local.registry) == {a}
         else:
             assert chain not in tc.chains and set(tc.registry) == {off}
             assert pk(0xA0, 0) not in grp.head
             assert (grp in e.groups) == neighbour
+        # the trail's group falls to its one-tuple entry, kept or the
+        # neighbour's, or goes with its last entry
+        assert e.probe_bound() == (1 + 1) + (
+            1 + 1 if head_keeps or neighbour else 0)
         for clf, live in ((tc, base + kept), (e, base + extra + kept)):
             assert clf.audit() == []
             assert clf.probe_bound() == \
@@ -433,8 +440,6 @@ class TestUpdates:
             1 + max(sum(ch.probe_bound() for ch in h.local.chains)
                     for h in g.head.values())
             for g in e.groups)
-        if neighbour:
-            assert grp.bound == 1
 
     def test_route_lives_as_long_as_its_mask_holds_rules(self):
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
@@ -678,22 +683,6 @@ class TestAudit:
         c._mask_to_group[pk(0xFC, 0xE0)] = [c.groups[0], 0]
         assert c.audit() == [f"mask {pk(0xFC, 0xE0):#x}: route counts 0 of "
                              "0 stored rules"]
-
-    def test_kept_probe_bounds_are_checked(self):
-        c = self.two_groups()
-        grp = c.groups[0]
-        (hkey, he), = grp.head.items()
-        top = grp.bound
-        group = f"group 0: kept probe bound {top}, largest local {top + 1}"
-        entry = (f"group 0, head {hkey:#x}: kept probe bound {top + 1}, "
-                 f"computed {top}")
-        he.local.bound += 1
-        assert c.audit() == [group, entry]
-        grp.bound += 1
-        assert c.audit() == [entry]
-        he.local.bound -= 1
-        assert c.audit() == [f"group 0: kept probe bound {top + 1}, "
-                             f"largest local {top}"]
 
     def test_stale_head_entry_chains_are_flagged(self):
         c = self.two_groups()
