@@ -3,7 +3,8 @@
 ``run_bench`` replays a trace against one classifier on one thread,
 with the update stream spread evenly through it, and times only the
 classifier calls themselves.  ``run_equiv`` cross-checks tc, etc and
-tss against the linear oracle.
+tss against the linear oracle over the same interleave.  Update ``j``
+of ``U`` runs just before lookup ``j * N // U`` of ``N`` in both.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .baselines import LinearClassifier, TssClassifier, linear_lookup_batch
+from .baselines import (LinearClassifier, TssClassifier, linear_lookup,
+                        linear_lookup_batch)
 from .classifier import TupleChainClassifier
 from .etc import EtcClassifier
 from .workload import RuleSetFile, UpdateStream
@@ -47,20 +49,55 @@ def make_classifier(algo: str, ruleset: RuleSetFile):
     return ALGOS[algo].build(ruleset.schema, ruleset.rules)
 
 
-def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
-              updates: UpdateStream | None = None) -> MetricsReport:
-    """Build once, then walk the trace in order.  Update ``j`` of ``U``
-    runs just before lookup ``j * N // U`` of ``N``, and every lookup's
-    probes are checked against the classifier's current bound.  An
-    update that changes nothing (a rejected insert, a delete of a rule
-    not stored) stops the run with a ``BenchError`` naming it."""
-    if not trace:
-        raise BenchError("the trace is empty")
+def _update_ops(ruleset: RuleSetFile, updates: UpdateStream | None) -> list:
+    """The stream's ops, once its widths are checked against the rule
+    set's; none without a stream."""
     if updates and updates.schema.widths != ruleset.schema.widths:
         raise BenchError(f"update stream widths {updates.schema.widths} "
                          f"differ from the rule set's "
                          f"{ruleset.schema.widths}")
-    ops = updates.ops if updates else []
+    return updates.ops if updates else []
+
+
+def _interleave(trace: list[int], ops: list):
+    """Per lookup, its key and the indices of the updates that run just
+    before it: update ``j`` of ``U`` before lookup ``j * N // U``."""
+    n, u = len(trace), len(ops)
+    j = 0
+    for i, key in enumerate(trace):
+        first = j
+        while j < u and j * n // u == i:
+            j += 1
+        yield key, range(first, j)
+
+
+def _apply(clf, j: int, op: str, rule) -> None:
+    """Update ``j``, an insert or delete of rule, on clf; a
+    ``BenchError`` if it is rejected or removes nothing."""
+    try:
+        if op == "insert":
+            clf.insert(rule)
+            return
+        done = clf.remove(rule)
+    except ValueError as exc:
+        raise BenchError(f"update {j}: {op} of rule "
+                         f"{rule.rule_id} rejected: {exc}") from None
+    if not done:
+        raise BenchError(f"update {j}: delete of rule "
+                         f"{rule.rule_id} removed nothing")
+
+
+def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
+              updates: UpdateStream | None = None) -> MetricsReport:
+    """Build once, then walk the trace in order, updates interleaved.
+    Every lookup's probes are checked against the classifier's bound,
+    taken once after the build and again before the first lookup after
+    each run of updates.  An update that changes nothing (a rejected
+    insert, a delete of a rule not stored) stops the run with a
+    ``BenchError`` naming it."""
+    if not trace:
+        raise BenchError("the trace is empty")
+    ops = _update_ops(ruleset, updates)
     clock = time.perf_counter
     t0 = clock()
     clf = make_classifier(algo, ruleset)
@@ -70,25 +107,15 @@ def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
     lookup_s = update_s = 0.0
     probes_total = probes_max = violations = 0
     bound = clf.probe_bound()
-    j = 0
-    for i, key in enumerate(trace):
-        while j < u and j * n // u == i:
+    for key, before in _interleave(trace, ops):
+        for j in before:
             op, rule = ops[j]
             t0 = clock()
-            try:
-                if op == "insert":
-                    clf.insert(rule)
-                    done = True
-                else:
-                    done = clf.remove(rule)
-            except ValueError as exc:
-                raise BenchError(f"update {j}: {op} of rule "
-                                 f"{rule.rule_id} rejected: {exc}") from None
+            _apply(clf, j, op, rule)
             update_s += clock() - t0
-            if not done:
-                raise BenchError(f"update {j}: delete of rule "
-                                 f"{rule.rule_id} removed nothing")
-            j += 1
+        if before:
+            # ETC's bound costs far more than an update: take it once
+            # per run of updates, where a lookup reads it
             bound = clf.probe_bound()
         t0 = clock()
         res = clf.lookup(key)
@@ -116,12 +143,34 @@ def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
     )
 
 
-def run_equiv(ruleset: RuleSetFile, trace: list[int]) -> str | None:
-    """Cross-check tc, etc and tss against the linear oracle.  Returns
-    the first divergence, or None when every key agrees."""
+def run_equiv(ruleset: RuleSetFile, trace: list[int],
+              updates: UpdateStream | None = None) -> str | None:
+    """Cross-check tc, etc and tss against the linear oracle, with the
+    updates interleaved as ``run_bench`` does: each classifier applies
+    every update, and each lookup is checked against ``linear_lookup``
+    over the rules live at that point.  Returns the first divergence,
+    or None when every key agrees; an update that changes nothing
+    raises ``BenchError`` as in ``run_bench``."""
+    ops = _update_ops(ruleset, updates)
     clfs = {a: make_classifier(a, ruleset) for a in ("tc", "etc", "tss")}
-    oracle = linear_lookup_batch(ruleset.rules, trace)
-    for i, (key, want) in enumerate(zip(trace, oracle)):
+    # update 0 runs before lookup 0, so with updates every lookup sees
+    # the live rules; without, the built rules answer every key at once
+    oracle = linear_lookup_batch(ruleset.rules, trace) if not ops else None
+    live = {r.rule_id: r for r in ruleset.rules}
+    for i, (key, before) in enumerate(_interleave(trace, ops)):
+        for j in before:
+            op, rule = ops[j]
+            for clf in clfs.values():
+                _apply(clf, j, op, rule)
+            if op == "insert":
+                live[rule.rule_id] = rule
+            else:
+                del live[rule.rule_id]
+        if oracle is not None:
+            want = oracle[i]
+        else:
+            res = linear_lookup(live.values(), key)
+            want = (res.priority, res.rule_id)
         for name, clf in clfs.items():
             res = clf.lookup(key)
             got = (res.priority, res.rule_id)

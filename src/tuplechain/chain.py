@@ -27,12 +27,14 @@ cleared, so no link outlives the splice that made it.
 Chain order lives in ``Chain.tuples`` alone; a tuple links only back, by
 ``TupleTable.prev``, for marker trails.  ``insert_tuple`` splices a
 fresh tuple in at the position ``can_host`` found, in one pass over the
-predecessor's entries: each hands its whole owner set over to fresh
-markers in the new tuple, which take its hint.  So a splice walks no
-marker trail, removes no owner from a list and does no hint work.
-A fresh build stores its rules with ``fill``, head tuple first, where no
-entry has owners yet; it is ``insert_rule``'s step written out without
-the hint reporting, one call per chain in place of several per rule.
+successor's entries: each re-anchors on a fresh or shared marker in the
+new tuple, keyed by its own key under the new mask, and that marker
+links on to the predecessor entry the successor entry marked before and
+takes its hint.  So a splice walks no marker trail, removes no owner
+from a list and does no hint work.  A fresh build stores its rules with
+``fill``, head tuple first, where no entry has owners yet; it is
+``insert_rule``'s step written out without the hint reporting, one call
+per chain in place of several per rule.
 
 Each chain keeps a priority ceiling, ``Chain.top``: an upper bound on the
 priority of every rule it holds.  ``insert_rule`` raises it; a delete
@@ -40,16 +42,28 @@ leaves it alone, which only makes the bound looser, and a fresh build
 makes it exact.  ``Chain`` has slots, so the ``top`` and ``root`` that
 search reads off every chain it visits cost no more than a pair unpack.
 
+Each entry keeps one too, ``Entry.ceil``: an upper bound on the priority
+of every rule stored deeper along marker trails through it.  Like
+``top``, ceilings never fall.  ``insert_rule`` and ``fill`` give the
+fresh markers of a new rule's trail its priority and raise the rest of
+the trail while a ceiling is below it, a splice gives each fresh marker
+the largest rule priority and ceiling among its owners, and no removal
+writes one.
+
 ``search(chains, key)`` is tc's lookup loop.  It takes chains, highest
 ceiling first, walks each one's tree inline from ``Chain.root``, keeps
 the deepest hit's entry and merges that entry's hint into the running
 best once per chain.  It stops at the first chain whose ceiling is
 strictly below the best priority found so far: no rule there can win.
-The cut is strict because ``best_rule`` breaks priority ties by rule
-id, so a chain whose ceiling equals the best priority may still hold
-the winner.  Probe counts therefore depend on the rule priorities, not
-only on the masks.  The tc classifier passes its chain list, which it
-keeps in ceiling order, and ``Chain.lookup`` the chain alone.
+Inside a chain it stops descending at a hit whose ``ceil`` is strictly
+below that floor: a deeper hit's hint is the best of this hit's hint
+and rules stored deeper along its trail, which rank below the floor, so
+it beats the floor only through this hit's own hint.  Both cuts are
+strict because ``best_rule`` breaks priority ties by rule id, so a rule
+whose priority equals the floor may still win.  Probe counts therefore
+depend on the rule priorities, not only on the masks.  The tc
+classifier passes its chain list, which it keeps in ceiling order, and
+``Chain.lookup`` the chain alone.
 ``EtcClassifier.lookup`` walks the chain list behind each head entry a
 key hits with a copy of this loop, over one running best for all its
 groups: a call per hit head entry cost it about an eighth of its
@@ -107,30 +121,6 @@ def _build_tree(tuples: list[TupleTable], lo: int, hi: int,
     return node
 
 
-def _hand_over(owners: Iterable[Entry], k: Entry | None,
-               t: TupleTable) -> list[Entry]:
-    """Re-anchor ``owners``, successor entries whose marker is k (None
-    when t is the chain head), on markers in t: one fresh marker per key
-    under t's mask, which links on to k and takes k's hint.  Returns the
-    fresh markers."""
-    table, mask = t.table, t.mask
-    hint = k.hint if k is not None else None
-    made = []
-    for e in owners:
-        key = e.key & mask
-        m = table.get(key)
-        if m is None:
-            m = table[key] = Entry(key)
-            m.owners = e   # a fresh marker: e is its one owner
-            m.marker = k
-            m.hint = hint
-            made.append(m)
-        else:
-            add_owner(m, e)
-        e.marker = m
-    return made
-
-
 def search(chains: Iterable[Chain], key: int) -> tuple[Rule | None, int]:
     """Best rule for ``key`` over ``chains``, which run highest ceiling
     first, and the probes spent."""
@@ -152,6 +142,8 @@ def search(chains: Iterable[Chain], key: int) -> tuple[Rule | None, int]:
                 # marker trail runs through every shallower hit, so by
                 # the hint law its hint dominates theirs.
                 hit = e
+                if e.ceil < floor:
+                    break   # nothing deeper can beat the floor
                 node = node.succ
         if hit is not None:
             h = hit.hint
@@ -214,11 +206,13 @@ class Chain:
 
         The successor's entries all own markers in t's predecessor p
         (none if t goes in at the head), and those owners are all that
-        p's entries own.  So each entry k of p hands its owners over as
-        a whole: they split by key under t's mask, each part owns one
-        fresh marker in t, and those markers become k's owners.  A fresh
-        marker holds no rule, so it takes k's hint, and no owner's hint
-        changes.  ``touches.marker`` counts one per marker link written:
+        p's entries own.  So p's owner links are cleared, and each
+        successor entry e, stored under key, owns the marker at
+        ``key & t.mask`` in t: a fresh one links on to e's old marker k,
+        becomes k's owner and takes k's hint, since it holds no rule; so
+        no owner's hint changes.  A marker's ``ceil`` is the largest of
+        its owners' rule priorities and ceilings; k's already bounds
+        them.  ``touches.marker`` counts one per marker link written:
         one per successor entry, plus one per fresh marker when p exists.
         """
         if t.table or t.rule_count:
@@ -240,32 +234,42 @@ class Chain:
         if at == n:
             return
         tuples[at + 1].prev = t
-        if p is None:
-            succ = tuples[at + 1].table
-            _hand_over(succ.values(), None, t)
-            self.touches.marker += len(succ)
-            return
+        if p is not None:
+            for k in p.table.values():
+                k.owners = None
         table = t.table
-        links = 0
-        for k in p.table.values():
-            own = k.owners
-            if own is None:
-                continue
-            if own.__class__ is Entry:
-                # _hand_over inlined for the commonest case, one owner
-                key = own.key & mask
-                m = table[key] = Entry(key)
-                m.owners = own
-                m.marker = k
-                m.hint = k.hint
-                own.marker = m
-                k.owners = m
-                links += 2
+        succ = tuples[at + 1].table
+        # setdefault with a spare entry: one dict operation per
+        # successor entry, whether its marker is fresh or shared
+        spare = Entry()
+        for key, e in succ.items():
+            r = e.rule
+            c = e.ceil
+            if r is not None and r.priority > c:
+                c = r.priority
+            m = table.setdefault(key & mask, spare)
+            if m is spare:
+                spare = Entry()
+                m.owners = e   # a fresh marker: e is its first owner
+                m.ceil = c
+                k = m.marker = e.marker
+                if k is not None:
+                    m.hint = k.hint
+                    # add_owner(k, m), inlined
+                    own = k.owners
+                    if own is None:
+                        k.owners = m
+                    elif own.__class__ is Entry:
+                        k.owners = [own, m]
+                    else:
+                        own.append(m)
             else:
-                made = _hand_over(own, k, t)
-                k.owners = made[0] if len(made) == 1 else made
-                links += len(own) + len(made)
-        self.touches.marker += links
+                add_owner(m, e)
+                if c > m.ceil:
+                    m.ceil = c
+            e.marker = m
+        self.touches.marker += len(succ) + (len(table) if p is not None
+                                            else 0)
 
     def drop_empty_tail(self) -> list[TupleTable]:
         """Drop the run of empty tuples at the tail, and return them.
@@ -299,21 +303,29 @@ class Chain:
         if r.mask != t.mask:
             raise ChainError("rule mask does not match tuple mask")
         key = r.fields
+        p = r.priority
         e = t.table.get(key)
         if e is None:
             # a fresh entry: its marker holds the hint of the entry
             # leave_marker returns, and it has no owners to report to
-            e = t.table[key] = Entry(key)
-            k = leave_marker(e, t.prev, self.touches)
+            e = t.table[key] = Entry()
+            k = leave_marker(e, key, p, t.prev, self.touches)
         elif e.rule is not None:
             raise DuplicateRuleError(
                 f"entry {key:#x} already holds rule {e.rule.rule_id}")
         else:
             k = e.marker
         e.rule = r
-        p = r.priority
         if p > self.top:
             self.top = p
+        # r now lies behind every entry of its marker trail.  Fresh
+        # markers took p from leave_marker; raise the rest from k up to
+        # the first that already bounds p, since every ceiling below it
+        # bounds it too
+        m = k
+        while m is not None and m.ceil < p:
+            m.ceil = p
+            m = m.marker
         # best_rule(r, below), inlined
         below = k.hint if k is not None else None
         e.hint = r if below is None or p > below.priority or (
@@ -332,8 +344,9 @@ class Chain:
         of it is a marker: a rule's key is new unless a rule holds it,
         and its fresh entry has no owners to report its hint to.  Each
         rule makes its entry, then walks its marker trail as
-        ``leave_marker`` does (one ``touches.marker`` per probe), and
-        takes the hint of the first entry the trail found.
+        ``leave_marker`` does (one ``touches.marker`` per probe), raises
+        the trail's ceilings as ``insert_rule`` does, and takes the hint
+        of the first entry the trail found.
         """
         if any(t.table for t in self.tuples):
             raise ChainError("fill needs empty tuples")
@@ -350,22 +363,25 @@ class Chain:
                     raise DuplicateRuleError(
                         f"entry {key:#x} already holds rule "
                         f"{table[key].rule.rule_id}")
-                e = table[key] = Entry(key)
+                e = table[key] = Entry()
                 e.rule = r
-                if r.priority > top:
-                    top = r.priority
+                prio = r.priority
+                if prio > top:
+                    top = prio
                 # leave_marker's trail: fresh markers down to the first
                 # existing entry k, or to the head
                 cur = e
                 p = t.prev
+                mkey = key
                 below = None
                 while p is not None:
-                    mkey = cur.key & p.mask
+                    mkey &= p.mask
                     k = p.table.get(mkey)
                     touched += 1
                     if k is None:
-                        k = p.table[mkey] = Entry(mkey)
+                        k = p.table[mkey] = Entry()
                         k.owners = cur
+                        k.ceil = prio
                         cur.marker = k
                         cur, p = k, p.prev
                         continue
@@ -377,6 +393,10 @@ class Chain:
                     else:
                         own.append(cur)
                     cur.marker = k
+                    m = k
+                    while m is not None and m.ceil < prio:
+                        m.ceil = prio
+                        m = m.marker
                     below = k.hint
                     if below is not None:
                         # the fresh markers hold no rule: they take k's
@@ -386,8 +406,8 @@ class Chain:
                             m = m.marker
                     break
                 # best_rule(r, below), inlined
-                if below is None or r.priority > below.priority or (
-                        r.priority == below.priority
+                if below is None or prio > below.priority or (
+                        prio == below.priority
                         and r.rule_id <= below.rule_id):
                     e.hint = r
                 else:
@@ -399,14 +419,15 @@ class Chain:
     def delete_rule(self, t: TupleTable, r: Rule) -> bool:
         """Remove r if present; True on deletion.  The caller is
         responsible for dropping the tuple when its table empties."""
-        e = t.table.get(r.fields)
+        key = r.fields
+        e = t.table.get(key)
         # the stored rule is almost always r itself: skip the field-wise
         # dataclass compare then
         if e is None or (e.rule is not r and e.rule != r):
             return False
         if e.owners is None:
-            delete_marker(e, t.prev, self.touches)
-            del t.table[e.key]
+            delete_marker(e, key, t.prev, self.touches)
+            del t.table[key]
         else:
             k = e.marker
             e.hint = k.hint if k is not None else None
@@ -461,26 +482,28 @@ class Chain:
         owner_links = 0
         for t, nxt in zip(self.tuples, self.tuples[1:] + [None]):
             rc = 0
+            # an entry keeps no key: its owners are found by identity
+            in_next = {id(o) for o in nxt.table.values()} if nxt else set()
             for key, e in t.table.items():
                 entry_total += 1
-                if key != e.key or e.key & t.mask != e.key:
-                    out.append(f"entry key {e.key:#x} not canonical in "
+                if key & t.mask != key:
+                    out.append(f"entry key {key:#x} not canonical in "
                                f"tuple {t.mask:#x}")
                 owners = owners_of(e)
                 owner_links += len(owners)
                 # one form per owner count: a list holds two or more
                 if owners.__class__ is list:
                     if len(owners) < 2:
-                        out.append(f"owner list of {e.key:#x} in tuple "
+                        out.append(f"owner list of {key:#x} in tuple "
                                    f"{t.mask:#x} holds {len(owners)}")
                     if len(set(owners)) < len(owners):
-                        out.append(f"owner list of {e.key:#x} in tuple "
+                        out.append(f"owner list of {key:#x} in tuple "
                                    f"{t.mask:#x} repeats an entry")
                 if e.rule is None and not owners:
-                    out.append(f"dead entry {e.key:#x} in tuple {t.mask:#x}")
+                    out.append(f"dead entry {key:#x} in tuple {t.mask:#x}")
                 if e.rule is not None:
                     rc += 1
-                    if e.rule.mask != t.mask or e.rule.fields != e.key:
+                    if e.rule.mask != t.mask or e.rule.fields != key:
                         out.append(f"rule {e.rule.rule_id} misfiled")
                     if e.rule.priority > self.top:
                         out.append(f"ceiling {self.top} below rule "
@@ -488,27 +511,29 @@ class Chain:
                 if t.prev is not None:
                     k = e.marker
                     if k is None:
-                        out.append(f"entry {e.key:#x} lacks a marker")
+                        out.append(f"entry {key:#x} lacks a marker")
                     else:
-                        if k.key != e.key & t.prev.mask:
-                            out.append(f"marker key law broken at {e.key:#x}")
-                        if t.prev.table.get(k.key) is not k:
-                            out.append(f"marker of {e.key:#x} not in prev")
+                        if t.prev.table.get(key & t.prev.mask) is not k:
+                            out.append(f"marker key law broken at {key:#x}")
                         if e not in owners_of(k):
-                            out.append(f"owner symmetry broken at {e.key:#x}")
+                            out.append(f"owner symmetry broken at {key:#x}")
                 elif e.marker is not None:
-                    out.append(f"head entry {e.key:#x} has a marker")
+                    out.append(f"head entry {key:#x} has a marker")
                 want = best_rule(e.rule,
                                  e.marker.hint if e.marker else None)
                 if e.hint != want:
-                    out.append(f"hint law broken at {e.key:#x} in tuple "
+                    out.append(f"hint law broken at {key:#x} in tuple "
                                f"{t.mask:#x}")
                 for o in owners:
                     if o.marker is not e:
-                        out.append(f"owner back-link broken at {e.key:#x}")
-                    if nxt is None or nxt.table.get(o.key) is not o:
-                        out.append(f"owner {o.key:#x} of {e.key:#x} not "
-                                   "in the next tuple")
+                        out.append(f"owner back-link broken at {key:#x}")
+                    if id(o) not in in_next:
+                        out.append(f"an owner of {key:#x} is not in the "
+                                   "next tuple")
+                    if e.ceil < o.ceil or (o.rule is not None
+                                           and e.ceil < o.rule.priority):
+                        out.append(f"ceiling {e.ceil} of {key:#x} in tuple "
+                                   f"{t.mask:#x} below an owner's")
             if rc != t.rule_count:
                 out.append(f"rule_count mismatch in tuple {t.mask:#x}")
         if self.rule_count and entry_total > self.rule_count * len(self.tuples):

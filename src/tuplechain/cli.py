@@ -92,9 +92,15 @@ def cmd_bench(args) -> int:
 
 def cmd_equiv(args) -> int:
     rs, trace = _load_trace(args)
-    divergence = run_equiv(rs, trace)
+    updates = parse_updates(args.updates) if args.updates else None
+    try:
+        divergence = run_equiv(rs, trace, updates)
+    except BenchError as exc:
+        print(f"equiv: {exc}", file=sys.stderr)
+        return 1
     if divergence is None:
-        _emit(f"equivalence: {len(trace)} keys, no divergence", args)
+        ups = f", {len(updates.ops)} updates" if updates else ""
+        _emit(f"equivalence: {len(trace)} keys{ups}, no divergence", args)
         return 0
     _emit(f"equivalence: FAILED {divergence}", args)
     return 1
@@ -142,8 +148,9 @@ def main(argv=None) -> int:
                        "evenly through it")
     _add_io_flags(p, "trace", "updates", "algo", "report")
 
-    p = sub.add_parser("equiv", help="cross-check algorithms on a trace")
-    _add_io_flags(p, "trace")
+    p = sub.add_parser("equiv", help="cross-check algorithms on a trace, "
+                       "updates spread evenly through it")
+    _add_io_flags(p, "trace", "updates")
 
     p = sub.add_parser("gen", help="generate synthetic rules/trace/updates")
     p.add_argument("--rules", required=True, help="output rules file")

@@ -4,6 +4,17 @@ Entries are shared mutable nodes: an entry may simultaneously hold a rule
 of its own tuple and act as a marker for entries of the succeeding tuple.
 ``marker`` is a back-link to the entry's own marker in the preceding
 tuple (at most one), ``owners`` holds the entries it is a marker for.
+An entry's key lives only in its tuple's table, as the dict key: the
+entry does not repeat it, so the helpers that walk a marker trail take
+the key of the entry they start from and mask it down the trail.
+
+``ceil`` is the entry's priority ceiling: an upper bound on the priority
+of every rule stored deeper along marker trails through the entry (in
+its owners, their owners, and so on), not counting its own rule.  A
+lookup stops descending a chain at a hit whose ceiling is strictly
+below the best priority found so far (see ``chain``).  Ceilings never
+fall: a rule insert raises them along its marker trail, and a removal
+writes none.
 
 Most entries have no owner or exactly one, so ``owners`` takes one of
 three forms, one per owner count: ``None`` for none, the owning
@@ -17,28 +28,32 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .model import Rule
+from .model import MISS_PRIORITY, Rule
 
 
 class Entry:
-    """A hash-table entry: key, optional rule, hint, owner links.
+    """A hash-table entry: optional rule, hint, owner links and the
+    priority ceiling of the rules behind it.  Its key is the key it is
+    stored under in its tuple's table, and nowhere else.
 
     ``owners`` is ``None`` (no owner), the one owning ``Entry``, or a
-    list of two or more distinct owners; see ``owners_of``.
+    list of two or more distinct owners; see ``owners_of``.  ``ceil``
+    is at least each owner's rule priority and each owner's ``ceil``;
+    a fresh entry starts at ``MISS_PRIORITY``.
     """
 
-    __slots__ = ("key", "rule", "hint", "owners", "marker")
+    __slots__ = ("rule", "hint", "owners", "marker", "ceil")
 
-    def __init__(self, key: int):
-        self.key = key
+    def __init__(self):
         self.rule: Rule | None = None
         self.hint: Rule | None = None
         self.owners: Entry | list[Entry] | None = None
         self.marker: Entry | None = None
+        self.ceil = MISS_PRIORITY
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return (f"Entry(key={self.key:#x}, rule={self.rule}, "
-                f"hint={self.hint}, owners={len(owners_of(self))})")
+        return (f"Entry(rule={self.rule}, hint={self.hint}, "
+                f"ceil={self.ceil}, owners={len(owners_of(self))})")
 
 
 def owners_of(e: Entry) -> Sequence[Entry]:
@@ -112,28 +127,33 @@ class TupleTable:
         return self.table.get(key & self.mask)
 
 
-def leave_marker(e: Entry, t: TupleTable | None,
+def leave_marker(e: Entry, key: int, ceil: int, t: TupleTable | None,
                  counter: TouchCounter) -> Entry | None:
-    """Find-or-create e's marker in the preceding tuple t.
+    """Find-or-create the marker, in the preceding tuple t, of e, which
+    is stored under ``key`` and is about to take a rule of priority
+    ``ceil``.
 
     A freshly created marker leaves its own marker further down, and so
     on until an existing entry or the chain head ends the trail.  e is
-    recorded as an owner either way.  Returns an entry whose hint e's
-    marker now holds: the existing entry that ended the trail, else e's
-    marker (None if t is None).  Iterative, so chain length is not
-    bounded by the interpreter's recursion limit.
+    recorded as an owner either way.  A fresh marker has only that
+    rule behind it, so its ceiling is ``ceil``; the caller raises the
+    existing entries' ceilings.  Returns an entry whose hint e's marker
+    now holds: the existing entry that ended the trail, else e's marker
+    (None if t is None).  Iterative, so chain length is not bounded by
+    the interpreter's recursion limit.
     """
     if t is None:
         return None
     cur = e
     while True:
-        key = cur.key & t.mask
+        key &= t.mask
         k = t.table.get(key)
         counter.marker += 1
         if k is not None:
             break
-        k = t.table[key] = Entry(key)
+        k = t.table[key] = Entry()
         k.owners = cur   # a fresh marker: cur is its one owner
+        k.ceil = ceil
         cur.marker = k
         cur, t = k, t.prev
         if t is None:
@@ -149,10 +169,11 @@ def leave_marker(e: Entry, t: TupleTable | None,
     return k
 
 
-def delete_marker(e: Entry, t: TupleTable | None,
+def delete_marker(e: Entry, key: int, t: TupleTable | None,
                   counter: TouchCounter) -> None:
-    """Drop e from its marker's owners; erase markers left ownerless,
-    walking down the trail until a marker is still in use."""
+    """Drop e, stored under ``key``, from its marker's owners; erase
+    markers left ownerless, walking down the trail until a marker is
+    still in use.  Ceilings stay as they are."""
     k = e.marker
     while k is not None and t is not None:
         counter.marker += 1
@@ -163,7 +184,8 @@ def delete_marker(e: Entry, t: TupleTable | None,
         e.marker = None
         if k.rule is not None or k.owners is not None:
             return
-        del t.table[k.key]
+        key &= t.mask
+        del t.table[key]
         e, t = k, t.prev
         k = e.marker
 

@@ -1,13 +1,31 @@
 """Reference walks for the pruned searches of tc and ETC.
 
-Each chain is searched on its own with ``Chain.lookup``, highest
-priority ceiling first, and skipped once its ceiling is strictly below
-the best rule found so far.  ETC groups are walked in list (creation)
-order with the same skip.  Both walks also return what the search
-would cost with no cut at all, which pruning may only lower.
+Each chain's tree is walked on its own, highest priority ceiling first,
+and skipped once its ceiling is strictly below the best rule found so
+far.  Inside a chain the walk stops descending at a hit whose
+``Entry.ceil`` is strictly below that floor, and merges that hit's
+hint.  ETC groups are walked in list (creation) order with the same
+chain skip.  Both walks also return what the search would cost with no
+cut at all, which pruning may only lower.
 """
 
-from tuplechain.model import best_rule
+from tuplechain.model import MISS_PRIORITY, best_rule
+
+
+def tree_walk(chain, key, floor=MISS_PRIORITY):
+    """(deepest hit entry, probes) for ``key`` in ``chain``'s tree,
+    stopping at a hit whose ceiling is below ``floor``; no entry cut at
+    ``MISS_PRIORITY``."""
+    node, hit, probes = chain.root, None, 0
+    while node is not None:
+        e = node.table.get(key & node.mask)
+        probes += 1
+        if e is None:
+            node = node.fail
+        else:
+            hit = e
+            node = None if e.ceil < floor else node.succ
+    return hit, probes
 
 
 def ceiling_walk(chains, key, best=None):
@@ -15,11 +33,13 @@ def ceiling_walk(chains, key, best=None):
     ``best``."""
     probes = full = 0
     for chain in sorted(chains, key=lambda c: c.top, reverse=True):
-        r, p = chain.lookup(key)
-        full += p
-        if best is None or chain.top >= best.priority:
+        full += tree_walk(chain, key)[1]
+        floor = best.priority if best is not None else MISS_PRIORITY
+        if chain.top >= floor:
+            hit, p = tree_walk(chain, key, floor)
             probes += p
-            best = best_rule(best, r)
+            if hit is not None:
+                best = best_rule(best, hit.hint)
     return best, probes, full
 
 
@@ -31,7 +51,7 @@ def etc_walk(c, key):
     for g in c.groups:
         he = g.head.get(key & g.head_mask)
         chains = he.local.chains if he is not None else []
-        full += 1 + sum(ch.lookup(key)[1] for ch in chains)
+        full += 1 + sum(tree_walk(ch, key)[1] for ch in chains)
         if best is None or g.top >= best.priority:
             best, p, _ = ceiling_walk(chains, key, best)
             probes += 1 + p

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from tuplechain.baselines import LinearClassifier, TssClassifier
+from tuplechain.baselines import (LinearClassifier, TssClassifier,
+                                  linear_lookup_batch)
 from tuplechain.bench import (ALGOS, BenchError, make_classifier, run_bench,
                               run_equiv)
 from tuplechain.classifier import StructureStats, TupleChainClassifier
@@ -128,6 +129,22 @@ class TestRunBench:
                 bench(workload, algo=algo, updates=ups)
 
     @pytest.mark.parametrize("algo", ALGOS)
+    def test_bound_taken_once_per_run_of_updates(self, workload, algo,
+                                                 monkeypatch):
+        # ten updates all run before the one lookup: the bound is taken
+        # after the build and once more, just before that lookup
+        rs, trace, _ = workload
+        cls = ALGOS[algo]
+        calls = []
+        bound = cls.probe_bound
+        monkeypatch.setattr(cls, "probe_bound",
+                            lambda self: calls.append(1) or bound(self))
+        ups = UpdateStream(S, [("delete", r) for r in rs.rules[:10]])
+        rep = bench(workload, algo=algo, trace=trace[:1], updates=ups)
+        assert rep.updates == 10 and rep.bound_violations == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("algo", ALGOS)
     def test_all_algos_complete(self, workload, algo):
         _, trace, ups = workload
         rep = bench(workload, algo=algo, updates=ups)
@@ -171,6 +188,41 @@ class TestEquivDriver:
                             lambda self, key: MatchResult(None, 0))
         div = run_equiv(rs, trace)
         assert div is not None and "tss returned" in div
+
+    def test_updates_agree(self, workload):
+        rs, trace, ups = workload
+        assert run_equiv(rs, trace, ups) is None
+
+    # key 0x1234 matches both rules; the first wins until it is deleted
+    KEY = S.pack((0x12, 0x34))
+    TOP = Rule(KEY, S.pack((0xFFFF, 0xFFFF)), 9, 0)
+    LOW = Rule(0, 0, 1, 1)
+
+    def test_delete_that_changes_an_answer_passes(self):
+        rs = RuleSetFile(S, [self.TOP, self.LOW])
+        ups = UpdateStream(S, [("delete", self.TOP)])
+        assert run_equiv(rs, [self.KEY] * 3) is None
+        # the built rules' answer is now wrong: the live rules answer
+        assert linear_lookup_batch(rs.rules, [self.KEY]) == [(9, 0)]
+        assert run_equiv(rs, [self.KEY] * 3, ups) is None
+
+    def test_classifier_that_misses_a_delete_is_reported(self,
+                                                         monkeypatch):
+        # tss says it removed the rule but keeps answering with it
+        monkeypatch.setattr(TssClassifier, "remove", lambda self, r: True)
+        rs = RuleSetFile(S, [self.TOP, self.LOW])
+        ups = UpdateStream(S, [("delete", self.TOP)])
+        div = run_equiv(rs, [self.KEY] * 3, ups)
+        assert div == (f"after 0 keys, key {self.KEY:#x}: tss returned "
+                       "(9, 0), oracle says (1, 1)")
+
+    def test_update_that_changes_nothing_is_an_error(self):
+        rs = RuleSetFile(S, [self.TOP, self.LOW])
+        gone = Rule(0, 0, 1, 7)
+        ups = UpdateStream(S, [("delete", gone)])
+        with pytest.raises(BenchError, match="^update 0: delete of rule 7 "
+                           "removed nothing"):
+            run_equiv(rs, [self.KEY], ups)
 
 
 @pytest.fixture()
@@ -228,6 +280,24 @@ class TestCli:
                      "--trace", str(trace)]) == 0
         assert capsys.readouterr().out == \
             "equivalence: 300 keys, no divergence\n"
+
+    def test_equiv_with_updates(self, files, tmp_path, capsys):
+        rules, trace, ups = files
+        assert main(["equiv", "--rules", str(rules), "--trace", str(trace),
+                     "--updates", str(ups)]) == 0
+        assert capsys.readouterr().out == \
+            "equivalence: 300 keys, 100 updates, no divergence\n"
+        # the stream applied twice: its second half deletes what the
+        # first already deleted, or re-inserts a stored id
+        twice = tmp_path / "twice.updates"
+        lines = ups.read_text().splitlines()
+        body = [ln for ln in lines if ln[:2] in ("i ", "d ")]
+        twice.write_text("\n".join(lines + body) + "\n")
+        assert main(["equiv", "--rules", str(rules), "--trace", str(trace),
+                     "--updates", str(twice)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("equiv: update 100: ")
 
     def test_bench_smoke(self, files, capsys):
         rules, trace, ups = files

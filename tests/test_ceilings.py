@@ -3,7 +3,9 @@
 tc and tss search their chains (tuples) highest ceiling first and stop
 at the first one whose ceiling is strictly below the best priority
 found; ETC walks its groups in creation order and skips each such
-group.  The differential tests use rule sets whose
+group.  Inside a chain, tc and ETC stop descending at a hit whose entry
+ceiling is strictly below that floor.  The differential tests use rule
+sets whose
 priorities follow the mask or the file order, so ceilings differ from
 chain to chain and the cut really fires; the tie tests pin the strict
 comparison; the audit tests corrupt one ceiling or one order at a time.
@@ -118,12 +120,23 @@ def test_correlated_priorities_match_the_oracle(how, seed):
     assert spent < unpruned
     # removals never lower a ceiling; the stale bounds stay safe
     rng.shuffle(live)
+    gone = []
     while len(live) > 40:
         r = live.pop()
+        gone.append(r)
         for c in clfs.values():
             assert c.remove(r)
         if len(live) % 40 == 0:
             check(clfs, live, rng)
+    # and the same rules back, over those stale ceilings and trails
+    rng.shuffle(gone)
+    for step, r in enumerate(gone[:len(gone) // 2]):
+        for c in clfs.values():
+            c.insert(r)
+        live.append(r)
+        if step % 25 == 24:
+            check(clfs, live, rng)
+    check(clfs, live, rng)
     # a fresh build makes every ceiling exact again
     clfs["tc"] = TupleChainClassifier.build(S, live)
     check(clfs, live, rng)
@@ -176,6 +189,50 @@ class TestTies:
         res = c.lookup(self.KEY)
         assert (res.rule, res.probes) == (first, 2)
         assert etc_walk(c, self.KEY)[:2] == (first, 2)
+
+
+class TestEntryCut:
+    """A hit whose entry ceiling is below the best priority found ends
+    its chain's walk.  Chain X, one tuple, holds the key's rule at 50
+    and a 70 elsewhere; chain Y nests three tuples and holds a 60 on
+    another trail, so its ceiling 60 does not cut it.  Y's tree is
+    y2 -succ-> y3 (fail y1).  The key hits y2, whose entry holds 20
+    with only y3's 30 behind it: ceiling 30, below 50."""
+
+    X = pk(0x0F, 0x00)
+    Y1, Y2, Y3 = pk(0x00, 0xF0), pk(0x00, 0xFF), pk(0xF0, 0xFF)
+    KEY = pk(0x12, 0x34)
+
+    def rules(self):
+        return [Rule(pk(0x02, 0x00), self.X, 50, 0),
+                Rule(pk(0x05, 0x00), self.X, 70, 1),
+                Rule(pk(0x00, 0x30), self.Y1, 10, 2),
+                Rule(pk(0x00, 0x34), self.Y2, 20, 3),
+                Rule(pk(0x10, 0x34), self.Y3, 30, 4),
+                Rule(pk(0x90, 0x55), self.Y3, 60, 5)]
+
+    def test_walk_stops_at_the_low_ceiling(self):
+        rules = self.rules()
+        c = TupleChainClassifier.build(S, rules)
+        assert [[t.mask for t in ch.tuples] for ch in c.chains] == \
+            [[self.X], [self.Y1, self.Y2, self.Y3]]
+        y = c.chains[1]
+        assert y.root.mask == self.Y2 and y.top == 60
+        assert y.root.table[pk(0x00, 0x34)].ceil == 30
+        assert c.audit() == []
+        res = c.lookup(self.KEY)
+        # X: one probe; Y: y2 only, where y3 would be the next probe
+        assert (res.rule, res.probes) == (rules[0], 2)
+        assert ceiling_walk(c.chains, self.KEY) == (rules[0], 2, 3)
+
+    def test_equal_ceiling_walks_on(self):
+        # at 30 the key's own rule ties y3's 30 with a smaller id than
+        # the rule there: the walk must go on to y3 and keep it
+        rules = self.rules()
+        rules[0] = Rule(pk(0x02, 0x00), self.X, 30, 9)
+        c = TupleChainClassifier.build(S, rules)
+        res = c.lookup(self.KEY)
+        assert (res.rule, res.probes) == (rules[4], 3)
 
 
 def test_marker_hit_without_hint_does_not_move_the_floor():
@@ -256,6 +313,24 @@ class TestAudit:
         chain.top -= 1
         assert any(v.startswith(f"ceiling {chain.top} below rule ")
                    for v in chain.audit())
+
+    @pytest.mark.parametrize("below", ["rule", "ceiling"])
+    def test_entry_ceiling_below_an_owner_is_flagged(self, below):
+        # head entry 0x8000 is the marker of 0xc000, which is the
+        # marker of 0xc0f0's rule
+        c = TupleChainClassifier.build(
+            S, [Rule(pk(0x80, 0x00), pk(0x80, 0x00), 1, 0),
+                Rule(pk(0xC0, 0x00), pk(0xC0, 0x00), 5, 1),
+                Rule(pk(0xC0, 0xF0), pk(0xC0, 0xF0), 9, 2)])
+        (chain,) = c.chains
+        head = chain.tuples[0]
+        e = head.table[pk(0x80, 0x00)]
+        assert c.audit() == [] and e.ceil == 9
+        # the owner holds 5 with ceiling 9
+        e.ceil = 4 if below == "rule" else 8
+        assert c.audit() == [f"chain 0: ceiling {e.ceil} of "
+                             f"{pk(0x80, 0x00):#x} in tuple {head.mask:#x} "
+                             "below an owner's"]
 
     def test_tss_ceiling_below_a_rule_is_flagged(self):
         c = TssClassifier.build(S, self.rules())

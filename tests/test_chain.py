@@ -325,8 +325,9 @@ class TestAudit:
         assert len(t1.table[pk(0x80, 0x40)].owners) == 2
         del t2.table[pk(0xC0, 0x70)]
         t2.rule_count -= 1
-        assert c.audit() == [f"owner {pk(0xC0, 0x70):#x} of "
-                             f"{pk(0x80, 0x40):#x} not in the next tuple"]
+        # entries keep no key, so the stray owner is named by its marker
+        assert c.audit() == [f"an owner of {pk(0x80, 0x40):#x} is not in "
+                             "the next tuple"]
 
     @pytest.mark.parametrize("corrupt, violation", [
         (lambda tail: [], "holds 0"),

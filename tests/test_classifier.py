@@ -50,9 +50,12 @@ class TestBuild:
 
     def test_two_chain_walkthrough_probes(self):
         # six masks split optimally into two chains; the probe pattern
-        # for a key hitting the second tuple of each.  Chain (0, 1, 2, 4)
-        # has tree 0 -succ-> 2 (fail 1, succ 4): hit 0, miss 2, hit 1.
-        # Chain (3, 5) has tree 3 -succ-> 5: hit 3, miss 5.
+        # for a key hitting the second tuple of each.  Chain (3, 5),
+        # ceiling 50, goes first, tree 3 -succ-> 5: hit 3, miss 5, and
+        # rule 3 (25) is the best so far.  Chain (0, 1, 2, 4), ceiling
+        # 40, has tree 0 -succ-> 2 (fail 1, succ 4): hit 0, whose
+        # entry's ceiling is rule 1's 20, below 25, so the walk stops
+        # there; with no entry cut it would miss 2 and hit 1 as well.
         rules = [
             Rule(pk(0x80, 0x40), MASKS[0], 10, 0),
             Rule(pk(0x40, 0xA0), MASKS[1], 20, 1),
@@ -66,7 +69,8 @@ class TestBuild:
         assert c.audit() == []
         res = c.lookup(pk(0x41, 0xA9))
         assert res.rule is rules[3]     # priority 25 beats 20
-        assert res.probes == 5          # three in chain one, two in two
+        assert res.probes == 3          # two in chain (3, 5), one in one
+        assert ceiling_walk(c.chains, pk(0x41, 0xA9))[1:] == (3, 5)
 
     def test_cover_must_match_masks(self):
         rules = [Rule(0, MASKS[0], 1, 0)]
@@ -308,11 +312,14 @@ SPLICE_PRI = [5, 40, 12, 33, 21, 8, 50, 17, 29, 3, 44, 26, 14, 37, 9, 48]
 
 
 def shape(chain):
-    """Per tuple, its mask and each entry's rule, hint, marker key and
-    owner keys, by entry key."""
-    return [(t.mask, {k: (e.rule, e.hint,
-                          e.marker.key if e.marker is not None else None,
-                          frozenset(o.key for o in owners_of(e)))
+    """Per tuple, its mask and each entry's rule, hint, ceiling, marker
+    key and owner keys, by entry key.  Entries keep no key, so each is
+    found by identity in the tables."""
+    key_of = {id(e): k for t in chain.tuples for k, e in t.table.items()}
+    return [(t.mask, {k: (e.rule, e.hint, e.ceil,
+                          key_of[id(e.marker)] if e.marker is not None
+                          else None,
+                          frozenset(key_of[id(o)] for o in owners_of(e)))
                       for k, e in t.table.items()})
             for t in chain.tuples]
 

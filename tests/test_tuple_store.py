@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tuplechain.model import FieldSchema, Rule, best_rule
+from tuplechain.model import MISS_PRIORITY, FieldSchema, Rule, best_rule
 from tuplechain.tuple_store import (Entry, TouchCounter, TupleTable,
                                     add_owner, delete_marker, drop_owner,
                                     leave_marker, owners_of, report_hint)
@@ -31,8 +31,7 @@ T1, T2, T3, T5 = (pk(0x80, 0xC0), pk(0xC0, 0xF0), pk(0xC0, 0xFC),
 
 def test_probe_masks_the_key():
     t3 = TupleTable(T3)
-    e = Entry(pk(0x00, 0xA8))
-    t3.table[e.key] = e
+    e = t3.table[pk(0x00, 0xA8)] = Entry()
     assert t3.probe(pk(0x20, 0xA8)) is e
     assert TupleTable(T3).probe(pk(0x20, 0xA8)) is None
 
@@ -41,25 +40,27 @@ def test_probe_equals_linear_scan():
     rng = random.Random(3)
     t = TupleTable(pk(0xF0, 0xCC))
     for _ in range(40):
-        e = Entry(rng.getrandbits(16) & t.mask)
-        t.table.setdefault(e.key, e)
+        t.table.setdefault(rng.getrandbits(16) & t.mask, Entry())
     for _ in range(300):
         key = rng.getrandbits(16)
-        scan = [e for e in t.table.values() if e.key == (key & t.mask)]
+        scan = [e for k, e in t.table.items() if k == (key & t.mask)]
         got = t.probe(key)
         assert got is (scan[0] if scan else None)
 
 
 def test_leave_marker_recurses_down_the_chain():
     t1, t2, t3, t5 = make_chain_tuples(T1, T2, T3, T5)
-    e1 = Entry(pk(0x20, 0xA8))
-    t5.table[e1.key] = e1
+    e1 = t5.table[pk(0x20, 0xA8)] = Entry()
     c = TouchCounter()
-    k = leave_marker(e1, t5.prev, c)
-    assert k.key == pk(0x00, 0xA8) and k is t3.table[pk(0x00, 0xA8)]
-    # the marker trail continues into t2 and t1
-    assert t2.table[pk(0x00, 0xA0)].key == pk(0x00, 0xA0)
-    assert t1.table[pk(0x00, 0x80)].key == pk(0x00, 0x80)
+    k = leave_marker(e1, pk(0x20, 0xA8), 7, t5.prev, c)
+    # the trail masks the key down: (0x00, 0xA8) in t3, then t2 and t1
+    assert list(t3.table) == [pk(0x00, 0xA8)] and k is t3.table[pk(0x00, 0xA8)]
+    assert list(t2.table) == [pk(0x00, 0xA0)]
+    assert list(t1.table) == [pk(0x00, 0x80)]
+    # each fresh marker has only the coming rule, priority 7, behind it
+    assert all(t.table[key].ceil == 7
+               for t, key in ((t3, pk(0x00, 0xA8)), (t2, pk(0x00, 0xA0)),
+                              (t1, pk(0x00, 0x80))))
     assert e1.marker is k and e1 in owners_of(k)
     assert k.marker is t2.table[pk(0x00, 0xA0)]
     assert c.marker == 3  # one entry per preceding tuple
@@ -67,9 +68,9 @@ def test_leave_marker_recurses_down_the_chain():
 
 def test_leave_marker_at_chain_head():
     (t1,) = make_chain_tuples(T1)
-    e = Entry(pk(0x80, 0x40))
-    t1.table[e.key] = e
-    assert leave_marker(e, t1.prev, TouchCounter()) is None
+    e = t1.table[pk(0x80, 0x40)] = Entry()
+    assert leave_marker(e, pk(0x80, 0x40), 1, t1.prev,
+                        TouchCounter()) is None
     assert e.marker is None
 
 
@@ -81,9 +82,8 @@ def test_marker_entries_bounded_per_rule():
         key = rng.getrandbits(16) & t3.mask
         if key in t3.table:
             continue
-        e = Entry(key)
-        t3.table[key] = e
-        leave_marker(e, t3.prev, TouchCounter())
+        e = t3.table[key] = Entry()
+        leave_marker(e, key, MISS_PRIORITY, t3.prev, TouchCounter())
         rules += 1
     # at most (chain length - 1) marker entries per rule
     assert len(t1.table) + len(t2.table) <= rules * 2
@@ -94,10 +94,9 @@ def test_hint_reporting_keeps_higher_priority_rule():
     # and adopts r2; its own owner holds the still-better r6
     t1, t2, t3, t5 = make_chain_tuples(T1, T2, T3, T5)
     r6 = Rule(pk(0x20, 0xA8), T5, priority=60, rule_id=6)
-    e1 = Entry(r6.fields)
+    e1 = t5.table[r6.fields] = Entry()
     e1.rule = r6
-    t5.table[e1.key] = e1
-    e2 = leave_marker(e1, t5.prev, TouchCounter())
+    e2 = leave_marker(e1, r6.fields, 60, t5.prev, TouchCounter())
     e1.hint = best_rule(r6, e2.hint)
 
     r2 = Rule(pk(0x00, 0xA0), T2, priority=20, rule_id=2)
@@ -121,8 +120,8 @@ def test_report_hint_touches_each_owner_reached():
     entries = {}
     for t, key in ((t5, pk(0x48, 0xA4)), (t5, pk(0x50, 0xA4)),
                    (t3, pk(0x40, 0xA0)), (t3, pk(0x40, 0xA8))):
-        e = entries[key] = t.table[key] = Entry(key)
-        leave_marker(e, t.prev, TouchCounter())
+        e = entries[key] = t.table[key] = Entry()
+        leave_marker(e, key, MISS_PRIORITY, t.prev, TouchCounter())
     k = t2.table[pk(0x40, 0xA0)]
     assert len(owners_of(k)) == 3 and len(t2.table) == 1
     r = Rule(pk(0x40, 0xA0), T2, priority=5, rule_id=1)
@@ -138,7 +137,7 @@ def test_report_hint_touches_each_owner_reached():
     assert (c.marker, c.hint) == (0, 3)
     # a better rule in t3 stops what k reports at its owner
     own = t3.table[pk(0x40, 0xA4)]
-    r2 = Rule(own.key, T3, priority=9, rule_id=2)
+    r2 = Rule(pk(0x40, 0xA4), T3, priority=9, rule_id=2)
     own.rule = own.hint = r2
     c = TouchCounter()
     report_hint(own, c)
@@ -151,7 +150,7 @@ def test_report_hint_touches_each_owner_reached():
 
 
 def test_report_hint_no_owners_is_noop():
-    e = Entry(0)
+    e = Entry()
     e.hint = Rule(0, 0, 1, 0)
     c = TouchCounter()
     report_hint(e, c)
@@ -160,12 +159,12 @@ def test_report_hint_no_owners_is_noop():
 
 def test_delete_marker_tears_down_sole_trail():
     t1, t2, t3 = make_chain_tuples(T1, T2, T3)
-    e = Entry(pk(0x40, 0xA8))
-    t3.table[e.key] = e
-    leave_marker(e, t3.prev, TouchCounter())
+    key = pk(0x40, 0xA8)
+    e = t3.table[key] = Entry()
+    leave_marker(e, key, MISS_PRIORITY, t3.prev, TouchCounter())
     c = TouchCounter()
-    delete_marker(e, t3.prev, c)
-    del t3.table[e.key]
+    delete_marker(e, key, t3.prev, c)
+    del t3.table[key]
     assert not t1.table and not t2.table and not t3.table
     # one touch per marker dropped, in t2 and t1; no hint work
     assert (c.marker, c.hint) == (2, 0)
@@ -173,15 +172,15 @@ def test_delete_marker_tears_down_sole_trail():
 
 def test_delete_marker_spares_shared_marker():
     t2, t3 = make_chain_tuples(T2, T3)
-    ea = Entry(pk(0x40, 0xA4))
-    eb = Entry(pk(0x40, 0xA8))  # same key under t2's mask (0xC0, 0xF0)
-    t3.table[ea.key] = ea
-    t3.table[eb.key] = eb
-    ka = leave_marker(ea, t3.prev, TouchCounter())
-    kb = leave_marker(eb, t3.prev, TouchCounter())
+    # the same key under t2's mask (0xC0, 0xF0)
+    a, b = pk(0x40, 0xA4), pk(0x40, 0xA8)
+    ea = t3.table[a] = Entry()
+    eb = t3.table[b] = Entry()
+    ka = leave_marker(ea, a, MISS_PRIORITY, t3.prev, TouchCounter())
+    kb = leave_marker(eb, b, MISS_PRIORITY, t3.prev, TouchCounter())
     assert ka is kb and len(ka.owners) == 2
     c = TouchCounter()
-    delete_marker(ea, t3.prev, c)
+    delete_marker(ea, a, t3.prev, c)
     assert ka in t2.table.values() and list(owners_of(ka)) == [eb]
     # the spared marker is the only one touched
     assert (c.marker, c.hint) == (1, 0)
@@ -190,7 +189,7 @@ def test_delete_marker_spares_shared_marker():
 
 
 def test_owner_slot_takes_one_form_per_count():
-    k, a, b, c = Entry(0), Entry(1), Entry(2), Entry(3)
+    k, a, b, c = Entry(), Entry(), Entry(), Entry()
     assert k.owners is None and owners_of(k) == ()
     add_owner(k, a)
     assert k.owners is a and owners_of(k) == (a,)
@@ -207,8 +206,8 @@ def test_owner_slot_takes_one_form_per_count():
 
 @pytest.mark.parametrize("count", [0, 1, 2])
 def test_drop_owner_rejects_a_stranger(count):
-    k, stranger = Entry(0), Entry(3)
-    for o in (Entry(1), Entry(2))[:count]:
+    k, stranger = Entry(), Entry()
+    for o in (Entry(), Entry())[:count]:
         add_owner(k, o)
     before = list(owners_of(k))
     with pytest.raises(ValueError):
@@ -233,28 +232,27 @@ def test_incremental_hints_match_full_recomputation():
     c = TouchCounter()
     for step in range(400):
         if live and rng.random() < 0.4:
-            t, e = live.pop(rng.randrange(len(live)))
+            t, key, e = live.pop(rng.randrange(len(live)))
             if e.owners:
                 e.rule = None
                 e.hint = e.marker.hint if e.marker else None
                 report_hint(e, c)
             else:
-                delete_marker(e, t.prev, c)
-                del t.table[e.key]
+                delete_marker(e, key, t.prev, c)
+                del t.table[key]
         else:
             t = tuples[rng.randrange(len(tuples))]
             key = rng.getrandbits(16) & t.mask
             e = t.table.get(key)
             if e is None:
-                e = Entry(key)
-                t.table[key] = e
-                leave_marker(e, t.prev, c)
+                e = t.table[key] = Entry()
+                leave_marker(e, key, MISS_PRIORITY, t.prev, c)
             if e.rule is not None:
                 continue
             e.rule = Rule(key, t.mask, rng.randrange(100), step)
             e.hint = best_rule(e.rule, e.marker.hint if e.marker else None)
             report_hint(e, c)
-            live.append((t, e))
+            live.append((t, key, e))
         if step % 50 == 0:
             want = _full_hint_recompute(tuples)
             for t in tuples:
