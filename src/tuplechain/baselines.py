@@ -15,7 +15,7 @@ from operator import itemgetter
 import numpy as np
 
 from .chain import DuplicateRuleError
-from .classifier import StructureStats, check_new_rule, check_rule
+from .classifier import StructureStats, check_rule
 from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule, best_rule,
                     matches)
 
@@ -66,15 +66,6 @@ def linear_lookup_batch(rules, keys) -> list[tuple[int, int | None]]:
     return out
 
 
-def _check(schema: FieldSchema | None, r: Rule, rule_ids: set[int]) -> None:
-    """``check_rule`` against ``schema``, or only ``check_new_rule`` for
-    a classifier made without one."""
-    if schema is None:
-        check_new_rule(r, rule_ids)
-    else:
-        check_rule(schema, r, rule_ids)
-
-
 def _key_bytes(masks) -> int:
     """Bytes per packed key, from the widest mask stored."""
     return (max((m.bit_length() for m in masks), default=0) + 7) // 8
@@ -98,7 +89,7 @@ class LinearClassifier:
         return cls(rules, schema)
 
     def insert(self, r: Rule) -> None:
-        _check(self.schema, r, self.rule_ids)
+        check_rule(self.schema, r, self.rule_ids)
         if (r.fields, r.mask) in self.rules:
             raise DuplicateRuleError(
                 f"entry {r.fields:#x}/{r.mask:#x} already holds a rule")
@@ -165,7 +156,7 @@ class TssClassifier:
 
     def _add(self, r: Rule) -> bool:
         """Store r; True when the ceiling order needs a re-sort."""
-        _check(self.schema, r, self.rule_ids)
+        check_rule(self.schema, r, self.rule_ids)
         rec = self.tables.get(r.mask)
         fresh = rec is None
         if fresh:

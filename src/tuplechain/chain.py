@@ -31,10 +31,7 @@ successor's entries: each re-anchors on a fresh or shared marker in the
 new tuple, keyed by its own key under the new mask, and that marker
 links on to the predecessor entry the successor entry marked before and
 takes its hint.  So a splice walks no marker trail, removes no owner
-from a list and does no hint work.  A fresh build stores its rules with
-``fill``, head tuple first, where no entry has owners yet; it is
-``insert_rule``'s step written out without the hint reporting, one call
-per chain in place of several per rule.
+from a list and does no hint work.
 
 Each chain keeps a priority ceiling, ``Chain.top``: an upper bound on the
 priority of every rule it holds.  ``insert_rule`` raises it; a delete
@@ -44,9 +41,9 @@ search reads off every chain it visits cost no more than a pair unpack.
 
 Each entry keeps one too, ``Entry.ceil``: an upper bound on the priority
 of every rule stored deeper along marker trails through it.  Like
-``top``, ceilings never fall.  ``insert_rule`` and ``fill`` give the
-fresh markers of a new rule's trail its priority and raise the rest of
-the trail while a ceiling is below it, a splice gives each fresh marker
+``top``, ceilings never fall.  ``insert_rule`` gives the fresh
+markers of a new rule's trail its priority and raises the rest of the
+trail while a ceiling is below it, a splice gives each fresh marker
 the largest rule priority and ceiling among its owners, and no removal
 writes one.
 
@@ -300,6 +297,19 @@ class Chain:
     # -- rule updates ------------------------------------------------
 
     def insert_rule(self, t: TupleTable, r: Rule) -> None:
+        """Store r in t, this chain's tuple of r's mask: the one
+        rule-store step, for updates and builds alike.
+
+        A fresh entry walks its marker trail with ``leave_marker`` (one
+        ``touches.marker`` per probe), raises the trail's ceilings to
+        r's priority and takes the hint of the first existing entry the
+        trail found.  An entry that already marks entries of the next
+        tuple reports its new hint to them (``touches.hint``).  A build
+        stores each chain's rules head tuple first: while a tuple fills,
+        its successors are still empty, so no entry of it is a marker, a
+        rule's key is new unless a rule holds it, and its fresh entry has
+        no owners to report its hint to.
+        """
         if r.mask != t.mask:
             raise ChainError("rule mask does not match tuple mask")
         key = r.fields
@@ -333,88 +343,6 @@ class Chain:
         if e.owners is not None:
             report_hint(e, self.touches)
         t.rule_count += 1
-
-    def fill(self, by_mask: dict[int, list[Rule]]) -> None:
-        """Store ``by_mask[t.mask]`` in each tuple t, head tuple first;
-        every tuple must be empty.  Each rule's end state is what
-        ``insert_rule`` gives in the same order.
-
-        This is ``insert_rule``'s step written out for that order.
-        While a tuple fills, its successors are still empty, so no entry
-        of it is a marker: a rule's key is new unless a rule holds it,
-        and its fresh entry has no owners to report its hint to.  Each
-        rule makes its entry, then walks its marker trail as
-        ``leave_marker`` does (one ``touches.marker`` per probe), raises
-        the trail's ceilings as ``insert_rule`` does, and takes the hint
-        of the first entry the trail found.
-        """
-        if any(t.table for t in self.tuples):
-            raise ChainError("fill needs empty tuples")
-        touched = 0
-        top = self.top
-        for t in self.tuples:
-            table = t.table
-            rules = by_mask[t.mask]
-            for r in rules:
-                if r.mask != t.mask:
-                    raise ChainError("rule mask does not match tuple mask")
-                key = r.fields
-                if key in table:
-                    raise DuplicateRuleError(
-                        f"entry {key:#x} already holds rule "
-                        f"{table[key].rule.rule_id}")
-                e = table[key] = Entry()
-                e.rule = r
-                prio = r.priority
-                if prio > top:
-                    top = prio
-                # leave_marker's trail: fresh markers down to the first
-                # existing entry k, or to the head
-                cur = e
-                p = t.prev
-                mkey = key
-                below = None
-                while p is not None:
-                    mkey &= p.mask
-                    k = p.table.get(mkey)
-                    touched += 1
-                    if k is None:
-                        k = p.table[mkey] = Entry()
-                        k.owners = cur
-                        k.ceil = prio
-                        cur.marker = k
-                        cur, p = k, p.prev
-                        continue
-                    own = k.owners
-                    if own is None:
-                        k.owners = cur
-                    elif own.__class__ is Entry:
-                        k.owners = [own, cur]
-                    else:
-                        own.append(cur)
-                    cur.marker = k
-                    m = k
-                    while m is not None and m.ceil < prio:
-                        m.ceil = prio
-                        m = m.marker
-                    below = k.hint
-                    if below is not None:
-                        # the fresh markers hold no rule: they take k's
-                        m = e.marker
-                        while m is not k:
-                            m.hint = below
-                            m = m.marker
-                    break
-                # best_rule(r, below), inlined
-                if below is None or prio > below.priority or (
-                        prio == below.priority
-                        and r.rule_id <= below.rule_id):
-                    e.hint = r
-                else:
-                    e.hint = below
-            t.rule_count += len(rules)
-        self.top = top
-        self.touches.marker += touched
 
     def delete_rule(self, t: TupleTable, r: Rule) -> bool:
         """Remove r if present; True on deletion.  The caller is

@@ -11,9 +11,9 @@ checks each rule once and keeps the only id set.
 
 Construction paths:
   * ``fill`` (behind ``build``) computes a minimum path cover over the
-    masks, lays the chains out optimally and fills each with
-    ``Chain.fill``, head tuple first, so no stored rule has owners yet
-    to report its hint to.
+    masks, lays the chains out optimally and stores each chain's rules
+    with ``Chain.insert_rule``, head tuple first, so no stored rule has
+    owners yet to report its hint to.
   * incremental ``add`` places a brand-new tuple in the first chain, in
     search order, that can host its mask, at the position
     ``Chain.can_host`` gives there.
@@ -55,25 +55,18 @@ class StructureStats:
     group_count: int = 0
 
 
-def check_new_rule(r: Rule, rule_ids: set[int]) -> None:
-    """Reject r unless it is a Rule with an id not in ``rule_ids``; every
-    classifier checks this before it stores a rule."""
-    if not isinstance(r, Rule):
-        raise ValueError(f"{r!r} is not a Rule")
-    if r.rule_id in rule_ids:
-        raise DuplicateRuleError(f"rule id {r.rule_id} already present")
-
-
-def check_rule(schema: FieldSchema, r: Rule, rule_ids: set[int]) -> None:
-    """check_new_rule, and r must fit the schema; every build checks
-    this, and tc and etc check it on insert, before any change."""
-    # check_new_rule, inlined: tc and etc run this on every insert
+def check_rule(schema: FieldSchema | None, r: Rule,
+               rule_ids: set[int]) -> None:
+    """Reject r unless it is a Rule with an id not in ``rule_ids`` that
+    fits ``schema``; a classifier made without a schema (``None``)
+    checks no width.  Every classifier checks this before it stores a
+    rule, on build and on insert, before any change."""
     if not isinstance(r, Rule):
         raise ValueError(f"{r!r} is not a Rule")
     if r.rule_id in rule_ids:
         raise DuplicateRuleError(f"rule id {r.rule_id} already present")
     # a Rule's mask is non-negative, so this is mask >= 2**total_width
-    if r.mask >> schema.total_width:
+    if schema is not None and r.mask >> schema.total_width:
         raise ValueError(f"rule {r.rule_id} does not fit the schema")
 
 
@@ -129,7 +122,9 @@ class ChainSet:
             for t in chain.tuples:
                 self.registry[t.mask] = (chain, t)
         for chain in self.chains:
-            chain.fill(by_mask)
+            for t in chain.tuples:
+                for r in by_mask[t.mask]:
+                    chain.insert_rule(t, r)
         # stable: chains with equal ceilings keep cover order
         self.chains.sort(key=_TOP, reverse=True)
 
@@ -236,13 +231,14 @@ class ChainSet:
                         rule_count += 1
         tuple_count = sum(c.tuple_count for c in self.chains)
         # C-layout cost model, deliberately allocator-independent:
-        # entry = key + rule/hint/marker pointers + owner-list head;
+        # entry = key + rule/hint/marker pointers + owner-list head
+        # + an 8-byte priority ceiling (``Entry.ceil``);
         # owner link = two pointers; rule = fields + mask + pri + id;
         # tuple = mask + table/count/prev/fail/succ, plus the hash slots.
         # It prices every entry as a linked owner list whatever form its
         # ``owners`` slot takes (None, one Entry, or a list of two or
         # more), so it does not move when that form saves heap.
-        mem = (entry_total * (key_bytes + 4 * _PTR)
+        mem = (entry_total * (key_bytes + 4 * _PTR + 8)
                + owner_links * 2 * _PTR
                + rule_count * (2 * key_bytes + 12)
                + tuple_count * (5 * _PTR + key_bytes)
@@ -293,10 +289,9 @@ class TupleChainClassifier(ChainSet):
     def build(cls, schema: FieldSchema, rules: list[Rule],
               cover: PathCover | None = None) -> "TupleChainClassifier":
         self = cls(schema)
+        self.rule_ids = check_rules(schema, rules)
         by_mask: dict[int, list[Rule]] = {}
         for r in rules:
-            check_rule(schema, r, self.rule_ids)
-            self.rule_ids.add(r.rule_id)
             by_mask.setdefault(r.mask, []).append(r)
         self.fill(by_mask, cover)
         return self

@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 from tuplechain.baselines import (LinearClassifier, TssClassifier,
                                   linear_lookup)
-from tuplechain.chain import Chain, ChainError, DuplicateRuleError
+from tuplechain.chain import Chain, DuplicateRuleError
 from tuplechain.classifier import (ChainSet, TupleChainClassifier,
                                    cover_bound)
 from tuplechain.etc import EtcClassifier
@@ -141,20 +142,31 @@ class TestUpdates:
         with pytest.raises(DuplicateRuleError):
             cls.build(S, rules + [Rule(dup.fields, mask, 9, 3)])
 
-    @pytest.mark.parametrize("bad, cls", [
-        pytest.param(bad, cls, id=f"bad{i}-{cls.__name__}")
+    @pytest.mark.parametrize("bad, cls, schema", [
+        pytest.param(bad, cls, S, id=f"bad{i}-{cls.__name__}")
         for i, bad in enumerate([Rule(1 << 20, 1 << 20, 1, 0),
                                  (0, 0, 1, 0)])
         for cls in (TupleChainClassifier, EtcClassifier,
-                    TssClassifier, LinearClassifier)])
-    def test_insert_rejects_what_build_rejects(self, bad, cls):
+                    TssClassifier, LinearClassifier)] + [
+        # tss and linear made without a schema check no width, and
+        # refuse anything else as tc and etc do
+        pytest.param(bad, cls, None, id=f"{what}-{cls.__name__}-no-schema")
+        for what, bad in (("not-a-rule", (0, 0, 1, 0)),
+                          ("repeated-id", Rule(0, 0, 3, 1)))
+        for cls in (TssClassifier, LinearClassifier)])
+    def test_insert_rejects_what_build_rejects(self, bad, cls, schema):
         rules = [Rule(pk(0x80, 0), pk(0xC0, 0), 1, 1),
                  Rule(pk(0x80, 0x40), pk(0xC0, 0xC0), 2, 2)]
         with pytest.raises(ValueError) as built:
-            cls.build(S, rules + [bad])
-        c = cls.build(S, rules)
+            cls.build(schema, rules + [bad])
+        # the same error, type and message, as tc's and etc's
+        same = f"^{re.escape(str(built.value))}$"
+        for ref in (TupleChainClassifier, EtcClassifier):
+            with pytest.raises(built.type, match=same):
+                ref.build(S, rules + [bad])
+        c = cls.build(schema, rules)
         before = c.stats()
-        with pytest.raises(built.type):
+        with pytest.raises(built.type, match=same):
             c.insert(bad)
         assert c.audit() == []
         assert c.stats() == before
@@ -362,9 +374,9 @@ class TestSplice:
 
 
 class TestFill:
-    """``ChainSet.fill`` writes ``Chain.insert_rule``'s step out for a
-    head-first fill; along the same cover it must build what calling
-    ``insert_rule`` per rule builds, touch counts included."""
+    """A fill along a cover equals calling ``Chain.insert_rule`` per
+    rule, head tuple first, along that cover: entries, hints, markers,
+    owners, ceilings and touch counts included."""
 
     @staticmethod
     def state(chain):
@@ -420,9 +432,6 @@ class TestFill:
         assert chain.touches.marker > len(rules)
         assert any(e.rule is None and e.hint is not None
                    for t in chain.tuples for e in t.table.values())
-        # a second fill would find entries already there
-        with pytest.raises(ChainError):
-            chain.fill({t.mask: [] for t in chain.tuples})
 
 
 class TestOrderAudit:
