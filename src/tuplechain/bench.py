@@ -9,7 +9,9 @@ of ``U`` runs just before lookup ``j * N // U`` of ``N`` in both.
 
 from __future__ import annotations
 
+import gc
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 from .baselines import (LinearClassifier, TssClassifier, linear_lookup,
@@ -47,6 +49,22 @@ def make_classifier(algo: str, ruleset: RuleSetFile):
     if algo not in ALGOS:
         raise BenchError(f"unknown algo {algo!r}; pick one of {tuple(ALGOS)}")
     return ALGOS[algo].build(ruleset.schema, ruleset.rules)
+
+
+def traced_build(algo: str, ruleset: RuleSetFile):
+    """``make_classifier``, and the bytes the classifier holds by
+    tracemalloc, measured from a ``gc.collect()`` before the build, as
+    perfbench's ``traced_mb`` measures: the Python heap, which the
+    C-layout ``memory_bytes`` model undercounts."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        clf = make_classifier(algo, ruleset)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return clf, held
 
 
 def _update_ops(ruleset: RuleSetFile, updates: UpdateStream | None) -> list:

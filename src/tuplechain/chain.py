@@ -25,12 +25,15 @@ sets both links on every tuple, and a tuple leaving the chain has them
 cleared, so no link outlives the splice that made it.
 
 Chain order lives in ``Chain.tuples`` alone; a tuple links only back, by
-``TupleTable.prev``, for marker trails.  ``insert_tuple`` splices a
-fresh tuple in at the position ``can_host`` found, in one pass over the
-successor's entries: each re-anchors on a fresh or shared marker in the
-new tuple, keyed by its own key under the new mask, and that marker
-links on to the predecessor entry the successor entry marked before and
-takes its hint.  So a splice walks no marker trail, removes no owner
+``TupleTable.prev``, for marker trails, and to the chain holding it, by
+``TupleTable.chain``, for the chain set's registry.  ``_relink`` and
+``insert_tuple`` set ``chain`` where a tuple joins, and
+``drop_empty_tail`` clears it with the other links.  ``insert_tuple``
+splices a fresh tuple in at the position ``can_host`` found, in one
+pass over the successor's entries: each re-anchors on a fresh or shared
+marker in the new tuple, keyed by its own key under the new mask, and
+that marker links on to the predecessor entry the successor entry
+marked before and takes its hint.  So a splice walks no marker trail, removes no owner
 from a list and does no hint work.
 
 Each chain keeps a priority ceiling, ``Chain.top``: an upper bound on the
@@ -173,13 +176,17 @@ class Chain:
 
     @property
     def rule_count(self) -> int:
-        return sum(t.rule_count for t in self.tuples)
+        """Entries that hold a rule, counted when asked: no tuple keeps
+        a count."""
+        return sum(e.rule is not None for t in self.tuples
+                   for e in t.table.values())
 
     # -- structure ---------------------------------------------------
 
     def _relink(self):
         prev = None
         for t in self.tuples:
+            t.chain = self
             t.prev = prev
             prev = t
         self.root = (_build_tree(self.tuples, 0, len(self.tuples),
@@ -212,7 +219,7 @@ class Chain:
         them.  ``touches.marker`` counts one per marker link written:
         one per successor entry, plus one per fresh marker when p exists.
         """
-        if t.table or t.rule_count:
+        if t.table:
             raise ChainError("inserted tuple must be empty")
         tuples = self.tuples
         mask = t.mask
@@ -225,6 +232,7 @@ class Chain:
                             or hi == mask)):
             raise ChainError(f"mask {mask:#x} breaks chain order at {at}")
         tuples.insert(at, t)
+        t.chain = self
         # only t and its successor change predecessor
         p = t.prev = tuples[at - 1] if at else None
         self.root = _build_tree(tuples, 0, n + 1, (n + 1).bit_length())
@@ -284,7 +292,7 @@ class Chain:
         gone = tuples[j:]
         del tuples[j:]
         for t in gone:
-            t.prev = t.fail = t.succ = None
+            t.chain = t.prev = t.fail = t.succ = None
         self.root = _build_tree(tuples, 0, j, j.bit_length()) if j else None
         return gone
 
@@ -342,7 +350,6 @@ class Chain:
             p == below.priority and r.rule_id <= below.rule_id) else below
         if e.owners is not None:
             report_hint(e, self.touches)
-        t.rule_count += 1
 
     def delete_rule(self, t: TupleTable, r: Rule) -> bool:
         """Remove r if present; True on deletion.  The caller is
@@ -361,7 +368,6 @@ class Chain:
             e.hint = k.hint if k is not None else None
             e.rule = None
             report_hint(e, self.touches)
-        t.rule_count -= 1
         return True
 
     # -- auditing ----------------------------------------------------
@@ -376,8 +382,11 @@ class Chain:
         for a, b in zip(self.tuples, self.tuples[1:]):
             if not mask_less_than(a.mask, b.mask):
                 out.append(f"chain order broken: {a.mask:#x} !< {b.mask:#x}")
-        # prev links and tree in-order must agree with the sequence.
+        # chain and prev links and tree in-order must agree with the
+        # sequence.
         for i, t in enumerate(self.tuples):
+            if t.chain is not self:
+                out.append(f"tuple {t.mask:#x} names another chain")
             if t.prev is not (self.tuples[i - 1] if i > 0 else None):
                 out.append(f"prev link wrong at position {i}")
         # Iterative in-order walk that also takes the height.  A node met
@@ -407,9 +416,9 @@ class Chain:
                            f"{self.probe_bound()}")
 
         entry_total = 0
+        rule_total = 0
         owner_links = 0
         for t, nxt in zip(self.tuples, self.tuples[1:] + [None]):
-            rc = 0
             # an entry keeps no key: its owners are found by identity
             in_next = {id(o) for o in nxt.table.values()} if nxt else set()
             for key, e in t.table.items():
@@ -430,7 +439,7 @@ class Chain:
                 if e.rule is None and not owners:
                     out.append(f"dead entry {key:#x} in tuple {t.mask:#x}")
                 if e.rule is not None:
-                    rc += 1
+                    rule_total += 1
                     if e.rule.mask != t.mask or e.rule.fields != key:
                         out.append(f"rule {e.rule.rule_id} misfiled")
                     if e.rule.priority > self.top:
@@ -462,12 +471,10 @@ class Chain:
                                            and e.ceil < o.rule.priority):
                         out.append(f"ceiling {e.ceil} of {key:#x} in tuple "
                                    f"{t.mask:#x} below an owner's")
-            if rc != t.rule_count:
-                out.append(f"rule_count mismatch in tuple {t.mask:#x}")
-        if self.rule_count and entry_total > self.rule_count * len(self.tuples):
+        if rule_total and entry_total > rule_total * len(self.tuples):
             out.append(f"entry total {entry_total} exceeds space bound "
-                       f"{self.rule_count * len(self.tuples)}")
-        if self.rule_count == 0 and entry_total:
+                       f"{rule_total * len(self.tuples)}")
+        if rule_total == 0 and entry_total:
             out.append("entries present in a rule-free chain")
         if owner_links > entry_total:
             out.append("owner links exceed entry count")

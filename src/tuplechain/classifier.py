@@ -2,6 +2,10 @@
 
 ``ChainSet`` is the structure: ``chains``, ``registry`` and the
 operations that keep them, on rules the caller has already checked.
+``registry`` maps each live mask to its ``TupleTable``, which names the
+chain holding it in ``TupleTable.chain``: no object per mask beside
+the tuple itself, which counts because every ETC head entry has a
+chain set, and so a registry, of its own.
 Its ``probe_bound()`` sums the chains' tree heights when it is asked:
 nothing on the update path keeps a bound.
 ``TupleChainClassifier`` is a chain set with a schema and the set of
@@ -90,15 +94,17 @@ def cover_bound(masks) -> int:
 
 
 class ChainSet:
-    """Chains and the mask registry, over rules checked by the caller."""
+    """Chains and the mask -> tuple registry, over rules checked by
+    the caller."""
 
     __slots__ = ("chains", "registry")
 
     def __init__(self):
         # highest ceiling first: the order lookup searches them in
         self.chains: list[Chain] = []
-        # mask -> (chain, tuple); at most one live tuple per mask
-        self.registry: dict[int, tuple[Chain, TupleTable]] = {}
+        # mask -> its tuple, which names its chain; at most one live
+        # tuple per mask
+        self.registry: dict[int, TupleTable] = {}
 
     # -- construction ------------------------------------------------
 
@@ -120,7 +126,7 @@ class ChainSet:
             chain._relink()
             self.chains.append(chain)
             for t in chain.tuples:
-                self.registry[t.mask] = (chain, t)
+                self.registry[t.mask] = t
         for chain in self.chains:
             for t in chain.tuples:
                 for r in by_mask[t.mask]:
@@ -147,14 +153,14 @@ class ChainSet:
 
     def add(self, r: Rule) -> None:
         """Store r, which the caller has checked with ``check_rule``."""
-        hit = self.registry.get(r.mask)
-        if hit is None:
+        t = self.registry.get(r.mask)
+        if t is None:
             t = TupleTable(r.mask)
             chain, at = self._pick_chain(r.mask)
             chain.insert_tuple(t, at)
-            self.registry[r.mask] = (chain, t)
+            self.registry[r.mask] = t
         else:
-            chain, t = hit
+            chain = t.chain
         top = chain.top
         chain.insert_rule(t, r)
         if chain.top > top:
@@ -176,10 +182,10 @@ class ChainSet:
 
     def discard(self, r: Rule) -> bool:
         """Remove r if it is stored; True on removal."""
-        hit = self.registry.get(r.mask)
-        if hit is None:
+        t = self.registry.get(r.mask)
+        if t is None:
             return False
-        chain, t = hit
+        chain = t.chain
         if not chain.delete_rule(t, r):
             return False
         if not t.table:
@@ -234,7 +240,7 @@ class ChainSet:
         # entry = key + rule/hint/marker pointers + owner-list head
         # + an 8-byte priority ceiling (``Entry.ceil``);
         # owner link = two pointers; rule = fields + mask + pri + id;
-        # tuple = mask + table/count/prev/fail/succ, plus the hash slots.
+        # tuple = mask + table/chain/prev/fail/succ, plus the hash slots.
         # It prices every entry as a linked owner list whatever form its
         # ``owners`` slot takes (None, one Entry, or a list of two or
         # more), so it does not move when that form saves heap.
@@ -260,9 +266,10 @@ class ChainSet:
             out.extend(f"chain {i}: {v}" for v in c.audit())
         if any(a.top < b.top for a, b in zip(self.chains, self.chains[1:])):
             out.append("chains out of ceiling order")
-        for mask, (chain, t) in self.registry.items():
+        for mask, t in self.registry.items():
             if t.mask != mask:
                 out.append(f"registry mask {mask:#x} points at {t.mask:#x}")
+            chain = t.chain
             if chain not in self.chains or t not in chain.tuples:
                 out.append(f"registry entry {mask:#x} is stale")
         live = {t.mask for c in self.chains for t in c.tuples}

@@ -7,7 +7,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .bench import ALGOS, BenchError, make_classifier, run_bench, run_equiv
+from .bench import ALGOS, BenchError, run_bench, run_equiv, traced_build
 from .model import FieldSchema
 from .workload import (ParseError, TupleProfile, gen_rules, gen_trace,
                        gen_updates, parse_classbench, parse_generic,
@@ -64,7 +64,7 @@ def _add_io_flags(p, *extra):
 
 def cmd_build(args) -> int:
     rs = _load_rules(args)
-    clf = make_classifier(args.algo, rs)
+    clf, traced = traced_build(args.algo, rs)
     violations = clf.audit()
     for v in violations:
         print(v, file=sys.stderr)
@@ -72,7 +72,8 @@ def cmd_build(args) -> int:
     body = {"rules": st.rule_count, "tuples": st.tuple_count,
             "chains": st.chain_count, "groups": st.group_count,
             "entries": st.entry_total, "owner_links": st.owner_link_total,
-            "memory_bytes": st.memory_bytes, "probe_bound": clf.probe_bound(),
+            "memory_bytes": st.memory_bytes, "traced_bytes": traced,
+            "probe_bound": clf.probe_bound(),
             "audit_violations": len(violations)}
     _emit_report(body, args)
     return 1 if violations else 0

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# Priority reported for a miss; below any storable rule priority.
+# Priority reported for a miss; ``Rule`` refuses any priority at or
+# below it, so it is below every storable rule priority.
 MISS_PRIORITY = -(2**63)
 
 
@@ -67,7 +68,8 @@ class Rule:
     """A d-field wildcard rule: masked field values plus a priority.
 
     ``fields`` must be mask-canonical (bits outside ``mask`` cleared);
-    ``rule_id`` breaks priority ties and identifies the rule on delete.
+    ``priority`` must be above ``MISS_PRIORITY``; ``rule_id`` breaks
+    priority ties and identifies the rule on delete.
     """
 
     fields: int
@@ -84,6 +86,9 @@ class Rule:
                 f"{self.mask:#x}")
         if self.rule_id < 0:
             raise ValueError("rule_id must be non-negative")
+        if self.priority <= MISS_PRIORITY:
+            raise ValueError(f"rule priority {self.priority} is not above "
+                             f"the miss priority {MISS_PRIORITY}")
 
     def sort_key(self) -> tuple[int, int]:
         # Higher priority wins; ties go to the smaller id.

@@ -27,8 +27,12 @@ form as a sequence.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from .model import MISS_PRIORITY, Rule
+
+if TYPE_CHECKING:
+    from .chain import Chain
 
 
 class Entry:
@@ -107,17 +111,20 @@ class TouchCounter:
 class TupleTable:
     """All rules sharing one mask, keyed by their masked field vectors.
 
-    The owning chain links ``prev``, the less specific neighbour that
-    marker trails walk, and ``fail``/``succ``, the tuple's children in
-    the chain's search tree; a splice does no hint work.
+    ``chain`` names the chain that holds the tuple, so a chain set's
+    registry maps each mask to its tuple alone.  That chain links
+    ``chain``, ``prev``, the less specific neighbour that marker trails
+    walk, and ``fail``/``succ``, the tuple's children in the chain's
+    search tree; a splice does no hint work.  A tuple keeps no rule
+    count: ``Chain.rule_count`` counts entries that hold a rule.
     """
 
-    __slots__ = ("mask", "table", "rule_count", "prev", "fail", "succ")
+    __slots__ = ("mask", "table", "chain", "prev", "fail", "succ")
 
     def __init__(self, mask: int):
         self.mask = mask
         self.table: dict[int, Entry] = {}
-        self.rule_count = 0
+        self.chain: Chain | None = None
         self.prev: TupleTable | None = None
         self.fail: TupleTable | None = None
         self.succ: TupleTable | None = None

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from tuplechain.baselines import (LinearClassifier, TssClassifier,
                                   linear_lookup_batch)
 from tuplechain.bench import (ALGOS, BenchError, make_classifier, run_bench,
-                              run_equiv)
+                              run_equiv, traced_build)
 from tuplechain.classifier import StructureStats, TupleChainClassifier
 from tuplechain.cli import main
 from tuplechain.etc import EtcClassifier
@@ -65,6 +66,18 @@ class TestFactory:
         rs, _, _ = workload
         with pytest.raises(BenchError):
             make_classifier("cuckoo", rs)
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_traced_build_counts_what_the_classifier_holds(self, workload,
+                                                           algo):
+        # the same classifier make_classifier builds, tracing stopped
+        # after it, and more bytes held for more rules
+        rs, _, _ = workload
+        clf, held = traced_build(algo, rs)
+        assert not tracemalloc.is_tracing()
+        assert clf.stats() == make_classifier(algo, rs).stats()
+        half = RuleSetFile(rs.schema, rs.rules[:len(rs.rules) // 2])
+        assert 0 < traced_build(algo, half)[1] < held
 
 
 class TestRunBench:
@@ -357,10 +370,12 @@ class TestCli:
         d = json.loads(out.read_text())
         # the same keys for every algorithm
         assert set(d) == {"rules", "tuples", "chains", "groups", "entries",
-                          "owner_links", "memory_bytes", "probe_bound",
-                          "audit_violations"}
+                          "owner_links", "memory_bytes", "traced_bytes",
+                          "probe_bound", "audit_violations"}
         assert d["rules"] == 200 and d["audit_violations"] == 0
         assert d["probe_bound"] > 0 and d["memory_bytes"] > 0
+        # the heap the build holds, which the C-layout model undercounts
+        assert d["traced_bytes"] > d["memory_bytes"]
         assert (d["groups"] > 0) == (algo == "etc")
         assert (d["chains"] > 0) == (algo in ("tc", "etc"))
 

@@ -19,7 +19,7 @@ from tuplechain.baselines import LinearClassifier, TssClassifier
 from tuplechain.chain import Chain, search
 from tuplechain.classifier import TupleChainClassifier
 from tuplechain.etc import EtcClassifier
-from tuplechain.model import FieldSchema, Rule
+from tuplechain.model import MISS_PRIORITY, FieldSchema, Rule
 from tuplechain.tuple_store import TupleTable
 
 from pruned import ceiling_walk, etc_walk
@@ -245,6 +245,19 @@ def test_marker_hit_without_hint_does_not_move_the_floor():
     assert len(c.chains) == 2
     assert c.lookup(pk(0x29, 0x99)).rule is other
     assert c.lookup(pk(0x29, 0x90)).rule is None
+
+
+def test_lowest_storable_priority_is_found():
+    # At MISS_PRIORITY - 1 the head's fresh marker took a ceiling under
+    # the search floor, so tc's walk stopped there and missed the rule
+    # that etc, tss and linear found.  Rule refuses priorities at or
+    # below MISS_PRIORITY; the lowest it stores is found by all four.
+    schema = FieldSchema((4, 4))
+    rules = [Rule(0x30, 0xF0, 1, 0), Rule(0x12, 0xFF, MISS_PRIORITY + 1, 1)]
+    for cls in (TupleChainClassifier, EtcClassifier, TssClassifier,
+                LinearClassifier):
+        c = cls.build(schema, rules)
+        assert c.lookup(0x12).rule is rules[1] and c.audit() == []
 
 
 class TestEtcRouting:

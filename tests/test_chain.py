@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tuplechain.chain import Chain, ChainError, DuplicateRuleError
+from tuplechain.classifier import ChainSet
 from tuplechain.model import (FieldSchema, Rule, best_rule, mask_less_than,
                               matches)
 from tuplechain.tuple_store import TupleTable
@@ -160,8 +161,8 @@ class TestRuleUpdates:
         r = insert(c, T2, pk(0x40, 0xA0), 5, 0)
         other = Rule(r.fields, r.mask, 6, r.rule_id)
         assert not c.delete_rule(c.tuples[1], other)
-        assert c.tuples[1].table[r.fields].rule is r
-        assert c.tuples[1].rule_count == 1 and c.audit() == []
+        assert [e.rule for e in c.tuples[1].table.values()] == [r]
+        assert c.rule_count == 1 and c.audit() == []
 
     def test_delete_leaf_rule_removes_entry_and_trail(self):
         c = new_chain(T1, T2, T3)
@@ -324,7 +325,6 @@ class TestAudit:
         t1, t2 = c.tuples
         assert len(t1.table[pk(0x80, 0x40)].owners) == 2
         del t2.table[pk(0xC0, 0x70)]
-        t2.rule_count -= 1
         # entries keep no key, so the stray owner is named by its marker
         assert c.audit() == [f"an owner of {pk(0x80, 0x40):#x} is not in "
                              "the next tuple"]
@@ -368,6 +368,13 @@ class TestAudit:
                 forms.add(min(len(owned), 2))
         assert forms == {0, 1, 2}
 
+    def test_tuple_naming_another_chain_is_flagged(self):
+        c, other = new_chain(T1, T2), new_chain(T1, T2)
+        c.tuples[1].chain = other
+        assert c.audit() == [f"tuple {T2:#x} names another chain"]
+        c.tuples[1].chain = None
+        assert c.audit() == [f"tuple {T2:#x} names another chain"]
+
     def test_self_loop_is_flagged(self):
         c = new_chain(T1, T2, T3)
         c.root.succ = c.root
@@ -388,23 +395,43 @@ class TestAudit:
         assert c.audit() == ["tree meets more than its 4 tuples: a cycle "
                              "or a stray link"]
 
+    @staticmethod
+    def assert_registered(cs):
+        """The registry, each tuple's ``chain`` and each chain's
+        ``tuples`` agree: one registered tuple per live mask, held by
+        the chain it names."""
+        live = {t.mask: t for ch in cs.chains for t in ch.tuples}
+        assert cs.registry == live   # tuples compare by identity
+        assert all(t.chain is ch for ch in cs.chains for t in ch.tuples)
+
     def test_random_splices_leave_no_stale_links(self):
         rng = random.Random(4)
         for _ in range(30):
             order = rng.sample(range(16), 10)
             masks = [sum(1 << b for b in order[:i + 1]) for i in range(10)]
-            c = new_chain(masks[0])
-            insert(c, masks[0], rng.getrandbits(16), 5, 0)
+            # the chain behind a chain set's registry, spliced and
+            # dropped the way ChainSet.add and ChainSet.discard do
+            cs = ChainSet()
+            cs.fill({masks[0]: [Rule(rng.getrandbits(16) & masks[0],
+                                     masks[0], 5, 0)]})
+            (c,) = cs.chains
+            self.assert_registered(cs)
             for m in rng.sample(masks[1:], 9):
-                c.insert_tuple(TupleTable(m), c.can_host(m))
+                t = TupleTable(m)
+                c.insert_tuple(t, c.can_host(m))
+                cs.registry[m] = t
                 assert c.audit() == []
+                self.assert_registered(cs)
             # every spliced mask contains the head's, so the spliced
             # tuples form an empty run behind the head, dropped at once
             spliced = c.tuples[1:]
             assert c.drop_empty_tail() == spliced
-            assert c.audit() == []
             for t in spliced:
-                assert t.prev is None and t.fail is None and t.succ is None
+                del cs.registry[t.mask]
+            assert c.audit() == []
+            self.assert_registered(cs)
+            for t in spliced:
+                assert t.chain is t.prev is t.fail is t.succ is None
             assert c.tuples == [c.root]
             assert c.root.fail is None and c.root.succ is None
 

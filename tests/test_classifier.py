@@ -233,7 +233,7 @@ class TestUpdates:
         assert len(c.chains) == 2
         c.insert(Rule(pk(0xC0, 0xA0), pk(0xC0, 0xF0), 1, 2))
         assert len(c.chains) == 2   # extends the first chain
-        assert c.registry[pk(0xC0, 0xF0)][0] is c.registry[pk(0x80, 0xC0)][0]
+        assert c.registry[pk(0xC0, 0xF0)].chain is c.registry[pk(0x80, 0xC0)].chain
 
     def test_new_mask_placed_on_first_hosting_chain_in_search_order(self):
         c = TupleChainClassifier(S)
@@ -246,7 +246,7 @@ class TestUpdates:
         full = pk(0xFF, 0xFF)
         c.insert(Rule(pk(0xC0, 0x01), full, 1, 3))
         assert c.chains == [longer, shorter]
-        assert c.registry[full][0] is longer
+        assert c.registry[full].chain is longer
         assert c.audit() == []
 
 
@@ -297,7 +297,8 @@ class TestSharedSearch:
                 r = Rule(f, m, rng.randrange(1000), len(live))
                 c.insert(r)
                 live.append(r)
-            chain, t = c.registry[m]
+            t = c.registry[m]
+            chain = t.chain
             spliced += 0 < chain.tuples.index(t) < len(chain.tuples) - 1
         # placement may pick a shorter chain that takes the mask at an
         # end, but most held-back masks land mid-chain
@@ -360,7 +361,7 @@ class TestSplice:
         # linked on to the predecessor, which the head has not.
         assert chain.touches.marker - before == \
             succ + (len(t.table) if at else 0)
-        c.registry[fresh] = (chain, t)
+        c.registry[fresh] = t
         for r in rules:
             if r.mask == fresh:
                 c.insert(r)
@@ -382,7 +383,9 @@ class TestFill:
     def state(chain):
         return (chain.top, chain.touches.marker, chain.touches.hint,
                 shape(chain),
-                [(t.rule_count, list(t.table)) for t in chain.tuples])
+                [(t.chain is chain,
+                  sum(e.rule is not None for e in t.table.values()),
+                  list(t.table)) for t in chain.tuples])
 
     def check(self, schema, rules):
         by_mask = {}
@@ -451,10 +454,23 @@ class TestOrderAudit:
         (chain,) = c.chains
         t = TupleTable(pk(0xF0, 0))
         chain.insert_tuple(t, 1)
-        c.registry[t.mask] = (chain, t)
+        c.registry[t.mask] = t
         # the empty tuple still counts towards the bound it costs
         assert c.probe_bound() == chain.probe_bound() == 2
         assert c.audit() == [f"tuple {t.mask:#x} holds no entries"]
+
+
+    def test_tuple_naming_another_chain_is_flagged(self):
+        # the registry reaches a tuple's chain through ``t.chain``; a
+        # tuple that names a chain which does not hold it is stale
+        rng = random.Random(3)
+        c = TupleChainClassifier.build(S, random_rules(rng, 60, MASKS))
+        first, second = c.chains
+        t = first.tuples[0]
+        t.chain = second
+        assert c.audit() == [
+            f"chain 0: tuple {t.mask:#x} names another chain",
+            f"registry entry {t.mask:#x} is stale"]
 
 
 class TestStats:

@@ -80,6 +80,13 @@ class TestMatches:
         with pytest.raises(ValueError, match="negative"):
             Rule(0, -(1 << 70), 9, 0)
 
+    def test_priority_at_or_below_miss_rejected(self):
+        # such a rule would rank with a miss, or below one
+        for p in (MISS_PRIORITY, MISS_PRIORITY - 1, -(1 << 70)):
+            with pytest.raises(ValueError, match="miss priority"):
+                Rule(0x12, 0xFF, p, 1)
+        assert Rule(0x12, 0xFF, MISS_PRIORITY + 1, 1).priority > MISS_PRIORITY
+
 
 class TestMaskOrder:
     def test_known_nested_pair(self):

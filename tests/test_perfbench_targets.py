@@ -44,7 +44,7 @@ def test_structural_reads_of_the_traced_run():
     tuples = [t for c in tc.chains for t in c.tuples]
     assert sorted(t.mask for t in tuples) == sorted(set(pool))
     r = rules[0]
-    assert tc.registry[r.mask][1].probe(r.fields).rule is r
+    assert tc.registry[r.mask].probe(r.fields).rule is r
 
     assert etc.group_count == len(etc.groups) > 0
     assert etc.min_head_bits == 4

@@ -89,7 +89,8 @@ def test_roots_follow_every_tuple_set_change(seed):
             etc.insert(r)
             live.append(r)
             check(tc, etc, live, rng)
-        chain, t = tc.registry[m]
+        t = tc.registry[m]
+        chain = t.chain
         spliced += 0 < chain.tuples.index(t) < len(chain.tuples) - 1
     assert spliced >= len(held) // 2
     assert len(tc.chains) > chains

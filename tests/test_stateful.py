@@ -2,7 +2,9 @@
 oracle through random builds, inserts, removals, mask drains, lookups
 and fresh tc builds, with every classifier audited after every step.
 Every lookup also pins tc's and ETC's rule and probe count to the
-reference walks in ``pruned`` and ETC's kept probe bound to a fresh sum.
+reference walks in ``pruned``, and both probe bounds, which
+``probe_bound()`` computes from the chains on each call, to the sums
+written out here.
 
 The mask pool is nested (each mask contains the one before it), so a
 mask inserted while others of the pool are live splices into the middle
@@ -106,8 +108,9 @@ class Differential(RuleBasedStateMachine):
             assert res.rule == want, (name, key)
             assert res.probes <= c.probe_bound(), (name, key)
         # tc's search and ETC's inlined walk against the reference walks,
-        # probe counts included, and both kept bounds against sums taken
-        # from the chains
+        # probe counts included; no update keeps a bound, so these pin the
+        # sums probe_bound() computes from the chains to the ones written
+        # out here
         tc, etc = self.clfs["tc"], self.clfs["etc"]
         res = tc.lookup(key)
         assert (res.rule, res.probes) == ceiling_walk(tc.chains, key)[:2], key

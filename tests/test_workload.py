@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tuplechain.baselines import linear_lookup
 from tuplechain.bench import ALGOS
 from tuplechain.cli import main
-from tuplechain.model import FieldSchema, Rule, matches
+from tuplechain.model import MISS_PRIORITY, FieldSchema, Rule, matches
 from tuplechain.workload import (CLASSBENCH_SCHEMA, ParseError, TupleProfile,
                                  UpdateStream, gen_rules, gen_trace,
                                  gen_updates, parse_classbench, parse_generic,
@@ -272,6 +272,20 @@ class TestGenericFormat:
         with pytest.raises(ParseError) as ei:
             parse(p)
         assert ei.value.lineno == lineno
+
+    @pytest.mark.parametrize("parse, record", [
+        (parse_generic, "10/f0 0/0 {}"),
+        (parse_updates, "i 10/f0 0/0 {} 7"),
+    ], ids=["rules", "updates"])
+    def test_miss_priority_is_a_parse_error(self, tmp_path, parse, record):
+        # Rule refuses a priority that would rank with a miss, and the
+        # parser names the line that asked for one
+        p = tmp_path / "bad.txt"
+        p.write_text("fields: 2\nwidths: 8 8\n" + record.format(5) + "\n"
+                     + record.format(MISS_PRIORITY) + "\n")
+        with pytest.raises(ParseError, match="miss priority") as ei:
+            parse(p)
+        assert ei.value.lineno == 4 and f"{p}:4:" in str(ei.value)
 
     @given(st.lists(st.tuples(st.integers(1, 12), st.integers(-2, 1 << 13),
                               st.integers(-2, 1 << 13)), min_size=1,
