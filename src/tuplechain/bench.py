@@ -43,6 +43,11 @@ class MetricsReport:
     max_probes: int
     bound_violations: int
     memory_bytes: int
+    # stats() after the stream, and of a fresh build over its live rules
+    chains: int
+    groups: int
+    bulk_chains: int
+    bulk_groups: int
 
 
 def make_classifier(algo: str, ruleset: RuleSetFile):
@@ -89,6 +94,14 @@ def _interleave(trace: list[int], ops: list):
         yield key, range(first, j)
 
 
+def _track(live: dict, op: str, rule) -> None:
+    """Apply an update to ``live``, the rules by id."""
+    if op == "insert":
+        live[rule.rule_id] = rule
+    else:
+        del live[rule.rule_id]
+
+
 def _apply(clf, j: int, op: str, rule) -> None:
     """Update ``j``, an insert or delete of rule, on clf; a
     ``BenchError`` if it is rejected or removes nothing."""
@@ -112,7 +125,10 @@ def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
     taken once after the build and again before the first lookup after
     each run of updates.  An update that changes nothing (a rejected
     insert, a delete of a rule not stored) stops the run with a
-    ``BenchError`` naming it."""
+    ``BenchError`` naming it.  After the timed loop, the chain and
+    group counts of the classifier are set beside those of a fresh
+    build over the rules live at the end, which shows a layout that
+    updates let drift from the one a build would make."""
     if not trace:
         raise BenchError("the trace is empty")
     ops = _update_ops(ruleset, updates)
@@ -144,6 +160,12 @@ def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
             probes_max = p
         if p > bound:
             violations += 1
+    live = {r.rule_id: r for r in ruleset.rules}
+    for op, rule in ops:
+        _track(live, op, rule)
+    st = clf.stats()
+    bulk = make_classifier(
+        algo, RuleSetFile(ruleset.schema, list(live.values()))).stats()
     return MetricsReport(
         algo=algo,
         rule_count=len(ruleset.rules),
@@ -157,7 +179,11 @@ def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
         avg_probes=probes_total / n,
         max_probes=probes_max,
         bound_violations=violations,
-        memory_bytes=clf.stats().memory_bytes,
+        memory_bytes=st.memory_bytes,
+        chains=st.chain_count,
+        groups=st.group_count,
+        bulk_chains=bulk.chain_count,
+        bulk_groups=bulk.group_count,
     )
 
 
@@ -180,10 +206,7 @@ def run_equiv(ruleset: RuleSetFile, trace: list[int],
             op, rule = ops[j]
             for clf in clfs.values():
                 _apply(clf, j, op, rule)
-            if op == "insert":
-                live[rule.rule_id] = rule
-            else:
-                del live[rule.rule_id]
+            _track(live, op, rule)
         if oracle is not None:
             want = oracle[i]
         else:

@@ -7,14 +7,17 @@ rules colliding at that key; a head miss skips the whole group.  The
 chain sets keep no rule ids and check nothing: ``EtcClassifier`` checks
 each rule once, against its schema and its own id set, the only one.
 
-A head that cannot miss, whose rules hold every key its mask can form,
-filters nothing and only splits its group into copies of one chain
-layout.  A build folds every such group into one group with head mask
-0 and a single chain set, unless a cover over the group's own masks
-would have a higher probe bound than its head probe plus its largest
-local bound (see ``_plan_and_fill``).  Head mask 0 is contained in
-every mask, so while that group lives a fresh mask that contains no
-wider head joins its chain set and opens no group.
+A head that seldom misses filters little and mostly splits its group
+into copies of one chain layout.  A build folds a planned group with a
+``b``-bit head and ``n`` head entries into one group with head mask 0
+and a single chain set when ``own <= 1 + (n / 2^b) * local``: ``own``
+is the probe bound of a cover over the group's own masks, ``local`` the
+largest bound behind one head entry (see ``_plan_and_fill``).  Head
+mask 0 filters nothing, so its group's one entry is taken without a
+probe; an ETC whose plans all fold searches exactly as tc does.  Head
+mask 0 is contained in every mask, so while that group lives a fresh
+mask that contains no wider head joins its chain set and opens no
+group.
 
 Each group keeps a priority ceiling, ``_Group.top``, at least the local
 ceilings behind all its head entries.  ``groups`` runs in creation
@@ -32,9 +35,9 @@ ties between groups by list position, which is creation order, and a
 mask has a route only while it holds rules.
 
 ``probe_bound`` computes the bound from the chains when it is asked:
-one head probe per group plus the largest ``local.probe_bound()`` behind
-it.  No insert or remove keeps a bound; only ``bench`` and the tests
-ask for it.
+one head probe per group with a nonzero head mask plus the largest
+``local.probe_bound()`` behind it.  No insert or remove keeps a bound;
+only ``bench`` and the tests ask for it.
 """
 
 from __future__ import annotations
@@ -181,11 +184,17 @@ class EtcClassifier:
         to ``groups`` in plan order and fill them.  The rules are
         checked, in input order, and hold no route yet.
 
-        A planned group whose head cannot miss, one entry for every key
-        its head mask can form, filters nothing.  It joins the one
-        head-mask-0 group, placed where the first such plan was, unless
-        a single cover over its own masks would have a larger probe
-        bound than its head probe plus its largest local bound."""
+        A planned group with a ``b``-bit head mask and ``n`` head
+        entries joins the one head-mask-0 group, placed where the first
+        such plan was, when ``2^b * own <= 2^b + n * local``: folded, a
+        lookup pays ``own``, the ``cover_bound`` over the group's
+        masks; headed, one head probe plus ``local``, the largest
+        ``cover_bound`` over one head entry's masks, on the ``n / 2^b``
+        share of keys the head lets through.  Head mask 0 costs no
+        probe.  A plan of two or more masks has ``own >= 2``, so with
+        ``local <= own`` it passes only if ``2n >= 2^b``; the covers
+        are computed only for a plan of one mask or a head at least
+        half full, which keeps the cover work off big sparse heads."""
         masks = sorted({r.mask for r in rules})
         plans = group_chains(min_path_cover(build_graph(masks)), masks,
                              self.min_head_bits)
@@ -205,9 +214,11 @@ class EtcClassifier:
             for r in members:
                 by_mask = buckets.setdefault(r.fields & plan.head_mask, {})
                 by_mask.setdefault(r.mask, []).append(r)
-            if len(buckets) == 1 << plan.head_mask.bit_count() and \
-                    cover_bound(dict.fromkeys(r.mask for r in members)) \
-                    <= 1 + max(map(cover_bound, buckets.values())):
+            n, keys = len(buckets), 1 << plan.head_mask.bit_count()
+            fold = (len(plan.member_masks) == 1 or 2 * n >= keys) and \
+                keys * cover_bound(dict.fromkeys(r.mask for r in members)) \
+                <= keys + n * max(map(cover_bound, buckets.values()))
+            if fold:
                 if not folded:
                     layouts.append((0, {0: flat}))
                 folded |= plan.member_masks
@@ -241,8 +252,10 @@ class EtcClassifier:
         for grp in self.groups:
             if grp.top < floor:
                 continue
-            probes += 1   # the head probe
-            he = grp.head.get(key & grp.head_mask)
+            hm = grp.head_mask
+            if hm:
+                probes += 1   # the head probe; mask 0 filters nothing
+            he = grp.head.get(key & hm)
             if he is None:
                 continue
             # chain.search's walk, written out (see the module docstring)
@@ -272,9 +285,11 @@ class EtcClassifier:
         return MatchResult(best, probes)
 
     def probe_bound(self) -> int:
-        """One head probe per group plus the worst local bound behind it."""
-        return sum(1 + max((he.local.probe_bound()
-                            for he in grp.head.values()), default=0)
+        """One head probe per group with a nonzero head mask plus the
+        worst local bound behind it."""
+        return sum((grp.head_mask != 0)
+                   + max((he.local.probe_bound() for he in grp.head.values()),
+                         default=0)
                    for grp in self.groups)
 
     # -- updates -----------------------------------------------------

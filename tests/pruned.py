@@ -45,14 +45,16 @@ def ceiling_walk(chains, key, best=None):
 
 def etc_walk(c, key):
     """The same for an ETC classifier: one head probe per group not
-    cut, then its local chains behind the head entry the key hits."""
+    cut, none for head mask 0, then its local chains behind the head
+    entry the key hits."""
     best = None
     probes = full = 0
     for g in c.groups:
         he = g.head.get(key & g.head_mask)
         chains = he.local.chains if he is not None else []
-        full += 1 + sum(tree_walk(ch, key)[1] for ch in chains)
+        head = 1 if g.head_mask else 0
+        full += head + sum(tree_walk(ch, key)[1] for ch in chains)
         if best is None or g.top >= best.priority:
             best, p, _ = ceiling_walk(chains, key, best)
-            probes += 1 + p
+            probes += head + p
     return best, probes, full

@@ -55,7 +55,7 @@ class TestFactory:
         assert st.rule_count == len(rs.rules)
 
     @pytest.mark.parametrize("algo, want", [
-        ("tc", 39088), ("etc", 41444), ("tss", 10800), ("linear", 6000)])
+        ("tc", 39088), ("etc", 38912), ("tss", 10800), ("linear", 6000)])
     def test_model_bytes_are_pinned(self, workload, algo, want):
         # the C-layout cost model's figures on this fixture; a change
         # to any of them is a change to the model
@@ -71,13 +71,26 @@ class TestFactory:
     def test_traced_build_counts_what_the_classifier_holds(self, workload,
                                                            algo):
         # the same classifier make_classifier builds, tracing stopped
-        # after it, and more bytes held for more rules
+        # after it, and more bytes held for more rules, except where
+        # ETC's layout differs
         rs, _, _ = workload
         clf, held = traced_build(algo, rs)
         assert not tracemalloc.is_tracing()
         assert clf.stats() == make_classifier(algo, rs).stats()
         half = RuleSetFile(rs.schema, rs.rules[:len(rs.rules) // 2])
-        assert 0 < traced_build(algo, half)[1] < held
+        small, held_half = traced_build(algo, half)
+        if algo == "etc":
+            # all the rules fold a 7-bit head that holds 109 of its 128
+            # keys and keep an 8-bit one; the first half keep one 11-bit
+            # head with a chain set for each of its 149 keys, and that
+            # holds more
+            assert [(g.head_mask.bit_count(), len(g.head))
+                    for g in clf.groups] == [(0, 1), (8, 57)]
+            assert [(g.head_mask.bit_count(), len(g.head))
+                    for g in small.groups] == [(11, 149)]
+            assert 0 < held < held_half
+        else:
+            assert 0 < held_half < held
 
 
 class TestRunBench:
@@ -158,6 +171,44 @@ class TestRunBench:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("algo", ALGOS)
+    def test_layout_counts_after_the_stream_and_of_a_fresh_build(
+            self, workload, algo):
+        rs, _, ups = workload
+        rep = bench(workload, algo=algo)
+        st = make_classifier(algo, rs).stats()
+        assert (rep.chains, rep.groups) == (rep.bulk_chains, rep.bulk_groups) \
+            == (st.chain_count, st.group_count)
+        # a direct loop over the stream, and a build over what it leaves
+        clf = make_classifier(algo, rs)
+        live = {r.rule_id: r for r in rs.rules}
+        for op, r in ups.ops:
+            (clf.insert if op == "insert" else clf.remove)(r)
+            if op == "insert":
+                live[r.rule_id] = r
+            else:
+                del live[r.rule_id]
+        st = clf.stats()
+        bulk = make_classifier(algo, RuleSetFile(S, list(live.values())))
+        rep = bench(workload, algo=algo, updates=ups)
+        assert (rep.chains, rep.groups) == (st.chain_count, st.group_count)
+        assert (rep.bulk_chains, rep.bulk_groups) == (
+            bulk.stats().chain_count, bulk.stats().group_count)
+
+    def test_etc_groups_that_a_build_would_fold_show(self):
+        # a sparse two-mask head, then two fresh masks that contain no
+        # head: each opens a group of its own, where a build over the
+        # same rules folds both lone masks into one head-mask-0 group
+        rules = [Rule(S.pack((0x0100, 0)), S.pack((0xFF00, 0)), 1, 0),
+                 Rule(S.pack((0x0200, 0x10)), S.pack((0xFF00, 0xF0)), 1, 1)]
+        fresh = [Rule(S.pack((0, 1)), S.pack((0, 0x0F)), 1, 2),
+                 Rule(S.pack((1, 0)), S.pack((0x0F, 0)), 1, 3)]
+        ups = UpdateStream(S, [("insert", r) for r in fresh])
+        rep = run_bench("etc", RuleSetFile(S, rules), [0, 1, 2], ups)
+        assert (rep.groups, rep.bulk_groups) == (3, 2)
+        # one chain behind each of the sparse head's two entries
+        assert rep.chains == rep.bulk_chains == 4
+
+    @pytest.mark.parametrize("algo", ALGOS)
     def test_all_algos_complete(self, workload, algo):
         _, trace, ups = workload
         rep = bench(workload, algo=algo, updates=ups)
@@ -176,7 +227,8 @@ class TestReports:
             "algo", "rule_count", "lookups", "updates", "build_s",
             "lookup_s", "update_s", "lookups_per_s", "updates_per_s",
             "avg_probes", "max_probes", "bound_violations",
-            "memory_bytes"}
+            "memory_bytes", "chains", "groups", "bulk_chains",
+            "bulk_groups"}
         assert list(d) == sorted(d)
 
     def test_text_and_json_reports_carry_the_same_keys(self, files, capsys):

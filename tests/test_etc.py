@@ -253,19 +253,21 @@ class TestLookup:
 
     def test_probes_are_heads_plus_local_probes_behind_hits(self):
         rng = random.Random(52)
-        pool = [rng.getrandbits(16) | 0x8000 for _ in range(8)]
+        pool = [rng.getrandbits(16) | 0xC000 for _ in range(8)]
         fresh = [rng.getrandbits(16) & 0x7FFF for _ in range(3)]
         rules, seen = [], set()
         while len(rules) < 200:
             m = rng.choice(pool if len(rules) < 150 else pool + fresh)
-            # the top bit is set wherever the mask holds it, so no head
-            # can see every key its mask forms
-            f = (rng.getrandbits(16) | 0x8000) & m
+            # the top two bits are set wherever the mask holds them, so
+            # no head sees more than a quarter of the keys its mask forms
+            f = (rng.getrandbits(16) | 0xC000) & m
             if (m, f) not in seen:
                 seen.add((m, f))
                 rules.append(Rule(f, m, rng.randrange(99), len(rules)))
         c = EtcClassifier.build(S, rules[:150], min_head_bits=3)
-        assert all(g.head_mask for g in c.groups)   # no head-mask-0 group
+        # no plan is a lone mask, and no head-mask-0 group takes in the
+        # fresh masks
+        assert all(g.head_mask for g in c.groups)
         bulk_groups = c.group_count
         for r in rules[150:]:
             c.insert(r)
@@ -281,8 +283,9 @@ class TestLookup:
     def test_probe_bound_sums_worst_local_bound_per_group(self):
         c = EtcClassifier.build(S, WALK_RULES, min_head_bits=2)
         assert c.probe_bound() == sum(
-            1 + max(sum(ch.probe_bound() for ch in he.local.chains)
-                    for he in g.head.values())
+            (g.head_mask != 0)
+            + max(sum(ch.probe_bound() for ch in he.local.chains)
+                  for he in g.head.values())
             for g in c.groups)
         rng = random.Random(51)
         pool = [rng.getrandbits(16) | 0x8000 for _ in range(10)]
@@ -390,19 +393,28 @@ class TestUpdates:
         (False, False), (True, False), (False, True), (True, True)],
         ids=["False", "True", "False-head-keeps", "True-head-keeps"])
     def test_one_remove_empties_a_whole_chain(self, neighbour, head_keeps):
-        # three nested masks, none comparable with ``off``; the last
+        # two base masks under the sparse head 0x0F00, and three nested
+        # masks that hold that head but are comparable with neither base
+        # mask, so in ETC they join the base group under a head entry of
+        # their own and in tc they open a chain of their own.  The last
         # rule's marker trail runs through the first two rules' entries,
         # so once those rules go, removing it empties all three tuples.
         # If the head tuple keeps its rule, the same remove empties only
         # the two tail tuples, and the chain and head entry stay
-        a, b, c3, off = pk(0xF0, 0), pk(0xFF, 0), pk(0xFF, 0xF0), pk(0, 0x0F)
-        base = [Rule(pk(0, 0x05), off, 5, 1)]
-        trail = [Rule(pk(0xA0, 0), a, 1, 10), Rule(pk(0xAB, 0), b, 2, 11),
-                 Rule(pk(0xAB, 0x50), c3, 3, 12)]
+        a, b, c3 = pk(0xFF, 0), pk(0xFF, 0x80), pk(0xFF, 0xC0)
+        lo, hi = pk(0x0F, 0x0F), pk(0x0F, 0xF0)
+        key = pk(0x03, 0)   # the trail's head key
+        base = [Rule(pk(0x05, 0x05), lo, 5, 1),
+                Rule(pk(0x06, 0x50), hi, 5, 3)]
+        trail = [Rule(pk(0xA3, 0), a, 1, 10),
+                 Rule(pk(0xA3, 0x80), b, 2, 11),
+                 Rule(pk(0xA3, 0xC0), c3, 3, 12)]
         tc = TupleChainClassifier.build(S, base)
         e = EtcClassifier.build(S, base)
-        # a second head entry in the trail's group, under another key
-        extra = [Rule(pk(0x50, 0), a, 4, 2)] if neighbour else []
+        (grp,) = e.groups
+        assert grp.head_mask == pk(0x0F, 0) and len(grp.head) == 2
+        # a neighbour head entry for mask a, under another key
+        extra = [Rule(pk(0x54, 0), a, 4, 2)] if neighbour else []
         for r in extra:
             e.insert(r)
         for r in trail:
@@ -414,37 +426,40 @@ class TestUpdates:
         (chain,) = [ch for ch in tc.chains if ch.tuples[0].mask == a]
         counts = [len(kept), 0, 1]
         assert rules_per_tuple(chain) == counts
-        grp = e._mask_to_group[c3][0]
-        he = grp.head[pk(0xA0, 0)]
+        assert e.groups == [grp] and e._mask_to_group[c3][0] is grp
+        he = grp.head[key]
         assert rules_per_tuple(he.chains[0]) == counts
-        # base's group: a head probe and one tuple; the trail's group: a
-        # head probe and the three-tuple chain, height 2
-        assert tc.probe_bound() == 1 + 2 and he.local.probe_bound() == 2
-        assert e.probe_bound() == (1 + 1) + (1 + 2)
+        # tc: two one-tuple chains and the three-tuple chain, height 2;
+        # ETC: the head probe and the trail's entry, the worst behind it
+        assert tc.probe_bound() == 1 + 1 + 2 and he.local.probe_bound() == 2
+        assert e.probe_bound() == 1 + 2
         assert tc.remove(trail[2]) and e.remove(trail[2])
         if head_keeps:
-            assert chain in tc.chains and set(tc.registry) == {off, a}
+            assert chain in tc.chains and set(tc.registry) == {lo, hi, a}
             assert [t.mask for t in chain.tuples] == [a]
-            assert grp.head[pk(0xA0, 0)] is he and grp in e.groups
+            assert grp.head[key] is he
             assert [t.mask for t in he.chains[0].tuples] == [a]
             assert he.local.probe_bound() == 1
             assert set(he.local.registry) == {a}
         else:
-            assert chain not in tc.chains and set(tc.registry) == {off}
-            assert pk(0xA0, 0) not in grp.head
-            assert (grp in e.groups) == neighbour
-        # the trail's group falls to its one-tuple entry, kept or the
-        # neighbour's, or goes with its last entry
-        assert e.probe_bound() == (1 + 1) + (
-            1 + 1 if head_keeps or neighbour else 0)
+            assert chain not in tc.chains and set(tc.registry) == {lo, hi}
+            assert key not in grp.head
+        # the base entries, the neighbour's and a kept trail entry each
+        # hold one tuple now
+        assert e.groups == [grp]
+        assert set(grp.head) == {pk(0x05, 0), pk(0x06, 0)} \
+            | ({pk(0x04, 0)} if neighbour else set()) \
+            | ({key} if head_keeps else set())
+        assert e.probe_bound() == 1 + 1
         for clf, live in ((tc, base + kept), (e, base + extra + kept)):
             assert clf.audit() == []
             assert clf.probe_bound() == \
                 type(clf).build(S, live).probe_bound()
         assert tc.probe_bound() == sum(ch.probe_bound() for ch in tc.chains)
         assert e.probe_bound() == sum(
-            1 + max(sum(ch.probe_bound() for ch in h.local.chains)
-                    for h in g.head.values())
+            (g.head_mask != 0)
+            + max(sum(ch.probe_bound() for ch in h.local.chains)
+                  for h in g.head.values())
             for g in e.groups)
 
     def test_route_lives_as_long_as_its_mask_holds_rules(self):
@@ -522,10 +537,10 @@ class TestUpdates:
                         linear_lookup(live, key).rule
 
 
-# A full head and one that can miss: FULL_MASKS nest under head 0x0300,
-# whose four keys all occur, and SPARSE_MASKS under head 0x00F0, whose
-# rules all set bit 0x0080.  With min_head_bits=3 the two chains do not
-# merge (their heads share no bit).
+# A full head and a sparse one: FULL_MASKS nest under head 0x0300, whose
+# four keys all occur, and SPARSE_MASKS under head 0x00F0, whose rules
+# all set bits 0x00C0, so at most a quarter of its keys occur.  With
+# min_head_bits=3 the two chains do not merge (their heads share no bit).
 FULL_MASKS = [pk(0x03, 0), pk(0x0F, 0), pk(0x3F, 0), pk(0xFF, 0)]
 SPARSE_MASKS = [pk(0, 0xF0), pk(0, 0xFC), pk(0, 0xFF)]
 
@@ -535,7 +550,7 @@ def folding_rules(rng, masks, n, live):
     out = []
     while len(out) < n:
         m = rng.choice(masks)
-        f = (rng.getrandbits(16) | 0x0080) & m
+        f = (rng.getrandbits(16) | 0x00C0) & m
         if (m, f) not in taken:
             taken.add((m, f))
             out.append(Rule(f, m, rng.randrange(99), len(live) + len(out)))
@@ -543,7 +558,8 @@ def folding_rules(rng, masks, n, live):
 
 
 class TestHeadMaskZeroGroup:
-    """Groups whose head cannot miss fold into one head-mask-0 group."""
+    """Groups whose head saves less than it costs fold into one
+    head-mask-0 group, which a lookup takes without a head probe."""
 
     @staticmethod
     def build(seed):
@@ -621,6 +637,116 @@ class TestHeadMaskZeroGroup:
             assert c.lookup(key).rule is linear_lookup(rules, key).rule
 
 
+# three nested masks under head 0x00F0 (4 bits): a cover over them has
+# probe bound 2, and so has each head entry that holds all three
+NEST = [pk(0, 0xF0), pk(0, 0xFC), pk(0, 0xFF)]
+
+
+def nested_rules(n, every_mask):
+    """Rules under the first n of NEST's 16 head keys: each key holds
+    all three masks, or only mask ``k % 3``."""
+    return [Rule(pk(0, k << 4 | low), m, 10 * k + i, 3 * k + i)
+            for k in range(n)
+            for i, (m, low) in enumerate(zip(NEST, (0, 4, 5)))
+            if every_mask or i == k % 3]
+
+
+def same_as_tc(c, tc, keys):
+    for key in keys:
+        a, b = c.lookup(key), tc.lookup(key)
+        assert (a.rule, a.probes) == (b.rule, b.probes), hex(key)
+
+
+class TestFold:
+    """A planned group with a b-bit head and n head entries folds into
+    the head-mask-0 group when 2^b * own <= 2^b + n * local."""
+
+    @pytest.mark.parametrize("n, every_mask, folds", [
+        (16, True, True), (15, True, True), (8, True, True),
+        (7, True, False), (16, False, True), (15, False, False),
+        (8, False, False)])
+    def test_head_at_least_half_full_folds_by_the_inequality(
+            self, n, every_mask, folds):
+        # own = 2; local = 2 where every key holds every mask, else 1
+        rules = nested_rules(n, every_mask)
+        own = cover_bound(NEST)
+        local = cover_bound(NEST if every_mask else NEST[:1])
+        assert folds == (16 * own <= 16 + n * local)
+        c = EtcClassifier.build(S, rules)
+        (g,) = c.groups
+        assert g.head_mask == (0 if folds else pk(0, 0xF0))
+        assert len(g.head) == (1 if folds else n)
+        assert c.audit() == []
+        tc = TupleChainClassifier.build(S, rules)
+        if folds:
+            assert c.probe_bound() == tc.probe_bound() == own
+            same_as_tc(c, tc, range(0, 1 << 16, 7))
+        else:
+            assert c.probe_bound() == 1 + local
+        for key in range(0, 1 << 16, 7):
+            assert c.lookup(key).rule is linear_lookup(rules, key).rule
+
+    def test_sparse_plan_of_two_masks_keeps_its_head(self):
+        # 3 of 256 keys under head 0xFF00, the two masks nested
+        rules = [Rule(pk(k, 0), pk(0xFF, 0), k, k) for k in (1, 2)] + \
+            [Rule(pk(3, 0x30), pk(0xFF, 0xF0), 3, 3)]
+        c = EtcClassifier.build(S, rules)
+        assert [(g.head_mask, len(g.head)) for g in c.groups] == \
+            [(pk(0xFF, 0), 3)]
+        assert c.probe_bound() == 1 + 1
+        assert c.lookup(pk(9, 0x30)).probes == 1   # the head misses
+        assert c.lookup(pk(3, 0x31)).rule is rules[2]
+
+    def test_sparse_plan_of_one_mask_folds(self):
+        # 3 of 256 keys, but a head probe would stand in front of the
+        # one tuple probe it saves
+        rules = [Rule(pk(k, 0), pk(0xFF, 0), k, k) for k in (1, 2, 3)]
+        c = EtcClassifier.build(S, rules)
+        assert [(g.head_mask, list(g.head)) for g in c.groups] == [(0, [0])]
+        assert c.probe_bound() == 1
+        miss, hit = c.lookup(pk(9, 9)), c.lookup(pk(2, 9))
+        assert (miss.rule, miss.probes) == (None, 1)   # no head probe
+        assert (hit.rule, hit.probes) == (rules[1], 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_plan_folded_searches_as_tc(self, seed):
+        # a full head over FULL_MASKS and two lone masks, one plan each
+        rng = random.Random(seed)
+        lone = [pk(0, 0x0F), pk(0, 0xF0)]
+        live = folding_rules(rng, FULL_MASKS + lone, 150, [])
+        c = EtcClassifier.build(S, live)
+        tc = TupleChainClassifier.build(S, live)
+        masks = sorted({r.mask for r in live})
+        assert len(group_chains(min_path_cover(build_graph(masks)), masks,
+                                c.min_head_bits)) == 3
+        assert [g.head_mask for g in c.groups] == [0]
+        assert c.probe_bound() == tc.probe_bound()
+        same_as_tc(c, tc, range(1 << 16))
+        # an update stream over the same masks and a fresh one, which
+        # joins the head-mask-0 group's chain set as it joins tc's
+        next_id = len(live)
+        for step in range(150):
+            if rng.random() < 0.4:
+                r = live.pop(rng.randrange(len(live)))
+                assert c.remove(r) and tc.remove(r)
+            else:
+                (r,) = folding_rules(rng, FULL_MASKS + lone + [pk(0x0C, 3)],
+                                     1, live)
+                r = Rule(r.fields, r.mask, r.priority, next_id)
+                next_id += 1
+                c.insert(r)
+                tc.insert(r)
+                live.append(r)
+            if step % 50 == 49:
+                assert c.audit() == [] and tc.audit() == []
+                assert c.probe_bound() == tc.probe_bound()
+                same_as_tc(c, tc, (rng.getrandbits(16) for _ in range(300)))
+        assert c.group_count == 1
+        same_as_tc(c, tc, range(1 << 16))
+        for key in range(0, 1 << 16, 13):
+            assert c.lookup(key).rule is linear_lookup(live, key).rule
+
+
 class TestAudit:
     @staticmethod
     def two_groups():
@@ -655,8 +781,10 @@ class TestAudit:
             "group 0: rule 1 mask routed to another group"]
 
     def test_empty_group_is_flagged(self):
+        # two masks under the sparse head 0xFF00, which keeps its probe
         c = EtcClassifier.build(S, [Rule(0x0100, 0xFF00, 1, 1),
-                                    Rule(0x0200, 0xFF00, 1, 2)])
+                                    Rule(0x0210, 0xFFF0, 1, 2)])
+        assert [g.head_mask for g in c.groups] == [0xFF00]
         grp = _Group(0x00F0)
         c.groups.append(grp)
         c._mask_to_group[0x00F0] = [grp, 0]
