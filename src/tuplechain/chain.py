@@ -51,14 +51,15 @@ the largest rule priority and ceiling among its owners, and no removal
 writes one.
 
 ``search(chains, key)`` is tc's lookup loop.  It takes chains, highest
-ceiling first, walks each one's tree inline from ``Chain.root``, keeps
-the deepest hit's entry and merges that entry's hint into the running
-best once per chain.  It stops at the first chain whose ceiling is
-strictly below the best priority found so far: no rule there can win.
-Inside a chain it stops descending at a hit whose ``ceil`` is strictly
-below that floor: a deeper hit's hint is the best of this hit's hint
-and rules stored deeper along its trail, which rank below the floor, so
-it beats the floor only through this hit's own hint.  Both cuts are
+ceiling first, walks each one's tree inline from ``Chain.root``, and
+merges each hit's hint into the running best the moment it finds the
+hit.  It stops at the first chain whose ceiling is strictly below the
+best priority found so far: no rule there can win.  Inside a chain it
+stops descending at a hit whose ``ceil`` is strictly below that floor,
+which already counts the hit's own hint, so a hit that outranks every
+rule deeper on its trail ends its chain.  By the hint law a deeper
+hit's hint dominates a shallower one's, so the best is the one a merge
+after the walk would give, found with no more probes.  Both cuts are
 strict because ``best_rule`` breaks priority ties by rule id, so a rule
 whose priority equals the floor may still win.  Probe counts therefore
 depend on the rule priorities, not only on the masks.  The tc
@@ -131,30 +132,27 @@ def search(chains: Iterable[Chain], key: int) -> tuple[Rule | None, int]:
         if c.top < floor:
             break
         node = c.root
-        hit = None
         while node is not None:
             e = node.table.get(key & node.mask)
             probes += 1
             if e is None:
                 node = node.fail
-            else:
-                # Each hit is deeper than the last, and a deeper entry's
-                # marker trail runs through every shallower hit, so by
-                # the hint law its hint dominates theirs.
-                hit = e
-                if e.ceil < floor:
-                    break   # nothing deeper can beat the floor
-                node = node.succ
-        if hit is not None:
-            h = hit.hint
-            # a hit on a bare marker may carry no hint.  best_rule,
-            # inlined: higher priority wins, ties go to the smaller id.
+                continue
+            # Each hit is deeper than the last, and its marker trail
+            # runs through every shallower hit, so by the hint law its
+            # hint dominates theirs.  Merged here, it raises the floor
+            # the cut below reads.  A bare marker may carry no hint.
+            # best_rule, inlined: ties go to the smaller id.
+            h = e.hint
             if h is not None:
                 p = h.priority
                 if p > floor or best is None or (
                         p == floor and h.rule_id < best.rule_id):
                     best = h
                     floor = p
+            if e.ceil < floor:
+                break   # nothing deeper can beat the floor
+            node = node.succ
     return best, probes
 
 

@@ -25,11 +25,11 @@ order: a build keeps the order ``group_chains`` plans, and an insert
 that opens a group appends it.  A lookup is one loop over one running
 best: it skips any group whose ceiling is strictly below that best,
 head probe included, and behind a hit head entry walks the local
-chains itself, with the chain and entry ceiling cuts, tree descent and
-hint merge of ``chain.search``.  Calling ``search`` once per hit head
-entry instead cost about an eighth of the lookup time on acl-wide, where
-a lookup hits 1.8 head entries, so the walk is written out here as well
-as in ``search``.
+chains itself, with ``chain.search``'s chain and entry ceiling cuts,
+tree descent and hint merge at each hit, which raises the floor those
+cuts read.  Calling ``search`` once per hit head entry instead cost
+about an eighth of the lookup time on acl-wide, where a lookup hits 1.8
+head entries, so the walk is written out here as well as in ``search``.
 Probe counts depend on rule priorities.  Routing a fresh mask breaks
 ties between groups by list position, which is creation order, and a
 mask has a route only while it holds rules.
@@ -263,25 +263,22 @@ class EtcClassifier:
                 if c.top < floor:
                     break
                 node = c.root
-                hit = None
                 while node is not None:
                     e = node.table.get(key & node.mask)
                     probes += 1
                     if e is None:
                         node = node.fail
-                    else:
-                        hit = e
-                        if e.ceil < floor:
-                            break
-                        node = node.succ
-                if hit is not None:
-                    h = hit.hint
+                        continue
+                    h = e.hint
                     if h is not None:
                         p = h.priority
                         if p > floor or best is None or (
                                 p == floor and h.rule_id < best.rule_id):
                             best = h
                             floor = p
+                    if e.ceil < floor:
+                        break
+                    node = node.succ
         return MatchResult(best, probes)
 
     def probe_bound(self) -> int:

@@ -190,9 +190,12 @@ def test_criterion_04_probe_reduction():
     tc_avg = sum(tc.lookup(k).probes for k in keys) / len(keys)
     tss_avg = sum(tss.lookup(k).probes for k in keys) / len(keys)
     ok = tc_avg <= 0.5 * tss_avg and etc.group_count <= l
+    # a group with head mask 0 costs no head probe
+    headed = sum(g.head_mask != 0 for g in etc.groups)
     report(4, ok,
            f"tc avg probes {tc_avg:.1f} <= half of tss {tss_avg:.1f} "
-           f"(m={m}, l={l}); etc head probes {etc.group_count} <= {l}")
+           f"(m={m}, l={l}); etc groups {etc.group_count} <= {l}, "
+           f"head probes <= {headed}")
 
 
 # -- criterion 5: churn correctness ---------------------------------

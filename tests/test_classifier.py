@@ -52,11 +52,13 @@ class TestBuild:
     def test_two_chain_walkthrough_probes(self):
         # six masks split optimally into two chains; the probe pattern
         # for a key hitting the second tuple of each.  Chain (3, 5),
-        # ceiling 50, goes first, tree 3 -succ-> 5: hit 3, miss 5, and
-        # rule 3 (25) is the best so far.  Chain (0, 1, 2, 4), ceiling
-        # 40, has tree 0 -succ-> 2 (fail 1, succ 4): hit 0, whose
-        # entry's ceiling is rule 1's 20, below 25, so the walk stops
-        # there; with no entry cut it would miss 2 and hit 1 as well.
+        # ceiling 50, goes first, tree 3 -succ-> 5: the hit on 3 merges
+        # rule 3 (25) at once, and nothing deeper on its trail ranks
+        # that high, so the walk ends there, before 5.  Chain
+        # (0, 1, 2, 4), ceiling 40, has tree 0 -succ-> 2 (fail 1,
+        # succ 4): hit 0, whose entry's ceiling is rule 1's 20, below
+        # 25, so the walk stops there too.  With no cut it would probe
+        # 5, then miss 2 and hit 1 as well.
         rules = [
             Rule(pk(0x80, 0x40), MASKS[0], 10, 0),
             Rule(pk(0x40, 0xA0), MASKS[1], 20, 1),
@@ -70,8 +72,12 @@ class TestBuild:
         assert c.audit() == []
         res = c.lookup(pk(0x41, 0xA9))
         assert res.rule is rules[3]     # priority 25 beats 20
-        assert res.probes == 3          # two in chain (3, 5), one in one
-        assert ceiling_walk(c.chains, pk(0x41, 0xA9))[1:] == (3, 5)
+        assert res.probes == 2          # one in each chain
+        assert ceiling_walk(c.chains, pk(0x41, 0xA9))[1:] == (2, 5)
+        # merged once per chain, after its walk, rule 3 would not cut
+        # its own chain: 3 probes
+        assert ceiling_walk(c.chains, pk(0x41, 0xA9), once=True)[1:] == \
+            (3, 5)
 
     def test_cover_must_match_masks(self):
         rules = [Rule(0, MASKS[0], 1, 0)]
