@@ -225,7 +225,7 @@ class TssClassifier:
                 break
             probes += 1
             r = tbl.get(key & mask)
-            # best_rule, inlined as in chain.search
+            # best_rule, inlined as in chain.group_lookup
             if r is not None and (r.priority > floor or best is None or (
                     r.priority == floor and r.rule_id < best.rule_id)):
                 best = r

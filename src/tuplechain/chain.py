@@ -40,7 +40,8 @@ Each chain keeps a priority ceiling, ``Chain.top``: an upper bound on the
 priority of every rule it holds.  ``insert_rule`` raises it; a delete
 leaves it alone, which only makes the bound looser, and a fresh build
 makes it exact.  ``Chain`` has slots, so the ``top`` and ``root`` that
-search reads off every chain it visits cost no more than a pair unpack.
+the lookup loop reads off every chain it visits cost no more than a
+pair unpack.
 
 Each entry keeps one too, ``Entry.ceil``: an upper bound on the priority
 of every rule stored deeper along marker trails through it.  Like
@@ -50,35 +51,46 @@ trail while a ceiling is below it, a splice gives each fresh marker
 the largest rule priority and ceiling among its owners, and no removal
 writes one.
 
-``search(chains, key)`` is tc's lookup loop.  It takes chains, highest
-ceiling first, walks each one's tree inline from ``Chain.root``, and
-merges each hit's hint into the running best the moment it finds the
-hit.  It stops at the first chain whose ceiling is strictly below the
-best priority found so far: no rule there can win.  Inside a chain it
-stops descending at a hit whose ``ceil`` is strictly below that floor,
-which already counts the hit's own hint, so a hit that outranks every
-rule deeper on its trail ends its chain.  By the hint law a deeper
-hit's hint dominates a shallower one's, so the best is the one a merge
-after the walk would give, found with no more probes.  Both cuts are
-strict because ``best_rule`` breaks priority ties by rule id, so a rule
-whose priority equals the floor may still win.  Probe counts therefore
-depend on the rule priorities, not only on the masks.  The tc
-classifier passes its chain list, which it keeps in ceiling order, and
-``Chain.lookup`` the chain alone.
-``EtcClassifier.lookup`` walks the chain list behind each head entry a
-key hits with a copy of this loop, over one running best for all its
-groups: a call per hit head entry cost it about an eighth of its
-lookup time on acl-wide.
+``group_lookup`` is the one lookup loop: both ``TupleChainClassifier``
+and ``EtcClassifier`` bind it as their ``lookup``.  It walks
+``self.groups``, a list of ``_Group``s, over one running best.  It
+skips a group whose ceiling is strictly below the best priority found
+so far, probes the group's head tuple unless its head mask is 0, which
+filters nothing, and behind the head entry the key hits takes that
+entry's chains, highest ceiling first.  It walks each chain's tree
+inline from ``Chain.root`` and merges each hit's hint into the running
+best the moment it finds the hit.  It stops at the first chain whose
+ceiling is strictly below the best priority so far: no rule there can
+win.  Inside a chain it stops descending at a hit whose ``ceil`` is
+strictly below that floor, which already counts the hit's own hint, so
+a hit that outranks every rule deeper on its trail ends its chain.  By
+the hint law a deeper hit's hint dominates a shallower one's, so the
+best is the one a merge after the walk would give, found with no more
+probes.  The cuts are strict because ``best_rule`` breaks priority ties
+by rule id, so a rule whose priority equals the floor may still win.
+Probe counts therefore depend on the rule priorities, not only on the
+masks.  tc holds ``one_group(self)``: one head-mask-0 group whose one
+entry fronts tc's own ``chains``, which it keeps in ceiling order, so
+its lookup costs no head probe.  ``Chain.lookup`` walks a chain alone
+the same way.  The loop builds its ``MatchResult`` in one place, with
+``object.__new__`` and two slot stores, which skips the dataclass
+``__init__`` call: about 60 ns, some 5% of ETC's lookup on acl-wide.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
-from .model import MISS_PRIORITY, Rule, best_rule, mask_less_than
+from .model import MISS_PRIORITY, MatchResult, Rule, best_rule, mask_less_than
 from .tuple_store import (Entry, TouchCounter, TupleTable, add_owner,
                           delete_marker, leave_marker, owners_of,
                           report_hint)
+
+if TYPE_CHECKING:
+    from .classifier import ChainSet
+
+# a result without MatchResult.__init__'s call: see group_lookup
+_new = object.__new__
 
 
 class ChainError(ValueError):
@@ -122,38 +134,96 @@ def _build_tree(tuples: list[TupleTable], lo: int, hi: int,
     return node
 
 
-def search(chains: Iterable[Chain], key: int) -> tuple[Rule | None, int]:
-    """Best rule for ``key`` over ``chains``, which run highest ceiling
-    first, and the probes spent."""
+class _HeadEntry:
+    """One head-tuple entry, kept only under its key in ``_Group.head``.
+    ``chains`` is ``local.chains`` itself, the local chain set's chain
+    list in its search order, which that set reorders in place; a
+    lookup walks it directly."""
+
+    __slots__ = ("local", "chains")
+
+    def __init__(self, local: ChainSet):
+        self.local = local
+        self.chains = local.chains
+
+
+class _Group:
+    """A head mask and its entries.  ``top`` bounds the priority of
+    every rule behind the head."""
+
+    __slots__ = ("head_mask", "head", "top")
+
+    def __init__(self, head_mask: int):
+        self.head_mask = head_mask
+        self.head: dict[int, _HeadEntry] = {}
+        self.top = MISS_PRIORITY
+
+
+def one_group(local: ChainSet) -> list[_Group]:
+    """One head-mask-0 group whose one entry, at key 0, fronts
+    ``local.chains``: the ``groups`` of a classifier that is a single
+    chain list."""
+    grp = _Group(0)
+    grp.head[0] = _HeadEntry(local)
+    if local.chains:
+        grp.top = local.chains[0].top
+    return [grp]
+
+
+def group_lookup(self, key: int) -> MatchResult:
+    """Best rule for ``key`` over ``self.groups`` and the probes spent:
+    the ``lookup`` of tc and ETC alike (see the module docstring)."""
     best = None
     floor = MISS_PRIORITY
     probes = 0
-    for c in chains:
-        if c.top < floor:
-            break
-        node = c.root
-        while node is not None:
-            e = node.table.get(key & node.mask)
-            probes += 1
-            if e is None:
-                node = node.fail
-                continue
-            # Each hit is deeper than the last, and its marker trail
-            # runs through every shallower hit, so by the hint law its
-            # hint dominates theirs.  Merged here, it raises the floor
-            # the cut below reads.  A bare marker may carry no hint.
-            # best_rule, inlined: ties go to the smaller id.
-            h = e.hint
-            if h is not None:
-                p = h.priority
-                if p > floor or best is None or (
-                        p == floor and h.rule_id < best.rule_id):
-                    best = h
-                    floor = p
-            if e.ceil < floor:
-                break   # nothing deeper can beat the floor
-            node = node.succ
-    return best, probes
+    for grp in self.groups:
+        if grp.top < floor:
+            continue
+        hm = grp.head_mask
+        if hm:
+            probes += 1   # the head probe; mask 0 filters nothing
+        he = grp.head.get(key & hm)
+        if he is None:
+            continue
+        for c in he.chains:
+            if c.top < floor:
+                break
+            node = c.root
+            while node is not None:
+                e = node.table.get(key & node.mask)
+                probes += 1
+                if e is None:
+                    node = node.fail
+                    continue
+                # Each hit is deeper than the last, and its marker trail
+                # runs through every shallower hit, so by the hint law
+                # its hint dominates theirs.  Merged here, it raises the
+                # floor the cut below reads.  A bare marker may carry no
+                # hint.  best_rule, inlined: ties go to the smaller id.
+                h = e.hint
+                if h is not None:
+                    p = h.priority
+                    if p > floor or best is None or (
+                            p == floor and h.rule_id < best.rule_id):
+                        best = h
+                        floor = p
+                if e.ceil < floor:
+                    break   # nothing deeper can beat the floor
+                node = node.succ
+    res = _new(MatchResult)
+    res.rule = best
+    res.probes = probes
+    return res
+
+
+class _Solo:
+    """A chain alone, in the shape ``group_lookup`` reads."""
+
+    __slots__ = ("chains", "groups")
+
+    def __init__(self, chain: Chain):
+        self.chains = [chain]
+        self.groups = one_group(self)
 
 
 class Chain:
@@ -297,8 +367,10 @@ class Chain:
     # -- lookup ------------------------------------------------------
 
     def lookup(self, key: int) -> tuple[Rule | None, int]:
-        """Search this chain's tree alone; returns (best rule, probes)."""
-        return search((self,), key)
+        """Search this chain's tree alone with ``group_lookup``; returns
+        (best rule, probes)."""
+        res = group_lookup(_Solo(self), key)
+        return res.rule, res.probes
 
     # -- rule updates ------------------------------------------------
 

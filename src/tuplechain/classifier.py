@@ -23,10 +23,12 @@ Construction paths:
     ``Chain.can_host`` gives there.
 
 ``chains`` itself is the search order: it runs highest priority
-ceiling (``Chain.top``) first, so lookup passes it to ``chain.search``
-as it stands, which stops once no remaining chain can beat the best
-rule found.  ``fill`` sorts it, and an add that raises a ceiling moves
-that chain up; nothing else needs repair.
+ceiling (``Chain.top``) first, so a lookup walks it as it stands and
+stops once no remaining chain can beat the best rule found.  ``fill``
+sorts it, and an add that raises a ceiling moves that chain up; nothing
+else needs repair.  ``TupleChainClassifier`` also holds
+``chain.one_group(self)``, one head-mask-0 group whose one entry fronts
+that list, so ``chain.group_lookup``, ETC's lookup, is its lookup too.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .chain import Chain, DuplicateRuleError, search
+from .chain import Chain, DuplicateRuleError, group_lookup, one_group
 from .graph import PathCover, build_graph, min_path_cover
-from .model import FieldSchema, MatchResult, Rule
+from .model import FieldSchema, Rule
 from .tuple_store import TupleTable, owners_of
 
 _PTR = 8  # pointer width of the structural cost model, bytes
@@ -283,14 +285,16 @@ class ChainSet:
 
 class TupleChainClassifier(ChainSet):
     """A chain set that checks every rule against its schema and its
-    own set of stored rule ids."""
+    own set of stored rule ids.  ``groups`` is ``one_group(self)``,
+    whose ceiling insert and build keep as an ETC group's."""
 
-    __slots__ = ("schema", "rule_ids")
+    __slots__ = ("schema", "rule_ids", "groups")
 
     def __init__(self, schema: FieldSchema):
         super().__init__()
         self.schema = schema
         self.rule_ids: set[int] = set()
+        self.groups = one_group(self)
 
     @classmethod
     def build(cls, schema: FieldSchema, rules: list[Rule],
@@ -301,16 +305,21 @@ class TupleChainClassifier(ChainSet):
         for r in rules:
             by_mask.setdefault(r.mask, []).append(r)
         self.fill(by_mask, cover)
+        if self.chains:
+            self.groups[0].top = self.chains[0].top
         return self
 
-    def lookup(self, key: int) -> MatchResult:
-        best, probes = search(self.chains, key)
-        return MatchResult(best, probes)
+    # ETC's lookup too, bound with no wrapper: a call per lookup would
+    # cost what sharing the loop saves
+    lookup = group_lookup
 
     def insert(self, r: Rule) -> None:
         check_rule(self.schema, r, self.rule_ids)
         self.add(r)
         self.rule_ids.add(r.rule_id)
+        grp = self.groups[0]
+        if r.priority > grp.top:
+            grp.top = r.priority
 
     def remove(self, r: Rule) -> bool:
         if not self.discard(r):
@@ -326,4 +335,13 @@ class TupleChainClassifier(ChainSet):
         out = super().audit()
         if {r.rule_id for r in self.all_rules()} != self.rule_ids:
             out.append("rule id set out of sync")
+        grp = self.groups[0] if len(self.groups) == 1 else None
+        if grp is None or grp.head_mask or list(grp.head) != [0]:
+            out.append("groups is not one head-mask-0 group with one entry")
+        else:
+            he = grp.head[0]
+            if he.local is not self or he.chains is not self.chains:
+                out.append("the group's entry does not front these chains")
+            if self.chains and self.chains[0].top > grp.top:
+                out.append(f"chain ceiling above the group's {grp.top}")
         return out

@@ -22,17 +22,16 @@ group.
 Each group keeps a priority ceiling, ``_Group.top``, at least the local
 ceilings behind all its head entries.  ``groups`` runs in creation
 order: a build keeps the order ``group_chains`` plans, and an insert
-that opens a group appends it.  A lookup is one loop over one running
-best: it skips any group whose ceiling is strictly below that best,
-head probe included, and behind a hit head entry walks the local
-chains itself, with ``chain.search``'s chain and entry ceiling cuts,
-tree descent and hint merge at each hit, which raises the floor those
-cuts read.  Calling ``search`` once per hit head entry instead cost
-about an eighth of the lookup time on acl-wide, where a lookup hits 1.8
-head entries, so the walk is written out here as well as in ``search``.
-Probe counts depend on rule priorities.  Routing a fresh mask breaks
-ties between groups by list position, which is creation order, and a
-mask has a route only while it holds rules.
+that opens a group appends it.  ``lookup`` is ``chain.group_lookup``,
+tc's lookup too: one loop over one running best that skips any group
+whose ceiling is strictly below that best, head probe included, and
+behind a hit head entry walks the local chains with their chain and
+entry ceiling cuts.  ``_Group`` and ``_HeadEntry`` live in ``chain``
+beside that loop.  Which masks a group serves is recorded only in
+``EtcClassifier._mask_to_group``.  Probe counts depend on rule
+priorities.  Routing a fresh mask breaks ties between groups by list
+position, which is creation order, and a mask has a route only while
+it holds rules.
 
 ``probe_bound`` computes the bound from the chains when it is asked:
 one head probe per group with a nonzero head mask plus the largest
@@ -45,11 +44,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .chain import _Group, _HeadEntry, group_lookup
 from .classifier import (_PTR, ChainSet, StructureStats, check_rule,
                          check_rules, cover_bound)
 from .graph import PathCover, build_graph, min_path_cover
-from .model import (MISS_PRIORITY, FieldSchema, MatchResult, Rule,
-                    mask_less_than)
+from .model import FieldSchema, Rule, mask_less_than
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,32 +126,6 @@ def group_chains(pc: PathCover, masks: list[int],
     return [GroupPlan(h, frozenset(ms)) for h, ms in zip(heads, members)]
 
 
-class _HeadEntry:
-    """One head-tuple entry, kept only under its key in ``_Group.head``.
-    ``chains`` is ``local.chains`` itself, the local chain set's chain
-    list in its search order, which that set reorders in place; a
-    lookup walks it directly."""
-
-    __slots__ = ("local", "chains")
-
-    def __init__(self, local: ChainSet):
-        self.local = local
-        self.chains = local.chains
-
-
-class _Group:
-    """A head mask and its entries.  Which masks the group serves is
-    recorded only in ``EtcClassifier._mask_to_group``.  ``top`` bounds
-    the priority of every rule behind the head."""
-
-    __slots__ = ("head_mask", "head", "top")
-
-    def __init__(self, head_mask: int):
-        self.head_mask = head_mask
-        self.head: dict[int, _HeadEntry] = {}
-        self.top = MISS_PRIORITY
-
-
 class EtcClassifier:
     """Group-of-chains classifier with head-tuple filtering."""
 
@@ -209,6 +182,17 @@ class EtcClassifier:
         layouts = []
         folded: set[int] = set()
         flat: dict[int, list[Rule]] = {}   # the head-mask-0 group's
+        # cover_bound per ordered mask tuple: head entries often repeat
+        # one mask list, and the bound depends on the order given
+        covers: dict[tuple[int, ...], int] = {}
+
+        def cover(masks) -> int:
+            masks = tuple(masks)
+            b = covers.get(masks)
+            if b is None:
+                b = covers[masks] = cover_bound(masks)
+            return b
+
         for plan, members in zip(plans, by_group):
             buckets: dict[int, dict[int, list[Rule]]] = {}
             for r in members:
@@ -216,8 +200,8 @@ class EtcClassifier:
                 by_mask.setdefault(r.mask, []).append(r)
             n, keys = len(buckets), 1 << plan.head_mask.bit_count()
             fold = (len(plan.member_masks) == 1 or 2 * n >= keys) and \
-                keys * cover_bound(dict.fromkeys(r.mask for r in members)) \
-                <= keys + n * max(map(cover_bound, buckets.values()))
+                keys * cover(dict.fromkeys(r.mask for r in members)) \
+                <= keys + n * max(map(cover, buckets.values()))
             if fold:
                 if not folded:
                     layouts.append((0, {0: flat}))
@@ -245,41 +229,8 @@ class EtcClassifier:
 
     # -- lookup ------------------------------------------------------
 
-    def lookup(self, key: int) -> MatchResult:
-        best = None
-        floor = MISS_PRIORITY
-        probes = 0
-        for grp in self.groups:
-            if grp.top < floor:
-                continue
-            hm = grp.head_mask
-            if hm:
-                probes += 1   # the head probe; mask 0 filters nothing
-            he = grp.head.get(key & hm)
-            if he is None:
-                continue
-            # chain.search's walk, written out (see the module docstring)
-            for c in he.chains:
-                if c.top < floor:
-                    break
-                node = c.root
-                while node is not None:
-                    e = node.table.get(key & node.mask)
-                    probes += 1
-                    if e is None:
-                        node = node.fail
-                        continue
-                    h = e.hint
-                    if h is not None:
-                        p = h.priority
-                        if p > floor or best is None or (
-                                p == floor and h.rule_id < best.rule_id):
-                            best = h
-                            floor = p
-                    if e.ceil < floor:
-                        break
-                    node = node.succ
-        return MatchResult(best, probes)
+    # tc's lookup too, bound with no wrapper (see chain.group_lookup)
+    lookup = group_lookup
 
     def probe_bound(self) -> int:
         """One head probe per group with a nonzero head mask plus the

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from tuplechain.baselines import LinearClassifier, TssClassifier
-from tuplechain.chain import Chain, search
+from tuplechain.chain import Chain
 from tuplechain.classifier import TupleChainClassifier
 from tuplechain.etc import EtcClassifier
 from tuplechain.model import MISS_PRIORITY, FieldSchema, Rule
@@ -167,15 +167,20 @@ class TestTies:
         assert c.lookup(self.KEY).rule.rule_id == 1
 
     def test_search_keeps_equal_ceilings(self):
-        chains = []
+        # the loop tc and ETC share, over two hand-laid chains whose
+        # equal ceilings put the larger id first
+        c = TupleChainClassifier(S)
         for r in self.rules(2, 1):
             chain = Chain()
             chain.tuples = [TupleTable(r.mask)]
             chain._relink()
             chain.insert_rule(chain.tuples[0], r)
-            chains.append(chain)
-        best, probes = search(chains, self.KEY)
-        assert (best.rule_id, probes) == (1, 2)
+            c.chains.append(chain)
+            assert chain.lookup(self.KEY) == (r, 1)
+        c.groups[0].top = 5
+        assert [ch.top for ch in c.chains] == [5, 5]
+        res = c.lookup(self.KEY)
+        assert (res.rule.rule_id, res.probes) == (1, 2)
 
     def test_earlier_group_cuts_both_equal_ceilings(self):
         # a rule of the first group outranks the equal ceilings of both

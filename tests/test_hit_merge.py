@@ -1,6 +1,6 @@
 """Each hit's hint merges into the running best where the walk finds it.
 
-tc's ``search`` and ETC's lookup raise the floor at every hit, before
+The lookup loop tc and ETC share raises the floor at every hit, before
 the entry cut reads it, so a hit whose own hint outranks every rule
 deeper on its trail ends its chain.  The stream tests drive tc and ETC
 through builds, inserts and removals under three priority orders and

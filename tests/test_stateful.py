@@ -108,7 +108,7 @@ class Differential(RuleBasedStateMachine):
             res = c.lookup(key)
             assert res.rule == want, (name, key)
             assert res.probes <= c.probe_bound(), (name, key)
-        # tc's search and ETC's inlined walk against the reference walks,
+        # the lookup loop tc and ETC share against the reference walks,
         # probe counts included; no update keeps a bound, so these pin the
         # sums probe_bound() computes from the chains to the ones written
         # out here
