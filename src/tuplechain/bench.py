@@ -10,6 +10,7 @@ of ``U`` runs just before lookup ``j * N // U`` of ``N`` in both.
 from __future__ import annotations
 
 import gc
+import math
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -39,6 +40,8 @@ class MetricsReport:
     update_s: float     # summed time inside insert/remove calls
     lookups_per_s: float
     updates_per_s: float
+    update_p99_us: float    # nearest-rank p99 of single update times
+    update_max_us: float    # the slowest single update
     avg_probes: float
     max_probes: int
     bound_violations: int
@@ -121,9 +124,12 @@ def _apply(clf, j: int, op: str, rule) -> None:
 def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
               updates: UpdateStream | None = None) -> MetricsReport:
     """Build once, then walk the trace in order, updates interleaved.
-    Every lookup's probes are checked against the classifier's bound,
-    taken once after the build and again before the first lookup after
-    each run of updates.  An update that changes nothing (a rejected
+    Every lookup's probes are checked against the classifier's bound.
+    It is taken after the build, again before the first lookup after a
+    run of updates that removed a rule, and again when a lookup's probes
+    exceed the bound last taken: no algorithm's bound falls on an
+    insert, so a lookup within a bound taken before some inserts is
+    within the bound in force.  An update that changes nothing (a rejected
     insert, a delete of a rule not stored) stops the run with a
     ``BenchError`` naming it.  After the timed loop, the chain and
     group counts of the classifier are set beside those of a fresh
@@ -138,18 +144,21 @@ def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
     build_s = clock() - t0
 
     n, u = len(trace), len(ops)
-    lookup_s = update_s = 0.0
+    lookup_s = 0.0
+    update_times: list[float] = []
     probes_total = probes_max = violations = 0
+    # ETC's bound costs far more than an update: take it only where it
+    # may have fallen, or where a lookup would break the one last taken
     bound = clf.probe_bound()
     for key, before in _interleave(trace, ops):
+        removed = False
         for j in before:
             op, rule = ops[j]
             t0 = clock()
             _apply(clf, j, op, rule)
-            update_s += clock() - t0
-        if before:
-            # ETC's bound costs far more than an update: take it once
-            # per run of updates, where a lookup reads it
+            update_times.append(clock() - t0)
+            removed = removed or op != "insert"
+        if removed:
             bound = clf.probe_bound()
         t0 = clock()
         res = clf.lookup(key)
@@ -159,7 +168,12 @@ def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
         if p > probes_max:
             probes_max = p
         if p > bound:
-            violations += 1
+            # inserts since the bound was taken may have raised it
+            bound = clf.probe_bound()
+            if p > bound:
+                violations += 1
+    update_s = sum(update_times)
+    update_times.sort()
     live = {r.rule_id: r for r in ruleset.rules}
     for op, rule in ops:
         _track(live, op, rule)
@@ -176,6 +190,9 @@ def run_bench(algo: str, ruleset: RuleSetFile, trace: list[int],
         update_s=update_s,
         lookups_per_s=n / lookup_s if lookup_s else 0.0,
         updates_per_s=u / update_s if update_s else 0.0,
+        update_p99_us=(update_times[math.ceil(0.99 * u) - 1] * 1e6
+                       if u else 0.0),
+        update_max_us=update_times[-1] * 1e6 if u else 0.0,
         avg_probes=probes_total / n,
         max_probes=probes_max,
         bound_violations=violations,

@@ -157,16 +157,21 @@ class ChainSet:
         """Store r, which the caller has checked with ``check_rule``."""
         t = self.registry.get(r.mask)
         if t is None:
-            t = TupleTable(r.mask)
-            chain, at = self._pick_chain(r.mask)
-            chain.insert_tuple(t, at)
-            self.registry[r.mask] = t
-        else:
-            chain = t.chain
+            t = self.place(r.mask)
+        chain = t.chain
         top = chain.top
         chain.insert_rule(t, r)
         if chain.top > top:
             self._rise(chain)
+
+    def place(self, mask: int) -> TupleTable:
+        """Register a fresh, empty tuple of ``mask``, which holds none
+        yet, spliced in where ``_pick_chain`` puts it; returns it."""
+        t = TupleTable(mask)
+        chain, at = self._pick_chain(mask)
+        chain.insert_tuple(t, at)
+        self.registry[mask] = t
+        return t
 
     def _rise(self, chain: Chain) -> None:
         """Move chain, whose ceiling just rose, up past every chain with
@@ -191,14 +196,21 @@ class ChainSet:
         if not chain.delete_rule(t, r):
             return False
         if not t.table:
-            # t is the tail, and the marker teardown may have emptied
-            # tuples below it too (see Chain.drop_empty_tail); a tuple
-            # that keeps an entry keeps every tuple below it
-            for x in chain.drop_empty_tail():
-                del self.registry[x.mask]
-            if not chain.tuples:
-                self.chains.remove(chain)
+            self.drop_tail(chain)
         return True
+
+    def drop_tail(self, chain: Chain) -> list[TupleTable]:
+        """Unregister and return the tuples a removal emptied in chain,
+        and drop the chain if none is left.  The emptied tuple is the
+        tail, and the marker teardown may have emptied tuples below it
+        too (see ``Chain.drop_empty_tail``); a tuple that keeps an entry
+        keeps every tuple below it."""
+        gone = chain.drop_empty_tail()
+        for x in gone:
+            del self.registry[x.mask]
+        if not chain.tuples:
+            self.chains.remove(chain)
+        return gone
 
     def _pick_chain(self, mask: int) -> tuple[Chain, int]:
         """Where a fresh tuple of ``mask`` goes: the first chain in

@@ -19,6 +19,17 @@ mask 0 is contained in every mask, so while that group lives a fresh
 mask that contains no wider head joins its chain set and opens no
 group.
 
+That group, ``EtcClassifier._flat`` when there is one, is the flat
+group, and its masks have no route.  ``EtcClassifier._mask_to_group``
+picks every update's path with one get.  A mask behind a nonzero head
+maps to its route, ``[group, live rule count]``, which it holds while
+it holds rules.  A mask of the flat group maps to its tuple in the flat
+chain set, and stays flat while that set registers the tuple, markers
+only or not.  So an update of a flat mask runs tc's path:
+``check_rule``, the chain set's add or discard with the tuple already
+in hand, the rule ids and the group's ceiling.  When the flat set's
+last chain empties, the flat group goes.
+
 Each group keeps a priority ceiling, ``_Group.top``, at least the local
 ceilings behind all its head entries.  ``groups`` runs in creation
 order: a build keeps the order ``group_chains`` plans, and an insert
@@ -27,11 +38,10 @@ tc's lookup too: one loop over one running best that skips any group
 whose ceiling is strictly below that best, head probe included, and
 behind a hit head entry walks the local chains with their chain and
 entry ceiling cuts.  ``_Group`` and ``_HeadEntry`` live in ``chain``
-beside that loop.  Which masks a group serves is recorded only in
-``EtcClassifier._mask_to_group``.  Probe counts depend on rule
-priorities.  Routing a fresh mask breaks ties between groups by list
-position, which is creation order, and a mask has a route only while
-it holds rules.
+beside that loop.  Which masks a headed group serves is recorded only
+in its routes.  Probe counts depend on rule priorities.  Routing a
+fresh mask breaks ties between groups by list position, which is
+creation order.
 
 ``probe_bound`` computes the bound from the chains when it is asked:
 one head probe per group with a nonzero head mask plus the largest
@@ -49,6 +59,7 @@ from .classifier import (_PTR, ChainSet, StructureStats, check_rule,
                          check_rules, cover_bound)
 from .graph import PathCover, build_graph, min_path_cover
 from .model import FieldSchema, Rule, mask_less_than
+from .tuple_store import TupleTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,8 +147,12 @@ class EtcClassifier:
         self.min_head_bits = min_head_bits
         # creation order, which routing breaks ties by
         self.groups: list[_Group] = []
-        # mask -> [group, live rule count], for masks that hold rules
-        self._mask_to_group: dict[int, list] = {}
+        # the head-mask-0 group, if any, whose one entry is at key 0
+        self._flat: _Group | None = None
+        # mask -> [group, live rule count] while a mask behind a nonzero
+        # head holds rules; mask -> its tuple while the flat chain set
+        # registers one
+        self._mask_to_group: dict[int, list | TupleTable] = {}
         self.rule_ids: set[int] = set()
 
     @property
@@ -215,15 +230,24 @@ class EtcClassifier:
         for head_mask, buckets in layouts:
             grp = self._new_group(head_mask)
             for hkey, by_mask in buckets.items():
-                for m, rs in by_mask.items():
-                    self._mask_to_group.setdefault(m, [grp, 0])[1] += len(rs)
-                local = ChainSet()
-                local.fill(by_mask)
-                he = grp.head[hkey] = _HeadEntry(local)
+                he = grp.head.get(hkey)
+                if he is None:   # an entry of a headed group
+                    for m, rs in by_mask.items():
+                        self._mask_to_group.setdefault(m, [grp, 0])[1] += \
+                            len(rs)
+                    he = grp.head[hkey] = _HeadEntry(ChainSet())
+                he.local.fill(by_mask)
                 grp.top = max(grp.top, he.chains[0].top)
+        if self._flat is not None:
+            self._mask_to_group.update(self._flat.head[0].local.registry)
 
     def _new_group(self, head_mask: int) -> _Group:
+        """Append a group; a head-mask-0 one is the flat group and gets
+        its one entry, over an empty chain set."""
         grp = _Group(head_mask)
+        if not head_mask:
+            grp.head[0] = _HeadEntry(ChainSet())
+            self._flat = grp
         self.groups.append(grp)
         return grp
 
@@ -242,10 +266,12 @@ class EtcClassifier:
 
     # -- updates -----------------------------------------------------
 
-    def _route(self, mask: int) -> list:
-        """A route, [group, 0 rules], for a mask that has none: to the
-        group with the widest head contained in the mask, ties to the
-        oldest, else to a new group with the mask as its head."""
+    def _route(self, mask: int) -> list | TupleTable:
+        """Enter and return where a mask with no ``_mask_to_group`` entry
+        goes: the group with the widest head contained in the mask, ties
+        to the oldest, else a new group with the mask as its head.  A
+        headed group gives a route, [group, 0 rules]; the flat group a
+        fresh, empty tuple of the mask, placed in its chain set."""
         best = None
         for g in self.groups:
             if g.head_mask == mask or mask_less_than(g.head_mask, mask):
@@ -254,19 +280,33 @@ class EtcClassifier:
                     best = g
         if best is None:
             best = self._new_group(mask)
-        route = self._mask_to_group[mask] = [best, 0]
+        if best.head_mask:
+            route = self._mask_to_group[mask] = [best, 0]
+        else:
+            route = self._mask_to_group[mask] = \
+                best.head[0].local.place(mask)
         return route
 
     def insert(self, r: Rule) -> None:
         check_rule(self.schema, r, self.rule_ids)
         route = self._mask_to_group.get(r.mask) or self._route(r.mask)
-        grp = route[0]
-        hkey = r.fields & grp.head_mask
-        he = grp.head.get(hkey)
-        if he is None:
-            he = grp.head[hkey] = _HeadEntry(ChainSet())
-        he.local.add(r)   # r passed check_rule above
-        route[1] += 1
+        if route.__class__ is list:
+            grp = route[0]
+            hkey = r.fields & grp.head_mask
+            he = grp.head.get(hkey)
+            if he is None:
+                he = grp.head[hkey] = _HeadEntry(ChainSet())
+            he.local.add(r)   # r passed check_rule above
+            route[1] += 1
+        else:
+            # the flat set's tuple of r's mask: ChainSet.add, as tc
+            # runs it, past the registry get
+            grp = self._flat
+            chain = route.chain
+            top = chain.top
+            chain.insert_rule(route, r)
+            if chain.top > top:
+                grp.head[0].local._rise(chain)
         self.rule_ids.add(r.rule_id)
         if r.priority > grp.top:
             grp.top = r.priority
@@ -275,6 +315,22 @@ class EtcClassifier:
         route = self._mask_to_group.get(r.mask)
         if route is None:
             return False
+        if route.__class__ is not list:
+            # the flat set's tuple of r's mask: ChainSet.discard, as tc
+            # runs it, past the registry get
+            chain = route.chain
+            if not chain.delete_rule(route, r):
+                return False
+            self.rule_ids.discard(r.rule_id)
+            if not route.table:
+                grp = self._flat
+                local = grp.head[0].local
+                for t in local.drop_tail(chain):
+                    del self._mask_to_group[t.mask]
+                if not local.chains:
+                    self.groups.remove(grp)
+                    self._flat = None
+            return True
         grp = route[0]
         hkey = r.fields & grp.head_mask
         he = grp.head.get(hkey)
@@ -301,10 +357,25 @@ class EtcClassifier:
         rules = self.all_rules()
         stored = Counter(r.mask for r in rules)
         index = {grp: gi for gi, grp in enumerate(self.groups)}
-        for m, (grp, n) in self._mask_to_group.items():
+        flat = self._flat
+        if [g for g in self.groups if not g.head_mask] != \
+                ([flat] if flat is not None else []):
+            out.append("the flat group is not the one head-mask-0 group")
+        he = flat.head.get(0) if flat is not None else None
+        registry = he.local.registry if he is not None else {}
+        for m, route in self._mask_to_group.items():
+            if route.__class__ is not list:
+                if registry.get(m) is not route:
+                    out.append(f"mask {m:#x}: tuple is not the flat set's")
+                continue
+            grp, n = route
             gi = index.get(grp)
+            if m in registry:
+                out.append(f"mask {m:#x}: in the flat set and routed too")
             if gi is None:
                 out.append(f"mask {m:#x} routed to a dropped group")
+            elif not grp.head_mask:
+                out.append(f"mask {m:#x} routed to the flat group")
             elif not (grp.head_mask == m
                       or mask_less_than(grp.head_mask, m)):
                 out.append(f"group {gi}: head mask not contained "
@@ -312,6 +383,8 @@ class EtcClassifier:
             if n != stored[m] or not n:
                 out.append(f"mask {m:#x}: route counts {n} of "
                            f"{stored[m]} stored rules")
+        for m in registry.keys() - self._mask_to_group.keys():
+            out.append(f"flat mask {m:#x}: tuple not entered")
         for gi, grp in enumerate(self.groups):
             if not grp.head:
                 out.append(f"group {gi}: holds no head entries")
@@ -333,7 +406,8 @@ class EtcClassifier:
                         out.append(f"group {gi}: rule {r.rule_id} in "
                                    "wrong head entry")
                     route = self._mask_to_group.get(r.mask)
-                    if route is None or route[0] is not grp:
+                    if grp is not flat and (route.__class__ is not list
+                                            or route[0] is not grp):
                         out.append(f"group {gi}: rule {r.rule_id} mask "
                                    "routed to another group")
                 out.extend(f"group {gi}, head {hkey:#x}: {v}"

@@ -4,23 +4,36 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tuplechain import bench as bench_mod
 from tuplechain.baselines import (LinearClassifier, TssClassifier,
                                   linear_lookup_batch)
-from tuplechain.bench import (ALGOS, BenchError, make_classifier, run_bench,
-                              run_equiv, traced_build)
+from tuplechain.bench import (ALGOS, BenchError, _interleave,
+                              make_classifier, run_bench, run_equiv,
+                              traced_build)
 from tuplechain.classifier import StructureStats, TupleChainClassifier
 from tuplechain.cli import main
 from tuplechain.etc import EtcClassifier
 from tuplechain.model import FieldSchema, MatchResult, Rule
 from tuplechain.workload import (RuleSetFile, TupleProfile, UpdateStream,
-                                 gen_rules, gen_trace, gen_updates)
+                                 gen_rules, gen_trace, gen_updates,
+                                 parse_generic, parse_trace, parse_updates)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 S = FieldSchema((16, 16))
 PROFILE = TupleProfile(num_masks=12, num_chains=4)
+# (mask, fields, priority): nested masks, masks comparable with none of
+# them, and mask 0, with few field bits so rules share head keys
+DRAWN = st.tuples(
+    st.sampled_from([S.pack(m) for m in (
+        (0, 0), (0xF000, 0), (0xFF00, 0), (0xFFF0, 0), (0xFFFF, 0xF000),
+        (0, 0x000F), (0x0F00, 0x00FF), (0xF00F, 0xF00F))]),
+    st.integers(0, 0xFFFF_FFFF).map(lambda f: f & 0x3303_0303),
+    st.integers(0, 40))
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +121,7 @@ class TestRunBench:
         assert rep.lookups_per_s == pytest.approx(
             rep.lookups / rep.lookup_s)
         assert rep.build_s > 0 and rep.update_s == 0
+        assert rep.update_p99_us == rep.update_max_us == 0
         assert rep.memory_bytes > 0
 
     def test_probes_stay_within_static_bound(self, workload):
@@ -142,6 +156,56 @@ class TestRunBench:
         assert rep.avg_probes == pytest.approx((2 + 2 + 3 + 3) / 4)
         assert rep.bound_violations == 0
 
+    @staticmethod
+    def splice_stream():
+        """Rules of two nested masks, and 100 updates: deletes and
+        re-inserts of stored rules and, as update 50, the first rule of
+        a mask between the two, which splices a fresh tuple into the
+        middle of their chain, and a last delete."""
+        lo, mid, hi = (S.pack((0xFF00, 0)), S.pack((0xFFF0, 0)),
+                       S.pack((0xFFFF, 0xFF00)))
+        rules = [Rule(S.pack((i << 8, 0)), lo, i, i) for i in range(20)] + \
+            [Rule(S.pack((i << 8 | i, i << 8)), hi, 50 + i, 20 + i)
+             for i in range(20)]
+        ops = [(op, r) for r in rules + rules[:9]
+               for op in ("delete", "insert")]
+        ops.insert(50, ("insert", Rule(S.pack((0x0310, 0)), mid, 99, 99)))
+        ops.append(("delete", rules[0]))
+        assert len(ops) == 100
+        return RuleSetFile(S, rules), UpdateStream(S, ops), mid
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_update_p99_and_max(self, algo, monkeypatch):
+        rs, ups, mid = self.splice_stream()
+        rep = run_bench(algo, rs, list(range(10)), ups)
+        assert rep.updates == 100
+        assert 0 < rep.update_p99_us <= rep.update_max_us \
+            <= rep.update_s * 1e6
+        # on a clock that ticks 1 us per read, with the splice taking
+        # 50 ticks more: the p99 (nearest rank, the 99th of 100) is a
+        # plain update's 1 us and the slowest the splice's 51 us
+        ticks = [0]
+
+        def clock():
+            ticks[0] += 1
+            return ticks[0] * 1e-6
+
+        cls = ALGOS[algo]
+        insert = cls.insert
+
+        def slow_splice(self, r):
+            if r.mask == mid:
+                ticks[0] += 50
+            insert(self, r)
+
+        monkeypatch.setattr(bench_mod, "time",
+                            SimpleNamespace(perf_counter=clock))
+        monkeypatch.setattr(cls, "insert", slow_splice)
+        rep = run_bench(algo, rs, list(range(10)), ups)
+        assert rep.update_p99_us == pytest.approx(1)
+        assert rep.update_max_us == pytest.approx(51)
+        assert rep.update_s == pytest.approx(150e-6)
+
     @pytest.mark.parametrize("algo", ALGOS)
     def test_update_that_changes_nothing_stops_the_run(self, workload, algo):
         rs, _, _ = workload
@@ -169,6 +233,116 @@ class TestRunBench:
         rep = bench(workload, algo=algo, trace=trace[:1], updates=ups)
         assert rep.updates == 10 and rep.bound_violations == 0
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    @settings(max_examples=30, deadline=None)
+    @given(built=st.lists(DRAWN, max_size=20),
+           ops=st.lists(st.tuples(st.booleans(), DRAWN), max_size=30))
+    def test_inserts_never_lower_the_bound(self, algo, built, ops):
+        # what run_bench relies on to skip the bound after inserts: tc
+        # and etc only add tuples, chains, head entries or groups on an
+        # insert, tss adds tables, linear adds rules.  Removals, drawn
+        # in between, may lower it
+        live = {}
+        for m, f, p in built:
+            live.setdefault((f & m, m), Rule(f & m, m, p, len(live)))
+        clf = ALGOS[algo].build(S, list(live.values()))
+        next_id = len(live)
+        for remove, (m, f, p) in ops:
+            if remove:
+                if live:
+                    key = sorted(live)[f % len(live)]
+                    assert clf.remove(live.pop(key))
+                continue
+            if (f & m, m) in live:
+                continue
+            before = clf.probe_bound()
+            r = live[f & m, m] = Rule(f & m, m, p, next_id)
+            next_id += 1
+            clf.insert(r)
+            assert clf.probe_bound() >= before
+        assert clf.audit() == []
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_bound_retaken_after_removals_only(self, workload, algo,
+                                               monkeypatch):
+        # inserts on a stored mask before lookups 0 and 2, a delete
+        # before lookup 1: the bound is taken after the build and before
+        # lookup 1.  A linear scan's probes are its bound, so each insert
+        # raises the bound above the one taken, and the next lookup
+        # takes it again: two calls more
+        rs, trace, _ = workload
+        cls = ALGOS[algo]
+        calls = []
+        bound = cls.probe_bound
+        monkeypatch.setattr(cls, "probe_bound",
+                            lambda self: calls.append(1) or bound(self))
+        mask = rs.rules[0].mask
+        used = {r.fields for r in rs.rules if r.mask == mask}
+        fields, f = [], 0
+        while len(fields) < 2:
+            f = (f - mask) & mask   # mask's next submask, counting up
+            if f not in used:
+                fields.append(f)
+        new = [Rule(f, mask, 5, 10**6 + i) for i, f in enumerate(fields)]
+        ups = UpdateStream(S, [("insert", new[0]), ("delete", rs.rules[5]),
+                               ("insert", new[1])])
+        rep = bench(workload, algo=algo, trace=trace[:4], updates=ups)
+        assert rep.updates == 3 and rep.bound_violations == 0
+        assert len(calls) == (4 if algo == "linear" else 2)
+
+    def test_removal_that_lowers_the_bound_still_flags(self, monkeypatch):
+        # a linear scan whose lookups report a set number of probes; its
+        # bound is its rule count, 3 after the build
+        probes = [3]
+        monkeypatch.setattr(LinearClassifier, "lookup",
+                            lambda self, key: MatchResult(None, probes[0]))
+        rules = [Rule(S.pack((i << 8, 0)), S.pack((0xFF00, 0)), 1, i)
+                 for i in range(3)]
+        extra = Rule(S.pack((0x0900, 0)), rules[0].mask, 1, 9)
+        rs = RuleSetFile(S, rules)
+        # a delete before lookup 0 lowers the bound to 2 under all three
+        ups = UpdateStream(S, [("delete", rules[2])])
+        rep = run_bench("linear", rs, [0, 1, 2], ups)
+        assert rep.bound_violations == 3
+        # an insert raises it to 4: lookups of 4 probes exceed the bound
+        # taken after the build, but not the one in force
+        probes[0] = 4
+        ups = UpdateStream(S, [("insert", extra)])
+        rep = run_bench("linear", rs, [0, 1, 2], ups)
+        assert rep.bound_violations == 0
+        # a delete and an insert before lookup 0 (bound 3), a delete
+        # before lookup 1 (bound 2)
+        probes[0] = 3
+        ups = UpdateStream(S, [("delete", rules[2]), ("insert", extra),
+                               ("delete", rules[1])])
+        rep = run_bench("linear", rs, [0, 1], ups)
+        assert rep.bound_violations == 1
+
+    @pytest.mark.parametrize("algo", ["tc", "etc"])
+    def test_bound_calls_fall_on_the_gen_default_stream(
+            self, algo, tmp_path, monkeypatch):
+        # a bound before every lookup that follows updates, as before,
+        # would take it 1 + 1,000 times: 1,000 updates over 1,000 keys
+        paths = [tmp_path / n for n in ("r.rules", "t.trace", "u.updates")]
+        assert main(["gen", "--rules", str(paths[0]), "--trace",
+                     str(paths[1]), "--updates", str(paths[2])]) == 0
+        rs = parse_generic(paths[0])
+        trace = parse_trace(paths[1], rs.schema)
+        ups = parse_updates(paths[2])
+        cls = ALGOS[algo]
+        calls = []
+        bound = cls.probe_bound
+        monkeypatch.setattr(cls, "probe_bound",
+                            lambda self: calls.append(1) or bound(self))
+        rep = run_bench(algo, rs, trace, ups)
+        runs = [[ups.ops[j][0] for j in before]
+                for _, before in _interleave(trace, ups.ops)]
+        every = 1 + sum(bool(r) for r in runs)
+        removing = 1 + sum("delete" in r for r in runs)
+        assert rep.bound_violations == 0 and every == 1001
+        assert removing <= len(calls) < every
+        assert len(calls) < 0.6 * every
 
     @pytest.mark.parametrize("algo", ALGOS)
     def test_layout_counts_after_the_stream_and_of_a_fresh_build(
@@ -226,9 +400,9 @@ class TestReports:
         assert set(d) == {
             "algo", "rule_count", "lookups", "updates", "build_s",
             "lookup_s", "update_s", "lookups_per_s", "updates_per_s",
-            "avg_probes", "max_probes", "bound_violations",
-            "memory_bytes", "chains", "groups", "bulk_chains",
-            "bulk_groups"}
+            "update_p99_us", "update_max_us", "avg_probes", "max_probes",
+            "bound_violations", "memory_bytes", "chains", "groups",
+            "bulk_chains", "bulk_groups"}
         assert list(d) == sorted(d)
 
     def test_text_and_json_reports_carry_the_same_keys(self, files, capsys):

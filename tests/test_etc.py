@@ -617,8 +617,11 @@ class TestHeadMaskZeroGroup:
         m = pk(0x0C, 0x03)
         c.insert(Rule(pk(0x04, 0x01), m, 50, 999))
         assert c.groups == groups
-        assert c._mask_to_group[m] == [zero, 1]
-        assert m in zero.head[0].local.registry
+        # no route: the mask's entry is its tuple in the flat set, which
+        # holds the one rule
+        t = zero.head[0].local.registry[m]
+        assert c._mask_to_group[m] is t
+        assert [e.rule.rule_id for e in t.table.values() if e.rule] == [999]
         assert c.audit() == []
 
     def test_full_head_over_one_mask_per_entry_keeps_its_head(self):
