@@ -51,9 +51,9 @@ trail while a ceiling is below it, a splice gives each fresh marker
 the largest rule priority and ceiling among its owners, and no removal
 writes one.
 
-``group_lookup`` is the one lookup loop: both ``TupleChainClassifier``
-and ``EtcClassifier`` bind it as their ``lookup``.  It walks
-``self.groups``, a list of ``_Group``s, over one running best.  It
+``group_lookup`` is the one lookup loop: ``EtcClassifier`` and its
+subclass ``TupleChainClassifier`` bind it as their ``lookup``.  It
+walks ``self.groups``, a list of ``_Group``s, over one running best.  It
 skips a group whose ceiling is strictly below the best priority found
 so far, probes the group's head tuple unless its head mask is 0, which
 filters nothing, and behind the head entry the key hits takes that
@@ -69,12 +69,12 @@ best is the one a merge after the walk would give, found with no more
 probes.  The cuts are strict because ``best_rule`` breaks priority ties
 by rule id, so a rule whose priority equals the floor may still win.
 Probe counts therefore depend on the rule priorities, not only on the
-masks.  tc holds ``one_group(self)``: one head-mask-0 group whose one
-entry fronts tc's own ``chains``, which it keeps in ceiling order, so
-its lookup costs no head probe.  ``Chain.lookup`` walks a chain alone
-the same way.  The loop builds its ``MatchResult`` in one place, with
-``object.__new__`` and two slot stores, which skips the dataclass
-``__init__`` call: about 60 ns, some 5% of ETC's lookup on acl-wide.
+masks.  tc's one group has head mask 0, so its lookup costs no head
+probe.  ``Chain.lookup`` walks a chain alone the same way, behind a
+head-mask-0 group of its own.  The loop builds its ``MatchResult`` in
+one place, with ``object.__new__`` and two slot stores, which skips
+the dataclass ``__init__`` call: about 60 ns, some 5% of ETC's lookup
+on acl-wide.
 """
 
 from __future__ import annotations
@@ -159,17 +159,6 @@ class _Group:
         self.top = MISS_PRIORITY
 
 
-def one_group(local: ChainSet) -> list[_Group]:
-    """One head-mask-0 group whose one entry, at key 0, fronts
-    ``local.chains``: the ``groups`` of a classifier that is a single
-    chain list."""
-    grp = _Group(0)
-    grp.head[0] = _HeadEntry(local)
-    if local.chains:
-        grp.top = local.chains[0].top
-    return [grp]
-
-
 def group_lookup(self, key: int) -> MatchResult:
     """Best rule for ``key`` over ``self.groups`` and the probes spent:
     the ``lookup`` of tc and ETC alike (see the module docstring)."""
@@ -217,13 +206,16 @@ def group_lookup(self, key: int) -> MatchResult:
 
 
 class _Solo:
-    """A chain alone, in the shape ``group_lookup`` reads."""
+    """A chain alone, behind one head-mask-0 group for ``group_lookup``."""
 
     __slots__ = ("chains", "groups")
 
     def __init__(self, chain: Chain):
         self.chains = [chain]
-        self.groups = one_group(self)
+        grp = _Group(0)
+        grp.head[0] = _HeadEntry(self)
+        grp.top = chain.top
+        self.groups = [grp]
 
 
 class Chain:

@@ -1,4 +1,4 @@
-"""The chained-tuple classifier: a chain set under a checking front.
+"""Chain sets, the structure behind every head entry, and rule checks.
 
 ``ChainSet`` is the structure: ``chains``, ``registry`` and the
 operations that keep them, on rules the caller has already checked.
@@ -7,17 +7,15 @@ chain holding it in ``TupleTable.chain``: no object per mask beside
 the tuple itself, which counts because every ETC head entry has a
 chain set, and so a registry, of its own.
 Its ``probe_bound()`` sums the chains' tree heights when it is asked:
-nothing on the update path keeps a bound.
-``TupleChainClassifier`` is a chain set with a schema and the set of
-stored rule ids, and checks every rule against both before it stores
-it.  ETC head entries hold bare chain sets: their ``EtcClassifier``
-checks each rule once and keeps the only id set.
+nothing on the update path keeps a bound.  A chain set keeps no rule
+ids and checks nothing: its classifier runs ``check_rule`` once per
+rule and keeps the only id set.
 
 Construction paths:
-  * ``fill`` (behind ``build``) computes a minimum path cover over the
-    masks, lays the chains out optimally and stores each chain's rules
-    with ``Chain.insert_rule``, head tuple first, so no stored rule has
-    owners yet to report its hint to.
+  * ``fill`` lays the chains out along a minimum path cover over the
+    masks, highest ceiling first (one layout for any rule order), and
+    stores each chain's rules with ``Chain.insert_rule``, head tuple
+    first, so no stored rule has owners yet to report its hint to.
   * incremental ``add`` places a brand-new tuple in the first chain, in
     search order, that can host its mask, at the position
     ``Chain.can_host`` gives there.
@@ -26,18 +24,16 @@ Construction paths:
 ceiling (``Chain.top``) first, so a lookup walks it as it stands and
 stops once no remaining chain can beat the best rule found.  ``fill``
 sorts it, and an add that raises a ceiling moves that chain up; nothing
-else needs repair.  ``TupleChainClassifier`` also holds
-``chain.one_group(self)``, one head-mask-0 group whose one entry fronts
-that list, so ``chain.group_lookup``, ETC's lookup, is its lookup too.
+else needs repair.  ``TupleChainClassifier``, one chain set behind
+ETC's head-mask-0 group, is defined in ``etc`` and imported from here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .chain import Chain, DuplicateRuleError, group_lookup, one_group
+from .chain import Chain, DuplicateRuleError
 from .graph import PathCover, build_graph, min_path_cover
 from .model import FieldSchema, Rule
 from .tuple_store import TupleTable, owners_of
@@ -113,10 +109,13 @@ class ChainSet:
     def fill(self, by_mask: dict[int, list[Rule]],
              cover: PathCover | None = None) -> None:
         """Lay out an empty set over ``by_mask`` (mask -> its rules),
-        along ``cover`` if given, else a minimum path cover of the
-        masks in ``by_mask``'s order."""
+        along ``cover`` if given, else along a minimum path cover of the
+        masks taken highest ceiling (rule priority) first, ties to the
+        higher mask value: one layout for any order of the same rules."""
         masks = list(by_mask)
         if cover is None:
+            masks.sort(key=lambda m: (max(r.priority for r in by_mask[m]),
+                                      m), reverse=True)
             cover = min_path_cover(build_graph(masks))
         else:
             covered = sorted(m for p in cover.mask_paths() for m in p)
@@ -145,11 +144,6 @@ class ChainSet:
     def probe_bound(self) -> int:
         """Per-lookup probe ceiling: sum of binary-search bounds."""
         return sum(len(c.tuples).bit_length() for c in self.chains)
-
-    def probe_bound_closed_form(self) -> float:
-        m = sum(c.tuple_count for c in self.chains)
-        l = len(self.chains)
-        return l * (1 + math.log2(m / l)) if l else 0.0
 
     # -- updates -----------------------------------------------------
 
@@ -295,65 +289,4 @@ class ChainSet:
         return out
 
 
-class TupleChainClassifier(ChainSet):
-    """A chain set that checks every rule against its schema and its
-    own set of stored rule ids.  ``groups`` is ``one_group(self)``,
-    whose ceiling insert and build keep as an ETC group's."""
-
-    __slots__ = ("schema", "rule_ids", "groups")
-
-    def __init__(self, schema: FieldSchema):
-        super().__init__()
-        self.schema = schema
-        self.rule_ids: set[int] = set()
-        self.groups = one_group(self)
-
-    @classmethod
-    def build(cls, schema: FieldSchema, rules: list[Rule],
-              cover: PathCover | None = None) -> "TupleChainClassifier":
-        self = cls(schema)
-        self.rule_ids = check_rules(schema, rules)
-        by_mask: dict[int, list[Rule]] = {}
-        for r in rules:
-            by_mask.setdefault(r.mask, []).append(r)
-        self.fill(by_mask, cover)
-        if self.chains:
-            self.groups[0].top = self.chains[0].top
-        return self
-
-    # ETC's lookup too, bound with no wrapper: a call per lookup would
-    # cost what sharing the loop saves
-    lookup = group_lookup
-
-    def insert(self, r: Rule) -> None:
-        check_rule(self.schema, r, self.rule_ids)
-        self.add(r)
-        self.rule_ids.add(r.rule_id)
-        grp = self.groups[0]
-        if r.priority > grp.top:
-            grp.top = r.priority
-
-    def remove(self, r: Rule) -> bool:
-        if not self.discard(r):
-            return False
-        self.rule_ids.discard(r.rule_id)
-        return True
-
-    def stats(self) -> StructureStats:
-        """``ChainSet.stats`` at the schema's key width."""
-        return super().stats(self.schema.total_width)
-
-    def audit(self) -> list[str]:
-        out = super().audit()
-        if {r.rule_id for r in self.all_rules()} != self.rule_ids:
-            out.append("rule id set out of sync")
-        grp = self.groups[0] if len(self.groups) == 1 else None
-        if grp is None or grp.head_mask or list(grp.head) != [0]:
-            out.append("groups is not one head-mask-0 group with one entry")
-        else:
-            he = grp.head[0]
-            if he.local is not self or he.chains is not self.chains:
-                out.append("the group's entry does not front these chains")
-            if self.chains and self.chains[0].top > grp.top:
-                out.append(f"chain ceiling above the group's {grp.top}")
-        return out
+from .etc import TupleChainClassifier  # noqa: E402,F401

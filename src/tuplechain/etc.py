@@ -25,16 +25,16 @@ picks every update's path with one get.  A mask behind a nonzero head
 maps to its route, ``[group, live rule count]``, which it holds while
 it holds rules.  A mask of the flat group maps to its tuple in the flat
 chain set, and stays flat while that set registers the tuple, markers
-only or not.  So an update of a flat mask runs tc's path:
+only or not.  So an update of a flat mask pays for no routing:
 ``check_rule``, the chain set's add or discard with the tuple already
 in hand, the rule ids and the group's ceiling.  When the flat set's
-last chain empties, the flat group goes.
+last chain empties, the flat group goes, unless the class keeps it.
 
 Each group keeps a priority ceiling, ``_Group.top``, at least the local
 ceilings behind all its head entries.  ``groups`` runs in creation
 order: a build keeps the order ``group_chains`` plans, and an insert
-that opens a group appends it.  ``lookup`` is ``chain.group_lookup``,
-tc's lookup too: one loop over one running best that skips any group
+that opens a group appends it.  ``lookup`` is ``chain.group_lookup``:
+one loop over one running best that skips any group
 whose ceiling is strictly below that best, head probe included, and
 behind a hit head entry walks the local chains with their chain and
 entry ceiling cuts.  ``_Group`` and ``_HeadEntry`` live in ``chain``
@@ -47,14 +47,20 @@ creation order.
 one head probe per group with a nonzero head mask plus the largest
 ``local.probe_bound()`` behind it.  No insert or remove keeps a bound;
 only ``bench`` and the tests ask for it.
+
+The basic scheme, ``TupleChainClassifier`` (tc), is the ETC that opens
+the flat group with the classifier, keeps it when its chain set empties
+(``_keeps_flat``) and builds every rule into it: head mask 0 is
+contained in every mask, so tc never holds a second group.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .chain import _Group, _HeadEntry, group_lookup
+from .chain import Chain, _Group, _HeadEntry, group_lookup
 from .classifier import (_PTR, ChainSet, StructureStats, check_rule,
                          check_rules, cover_bound)
 from .graph import PathCover, build_graph, min_path_cover
@@ -140,6 +146,10 @@ def group_chains(pc: PathCover, masks: list[int],
 class EtcClassifier:
     """Group-of-chains classifier with head-tuple filtering."""
 
+    # True: the flat group opens with the classifier and stays when its
+    # chain set empties, so every mask routes into it (tc)
+    _keeps_flat = False
+
     def __init__(self, schema: FieldSchema, min_head_bits: int = 4):
         if min_head_bits < 0:
             raise ValueError("min_head_bits must be >= 0")
@@ -154,6 +164,8 @@ class EtcClassifier:
         # registers one
         self._mask_to_group: dict[int, list | TupleTable] = {}
         self.rule_ids: set[int] = set()
+        if self._keeps_flat:
+            self._new_group(0)
 
     @property
     def group_count(self) -> int:
@@ -193,7 +205,8 @@ class EtcClassifier:
         by_group: list[list[Rule]] = [[] for _ in plans]
         for r in rules:
             by_group[slot[r.mask]].append(r)
-        # (head mask, head key -> mask -> rules) per group to make
+        # (head mask, head key -> mask -> rules) per headed group to
+        # make, and (0, mask -> rules) for the flat group
         layouts = []
         folded: set[int] = set()
         flat: dict[int, list[Rule]] = {}   # the head-mask-0 group's
@@ -219,7 +232,7 @@ class EtcClassifier:
                 <= keys + n * max(map(cover, buckets.values()))
             if fold:
                 if not folded:
-                    layouts.append((0, {0: flat}))
+                    layouts.append((0, flat))
                 folded |= plan.member_masks
             else:
                 layouts.append((plan.head_mask, buckets))
@@ -229,17 +242,26 @@ class EtcClassifier:
                     flat.setdefault(r.mask, []).append(r)
         for head_mask, buckets in layouts:
             grp = self._new_group(head_mask)
+            if not head_mask:
+                self._fill_flat(flat)
+                continue
             for hkey, by_mask in buckets.items():
-                he = grp.head.get(hkey)
-                if he is None:   # an entry of a headed group
-                    for m, rs in by_mask.items():
-                        self._mask_to_group.setdefault(m, [grp, 0])[1] += \
-                            len(rs)
-                    he = grp.head[hkey] = _HeadEntry(ChainSet())
+                for m, rs in by_mask.items():
+                    self._mask_to_group.setdefault(m, [grp, 0])[1] += len(rs)
+                he = grp.head[hkey] = _HeadEntry(ChainSet())
                 he.local.fill(by_mask)
                 grp.top = max(grp.top, he.chains[0].top)
-        if self._flat is not None:
-            self._mask_to_group.update(self._flat.head[0].local.registry)
+
+    def _fill_flat(self, by_mask: dict[int, list[Rule]],
+                   cover: PathCover | None = None) -> None:
+        """``ChainSet.fill`` on the flat group's empty chain set; its
+        tuples enter ``_mask_to_group``."""
+        grp = self._flat
+        local = grp.head[0].local
+        local.fill(by_mask, cover)
+        if local.chains:
+            grp.top = local.chains[0].top
+        self._mask_to_group.update(local.registry)
 
     def _new_group(self, head_mask: int) -> _Group:
         """Append a group; a head-mask-0 one is the flat group and gets
@@ -253,7 +275,7 @@ class EtcClassifier:
 
     # -- lookup ------------------------------------------------------
 
-    # tc's lookup too, bound with no wrapper (see chain.group_lookup)
+    # bound with no wrapper (see chain.group_lookup)
     lookup = group_lookup
 
     def probe_bound(self) -> int:
@@ -299,8 +321,8 @@ class EtcClassifier:
             he.local.add(r)   # r passed check_rule above
             route[1] += 1
         else:
-            # the flat set's tuple of r's mask: ChainSet.add, as tc
-            # runs it, past the registry get
+            # the flat set's tuple of r's mask: ChainSet.add's steps,
+            # past the registry get
             grp = self._flat
             chain = route.chain
             top = chain.top
@@ -316,8 +338,8 @@ class EtcClassifier:
         if route is None:
             return False
         if route.__class__ is not list:
-            # the flat set's tuple of r's mask: ChainSet.discard, as tc
-            # runs it, past the registry get
+            # the flat set's tuple of r's mask: ChainSet.discard's
+            # steps, past the registry get
             chain = route.chain
             if not chain.delete_rule(route, r):
                 return False
@@ -327,7 +349,7 @@ class EtcClassifier:
                 local = grp.head[0].local
                 for t in local.drop_tail(chain):
                     del self._mask_to_group[t.mask]
-                if not local.chains:
+                if not local.chains and not self._keeps_flat:
                     self.groups.remove(grp)
                     self._flat = None
             return True
@@ -353,14 +375,17 @@ class EtcClassifier:
     # -- auditing ----------------------------------------------------
 
     def audit(self) -> list[str]:
+        flat = self._flat
+        # the checks below find the flat set through the flat group
+        want = [flat] if flat is not None else []
+        if [g for g in self.groups if not g.head_mask] != want:
+            return ["the flat group is not the one head-mask-0 group"]
+        if self._keeps_flat and self.groups != want:
+            return ["groups is not the flat group alone"]
         out = []
         rules = self.all_rules()
         stored = Counter(r.mask for r in rules)
         index = {grp: gi for gi, grp in enumerate(self.groups)}
-        flat = self._flat
-        if [g for g in self.groups if not g.head_mask] != \
-                ([flat] if flat is not None else []):
-            out.append("the flat group is not the one head-mask-0 group")
         he = flat.head.get(0) if flat is not None else None
         registry = he.local.registry if he is not None else {}
         for m, route in self._mask_to_group.items():
@@ -399,7 +424,7 @@ class EtcClassifier:
                     out.append(f"group {gi}, head {hkey:#x}: local "
                                f"ceiling above the group's {grp.top}")
                 local = he.local.all_rules()
-                if not local:
+                if not local and not (grp is flat and self._keeps_flat):
                     out.append(f"group {gi}, head {hkey:#x}: holds no rules")
                 for r in local:
                     if r.fields & grp.head_mask != hkey:
@@ -441,3 +466,46 @@ class EtcClassifier:
             entry_total=len(local) + sum(st.entry_total for st in local),
             owner_link_total=sum(st.owner_link_total for st in local),
             group_count=len(self.groups))
+
+
+class TupleChainClassifier(EtcClassifier):
+    """The ETC whose one group is the flat group.  ``chains``,
+    ``registry`` and ``stats()`` are its chain set's: no head, no group."""
+
+    _keeps_flat = True
+
+    @classmethod
+    def build(cls, schema: FieldSchema, rules: list[Rule],
+              cover: PathCover | None = None) -> "TupleChainClassifier":
+        """Every rule in the flat group, along ``cover`` if given."""
+        self = cls(schema)
+        self.rule_ids = check_rules(schema, rules)
+        by_mask: dict[int, list[Rule]] = {}
+        for r in rules:
+            by_mask.setdefault(r.mask, []).append(r)
+        self._fill_flat(by_mask, cover)
+        return self
+
+    # ETC's own functions, named in this class body because perfbench's
+    # tracer wraps each class's build, lookup, insert and remove where
+    # the class itself holds them
+    lookup = group_lookup
+    insert = EtcClassifier.insert
+    remove = EtcClassifier.remove
+
+    @property
+    def chains(self) -> list[Chain]:
+        return self._flat.head[0].local.chains
+
+    @property
+    def registry(self) -> dict[int, TupleTable]:
+        return self._flat.head[0].local.registry
+
+    def probe_bound_closed_form(self) -> float:
+        m = sum(c.tuple_count for c in self.chains)
+        l = len(self.chains)
+        return l * (1 + math.log2(m / l)) if l else 0.0
+
+    def stats(self) -> StructureStats:
+        """The flat chain set's ``stats`` at the schema's key width."""
+        return self._flat.head[0].local.stats(self.schema.total_width)

@@ -346,8 +346,8 @@ class TestAudit:
         assert c.audit() == [] and e.ceil == 9
         # the owner holds 5 with ceiling 9
         e.ceil = 4 if below == "rule" else 8
-        assert c.audit() == [f"chain 0: ceiling {e.ceil} of "
-                             f"{pk(0x80, 0x00):#x} in tuple {head.mask:#x} "
+        assert c.audit() == [f"group 0, head 0x0: chain 0: ceiling {e.ceil} "
+                             f"of {pk(0x80, 0x00):#x} in tuple {head.mask:#x} "
                              "below an owner's"]
 
     def test_tss_ceiling_below_a_rule_is_flagged(self):

@@ -367,7 +367,7 @@ class TestSplice:
         # linked on to the predecessor, which the head has not.
         assert chain.touches.marker - before == \
             succ + (len(t.table) if at else 0)
-        c.registry[fresh] = t
+        c.registry[fresh] = c._mask_to_group[fresh] = t
         for r in rules:
             if r.mask == fresh:
                 c.insert(r)
@@ -450,7 +450,7 @@ class TestOrderAudit:
         assert len(c.chains) == 2 and c.audit() == []
         assert c.chains[0].top > c.chains[1].top
         c.chains.reverse()
-        assert c.audit() == ["chains out of ceiling order"]
+        assert c.audit() == ["group 0, head 0x0: chains out of ceiling order"]
 
     def test_empty_tuple_is_flagged(self):
         # a removal drops every tuple it empties, so one left in a chain
@@ -460,10 +460,11 @@ class TestOrderAudit:
         (chain,) = c.chains
         t = TupleTable(pk(0xF0, 0))
         chain.insert_tuple(t, 1)
-        c.registry[t.mask] = t
+        c.registry[t.mask] = c._mask_to_group[t.mask] = t
         # the empty tuple still counts towards the bound it costs
         assert c.probe_bound() == chain.probe_bound() == 2
-        assert c.audit() == [f"tuple {t.mask:#x} holds no entries"]
+        assert c.audit() == [
+            f"group 0, head 0x0: tuple {t.mask:#x} holds no entries"]
 
 
     def test_tuple_naming_another_chain_is_flagged(self):
@@ -475,8 +476,9 @@ class TestOrderAudit:
         t = first.tuples[0]
         t.chain = second
         assert c.audit() == [
-            f"chain 0: tuple {t.mask:#x} names another chain",
-            f"registry entry {t.mask:#x} is stale"]
+            f"group 0, head 0x0: chain 0: tuple {t.mask:#x} names another "
+            "chain",
+            f"group 0, head 0x0: registry entry {t.mask:#x} is stale"]
 
 
 class TestStats:

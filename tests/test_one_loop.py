@@ -134,11 +134,11 @@ def test_audit_pins_the_one_group():
         tc.groups[0].head_mask = 0xFF00
 
     assert broken(copy_chains) == [
-        "the group's entry does not front these chains"]
+        "group 0, head 0x0: chains are not the local chain set's"]
     assert len(broken(lower_top)) == 1
     for corrupt in (second_group, headed):
         assert broken(corrupt) == [
-            "groups is not one head-mask-0 group with one entry"]
+            "the flat group is not the one head-mask-0 group"]
 
 
 def test_one_function_is_both_lookups():
