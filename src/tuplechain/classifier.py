@@ -40,6 +40,7 @@ from .tuple_store import TupleTable, owners_of
 
 _PTR = 8  # pointer width of the structural cost model, bytes
 _TOP = attrgetter("top")
+_PRIORITY = attrgetter("priority")
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,11 +83,19 @@ def check_rules(schema: FieldSchema, rules) -> set[int]:
     return ids
 
 
+def ceiling_order(by_mask: dict[int, list[Rule]]) -> list[int]:
+    """``by_mask``'s masks (mask -> its rules), highest ceiling (rule
+    priority) first, ties to the higher mask value: the order that a
+    cover-less ``ChainSet.fill`` takes, the same for any rule order."""
+    return sorted(by_mask, reverse=True,
+                  key=lambda m: (max(map(_PRIORITY, by_mask[m])), m))
+
+
 def cover_bound(masks) -> int:
-    """The ``probe_bound()`` of a ``ChainSet`` filled over these distinct
-    masks, in this order, with nothing laid out: the sum, over the
-    paths of their minimum path cover, of ``Chain.probe_bound()`` for a
-    chain that long (``1 + floor(log2 m)`` for m tuples)."""
+    """The ``probe_bound()`` of a ``ChainSet`` filled over a minimum path
+    cover of these distinct masks in this order (``ceiling_order`` for
+    a cover-less fill), with nothing laid out: the sum over its paths
+    of ``1 + floor(log2 m)`` for a chain of m tuples."""
     cover = min_path_cover(build_graph(list(masks)))
     return sum(len(p).bit_length() for p in cover.paths)
 
@@ -110,16 +119,13 @@ class ChainSet:
              cover: PathCover | None = None) -> None:
         """Lay out an empty set over ``by_mask`` (mask -> its rules),
         along ``cover`` if given, else along a minimum path cover of the
-        masks taken highest ceiling (rule priority) first, ties to the
-        higher mask value: one layout for any order of the same rules."""
-        masks = list(by_mask)
+        masks in ``ceiling_order``: one layout for any order of the same
+        rules."""
         if cover is None:
-            masks.sort(key=lambda m: (max(r.priority for r in by_mask[m]),
-                                      m), reverse=True)
-            cover = min_path_cover(build_graph(masks))
+            cover = min_path_cover(build_graph(ceiling_order(by_mask)))
         else:
             covered = sorted(m for p in cover.mask_paths() for m in p)
-            if covered != sorted(masks):
+            if covered != sorted(by_mask):
                 raise ValueError("cover does not match the rule masks")
         for path in cover.mask_paths():
             chain = Chain()
@@ -128,8 +134,6 @@ class ChainSet:
             self.chains.append(chain)
             for t in chain.tuples:
                 self.registry[t.mask] = t
-        for chain in self.chains:
-            for t in chain.tuples:
                 for r in by_mask[t.mask]:
                     chain.insert_rule(t, r)
         # stable: chains with equal ceilings keep cover order

@@ -61,8 +61,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .chain import Chain, _Group, _HeadEntry, group_lookup
-from .classifier import (_PTR, ChainSet, StructureStats, check_rule,
-                         check_rules, cover_bound)
+from .classifier import (_PTR, ChainSet, StructureStats, ceiling_order,
+                         check_rule, check_rules, cover_bound)
 from .graph import PathCover, build_graph, min_path_cover
 from .model import FieldSchema, Rule, mask_less_than
 from .tuple_store import TupleTable
@@ -190,56 +190,52 @@ class EtcClassifier:
         lookup pays ``own``, the ``cover_bound`` over the group's
         masks; headed, one head probe plus ``local``, the largest
         ``cover_bound`` over one head entry's masks, on the ``n / 2^b``
-        share of keys the head lets through.  Head mask 0 costs no
-        probe.  A plan of two or more masks has ``own >= 2``, so with
-        ``local <= own`` it passes only if ``2n >= 2^b``; the covers
-        are computed only for a plan of one mask or a head at least
-        half full, which keeps the cover work off big sparse heads."""
+        share of keys the head lets through.  Each bound takes the
+        masks in ``ceiling_order``, as ``ChainSet.fill`` lays them out.
+        Head mask 0 costs no probe.  A plan of two or more masks has
+        ``own >= 2``, so with ``local <= own`` it passes only if
+        ``2n >= 2^b``; the covers are computed only for a plan of one
+        mask or a head at least half full, off big sparse heads."""
         masks = sorted({r.mask for r in rules})
         plans = group_chains(min_path_cover(build_graph(masks)), masks,
                              self.min_head_bits)
-        # rules per group, in input order so each local fill sees its
-        # masks in first-appearance order
+        # rules per group; fill and the fold rule take each mask set in
+        # ceiling order, so the input order changes nothing
         slot = {m: i for i, plan in enumerate(plans)
                 for m in plan.member_masks}
         by_group: list[list[Rule]] = [[] for _ in plans]
         for r in rules:
             by_group[slot[r.mask]].append(r)
-        # (head mask, head key -> mask -> rules) per headed group to
-        # make, and (0, mask -> rules) for the flat group
+        # (head mask, head key -> mask -> rules) per headed group, or (0, flat)
         layouts = []
-        folded: set[int] = set()
         flat: dict[int, list[Rule]] = {}   # the head-mask-0 group's
-        # cover_bound per ordered mask tuple: head entries often repeat
-        # one mask list, and the bound depends on the order given
+        # cover_bound per mask tuple in ceiling order: head entries
+        # often repeat one mask list, and the bound depends on the order
         covers: dict[tuple[int, ...], int] = {}
 
-        def cover(masks) -> int:
-            masks = tuple(masks)
-            b = covers.get(masks)
-            if b is None:
-                b = covers[masks] = cover_bound(masks)
-            return b
+        def cover(by_mask: dict[int, list[Rule]]) -> int:
+            masks = tuple(ceiling_order(by_mask))
+            if masks not in covers:
+                covers[masks] = cover_bound(masks)
+            return covers[masks]
 
         for plan, members in zip(plans, by_group):
+            own: dict[int, list[Rule]] = {}
             buckets: dict[int, dict[int, list[Rule]]] = {}
             for r in members:
+                own.setdefault(r.mask, []).append(r)
                 by_mask = buckets.setdefault(r.fields & plan.head_mask, {})
                 by_mask.setdefault(r.mask, []).append(r)
             n, keys = len(buckets), 1 << plan.head_mask.bit_count()
             fold = (len(plan.member_masks) == 1 or 2 * n >= keys) and \
-                keys * cover(dict.fromkeys(r.mask for r in members)) \
+                keys * cover(own) \
                 <= keys + n * max(map(cover, buckets.values()))
             if fold:
-                if not folded:
+                if not flat:
                     layouts.append((0, flat))
-                folded |= plan.member_masks
+                flat.update(own)
             else:
                 layouts.append((plan.head_mask, buckets))
-        if folded:
-            for r in rules:
-                if r.mask in folded:
-                    flat.setdefault(r.mask, []).append(r)
         for head_mask, buckets in layouts:
             grp = self._new_group(head_mask)
             if not head_mask:
@@ -470,9 +466,15 @@ class EtcClassifier:
 
 class TupleChainClassifier(EtcClassifier):
     """The ETC whose one group is the flat group.  ``chains``,
-    ``registry`` and ``stats()`` are its chain set's: no head, no group."""
+    ``registry`` and ``stats()`` are its chain set's: no head, no group,
+    so ``group_count`` is 0."""
 
     _keeps_flat = True
+
+    group_count = 0   # as stats() reports
+
+    def __init__(self, schema: FieldSchema):
+        super().__init__(schema)   # no head width: only the flat group routes
 
     @classmethod
     def build(cls, schema: FieldSchema, rules: list[Rule],

@@ -7,7 +7,7 @@ from tuplechain.baselines import (LinearClassifier, TssClassifier,
                                   linear_lookup)
 from tuplechain.chain import Chain, DuplicateRuleError
 from tuplechain.classifier import (ChainSet, TupleChainClassifier,
-                                   cover_bound)
+                                   ceiling_order, cover_bound)
 from tuplechain.etc import EtcClassifier
 from tuplechain.graph import PathCover, build_graph, min_path_cover
 from tuplechain.model import FieldSchema, Rule
@@ -441,6 +441,29 @@ class TestFill:
         assert chain.touches.marker > len(rules)
         assert any(e.rule is None and e.hint is not None
                    for t in chain.tuples for e in t.table.values())
+
+    def test_fill_without_a_cover_has_the_ceiling_order_bound(self):
+        # seven masks whose minimum path cover has bound 6 in this order
+        # and 7 in ceiling order, the one fill lays out
+        masks = [0xFA96, 0x7A12, 0x5BDF, 0x1002, 0xA6F9, 0xE0AA, 0x7F87]
+        pri = [21, 23, 44, 38, 17, 34, 39]
+        by_mask = {m: [Rule(0, m, p, i)]
+                   for i, (m, p) in enumerate(zip(masks, pri))}
+        assert cover_bound(masks) == 6
+        filled = ChainSet()
+        filled.fill(by_mask)
+        assert filled.probe_bound() == cover_bound(ceiling_order(by_mask)) == 7
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fill_without_a_cover_matches_cover_bound(self, seed):
+        rng = random.Random(seed)
+        for rules in (random_rules(rng, 150), random_rules(rng, 80, MASKS)):
+            by_mask = {}
+            for r in rules:
+                by_mask.setdefault(r.mask, []).append(r)
+            filled = ChainSet()
+            filled.fill(by_mask)
+            assert filled.probe_bound() == cover_bound(ceiling_order(by_mask))
 
 
 class TestOrderAudit:

@@ -118,6 +118,17 @@ def test_tc_stays_flat_as_it_grows():
         assert chains == [] and not tc.registry and not tc.rule_ids
 
 
+def test_tc_takes_no_head_width_and_counts_no_group():
+    with pytest.raises(TypeError):
+        TupleChainClassifier(S, min_head_bits=9)
+    with pytest.raises(TypeError):
+        TupleChainClassifier(S, 9)
+    tc = TupleChainClassifier.build(S, rule_set("random"))
+    assert tc.group_count == tc.stats().group_count == 0
+    assert tc.groups == [tc._flat]
+    assert TupleChainClassifier(S).group_count == 0
+
+
 def test_audit_flags_a_group_beside_the_flat_one():
     rng = random.Random(3)
     rules = [Rule(f, top_bits(4), 1, i) for i, f in enumerate(

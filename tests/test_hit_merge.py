@@ -61,8 +61,9 @@ def stream_rules(rng, n, order):
 
 
 def walk(c, key, once=False):
-    """The reference walk of a tc or ETC classifier."""
-    if isinstance(c, EtcClassifier):
+    """The reference walk of a tc or ETC classifier: tc's over its
+    chain list, which checks its flat group's walk independently."""
+    if type(c) is EtcClassifier:
         return etc_walk(c, key, once)
     return ceiling_walk(c.chains, key, once=once)
 
